@@ -66,10 +66,7 @@ from .windows import (
     WindowSpec,
     apply_rope3d,
     build_boundary_mask,
-    cyclic_shift,
-    partition_temporal,
     swin_block_pair,
-    unpartition_temporal,
     window_attention,
 )
 

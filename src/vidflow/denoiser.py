@@ -25,7 +25,7 @@ from .grids import (
     resize_spatial,
     sample_gaussian,
 )
-from .schedule import Conditioning
+from .schedule import Conditioning, build_schedule, sample_ode
 from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec, swin_block_pair
 
 SIGMA_EMBED_DIM = 16
@@ -194,6 +194,19 @@ def forward_velocity(params: DenoiserParams, z: LatentGrid, sigma: float, cond: 
     return LatentGrid(z.extent, np.stack([o.data for o in outs]))
 
 
+def _tape_grads(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning, term):
+    """Tape the forward, sum ``term(b, out)`` over batch items and backpropagate
+    once; returns (the sum's value, gradient of every parameter tensor)."""
+    outs, leaves = _forward_graph(params, z, sigma, cond, train=True)
+    total = None
+    for b, out in enumerate(outs):
+        item = term(b, out)
+        total = item if total is None else total + item
+    total.backward()
+    grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data)) for k, t in leaves.items()}
+    return float(total.data), grads
+
+
 def backward(
     params: DenoiserParams,
     z: LatentGrid,
@@ -205,16 +218,7 @@ def backward(
     gradient is ``upstream_grad``."""
     if upstream_grad.extent != z.extent:
         raise ShapeError(f"upstream extent {upstream_grad.extent} != input {z.extent}")
-    outs, leaves = _forward_graph(params, z, sigma, cond, train=True)
-    surrogate = None
-    for b, out in enumerate(outs):
-        term = (out * upstream_grad.values[b]).sum()
-        surrogate = term if surrogate is None else surrogate + term
-    surrogate.backward()
-    return {
-        k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for k, t in leaves.items()
-    }
+    return _tape_grads(params, z, sigma, cond, lambda b, out: (out * upstream_grad.values[b]).sum())[1]
 
 
 class ParamVelocityModel:
@@ -433,31 +437,27 @@ class AdamW:
 
 def refiner_loss(
     params: DenoiserParams,
-    z_lr: LatentGrid,
-    z_hr: LatentGrid,
+    z_src: LatentGrid,
+    z_clean: LatentGrid,
     t: float,
     cond: Conditioning,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Flow-mapping loss: interpolate z_t between the clean pair, regress the
-    constant path velocity z_lr - z_hr."""
-    if z_lr.extent != z_hr.extent:
-        raise ShapeError(f"extent mismatch: {z_lr.extent} vs {z_hr.extent}")
+    """The flow loss both trainers use: interpolate z_t = (1 - t) * z_clean +
+    t * z_src and regress the constant path velocity z_src - z_clean (per-item
+    MSE, averaged over the batch).  The source is noise for the base model and
+    the degraded latent for the Refiner."""
+    if z_src.extent != z_clean.extent:
+        raise ShapeError(f"extent mismatch: {z_src.extent} vs {z_clean.extent}")
     if not (0.0 < t < 1.0):
         raise ConfigError(f"t must be in (0, 1), got {t}")
-    z_t = LatentGrid(z_hr.extent, (1 - t) * z_hr.values + t * z_lr.values)
-    target = z_lr.values - z_hr.values
-    outs, leaves = _forward_graph(params, z_t, t, cond, train=True)
-    loss = None
-    for b, out in enumerate(outs):
+    z_t = LatentGrid(z_clean.extent, (1 - t) * z_clean.values + t * z_src.values)
+    target = z_src.values - z_clean.values
+
+    def term(b, out):
         diff = out - target[b]
-        term = (diff * diff).mean() / len(outs)
-        loss = term if loss is None else loss + term
-    loss.backward()
-    grads = {
-        k: (lt.grad if lt.grad is not None else np.zeros_like(lt.data))
-        for k, lt in leaves.items()
-    }
-    return float(loss.data), grads
+        return (diff * diff).mean() / z_t.extent.b
+
+    return _tape_grads(params, z_t, t, cond, term)
 
 
 def _clip_window(clip: LatentGrid, frames: int, ri: Rng) -> LatentGrid:
@@ -468,6 +468,28 @@ def _clip_window(clip: LatentGrid, frames: int, ri: Rng) -> LatentGrid:
     return LatentGrid.from_array(clip.values[:, :, start : start + frames])
 
 
+def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters):
+    """The training loop both trainers share.  Iteration ``it`` takes all its
+    randomness from ``rng.split(it)``: a clip and a window of it, then
+    ``draw(window, ri)`` for the (source, clean) pair, then the path time t.
+    Resuming at ``start_iter`` with a checkpointed optimizer therefore
+    reproduces a straight run bit for bit."""
+    if optimizer is None:
+        optimizer = AdamW(params, train_cfg)
+    cond = Conditioning.zeros(params.cond_dim)
+    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
+    losses = []
+    for it in range(start_iter, end):
+        ri = rng.split(it)
+        clip = dataset[int(ri.integers(0, len(dataset))[0])]
+        source, clean = draw(_clip_window(clip, train_cfg.frames_at(it), ri.split(0)), ri)
+        t = 0.001 + 0.998 * float(ri.uniform(1)[0])
+        loss, grads = refiner_loss(params, source, clean, t, cond)
+        optimizer.step(params, grads)
+        losses.append(loss)
+    return params, optimizer, losses
+
+
 def train_refiner(
     dataset: list[LatentGrid],
     codec: ToyCodec,
@@ -475,15 +497,13 @@ def train_refiner(
     train_cfg: TrainConfig,
     rng: Rng,
     params: DenoiserParams | None = None,
-    cond: Conditioning | None = None,
     optimizer: AdamW | None = None,
     start_iter: int = 0,
     n_iters: int | None = None,
 ) -> tuple[DenoiserParams, AdamW, list[float]]:
-    """Train the Refiner on degraded/clean pairs with the progressive
-    frame-count schedule.  Every iteration derives its entire randomness from
-    ``rng.split(iteration)``, so resuming at ``start_iter`` with a checkpointed
-    optimizer reproduces a straight run bit for bit."""
+    """Train the Refiner on (degraded, clean) latent pairs with the
+    progressive frame-count schedule; ``params=None`` starts from a fresh
+    d=12 Refiner."""
     if not dataset:
         raise ConfigError("empty dataset")
     if params is None:
@@ -491,22 +511,11 @@ def train_refiner(
             patch=2, d=12, heads=2, depth=2, w_t=4,
             channels=dataset[0].extent.c * 4, cond_dim=4, rng=rng.split(10**9),
         )
-    if cond is None:
-        cond = Conditioning.zeros(params.cond_dim)
-    if optimizer is None:
-        optimizer = AdamW(params, train_cfg)
-    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
-    losses = []
-    for it in range(start_iter, end):
-        ri = rng.split(it)
-        clip = dataset[int(ri.integers(0, len(dataset))[0])]
-        clip = _clip_window(clip, train_cfg.frames_at(it), ri.split(0))
-        z_lr, z_hr = degrade_pair(clip, codec, deg_cfg, rng=ri.split(1))
-        t = 0.001 + 0.998 * float(ri.uniform(1)[0])
-        loss, grads = refiner_loss(params, z_lr, z_hr, t, cond)
-        optimizer.step(params, grads)
-        losses.append(loss)
-    return params, optimizer, losses
+
+    def draw(clip, ri):
+        return degrade_pair(clip, codec, deg_cfg, rng=ri.split(1))
+
+    return _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters)
 
 
 def train_base(
@@ -514,49 +523,20 @@ def train_base(
     codec: ToyCodec,
     train_cfg: TrainConfig,
     rng: Rng,
-    params: DenoiserParams | None = None,
-    cond: Conditioning | None = None,
+    params: DenoiserParams,
     optimizer: AdamW | None = None,
     start_iter: int = 0,
     n_iters: int | None = None,
 ) -> tuple[DenoiserParams, AdamW, list[float]]:
-    """Flow-matching pretraining of the base model on clean latents."""
+    """Flow-matching pretraining of the base model on (noise, clean) pairs."""
     if not dataset:
         raise ConfigError("empty dataset")
-    if params is None:
-        params = DenoiserParams.init(
-            patch=2, d=48, heads=6, depth=2, w_t=4,
-            channels=dataset[0].extent.c * 4, cond_dim=4, rng=rng.split(10**9),
-        )
-    if cond is None:
-        cond = Conditioning.zeros(params.cond_dim)
-    if optimizer is None:
-        optimizer = AdamW(params, train_cfg)
-    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
-    losses = []
-    for it in range(start_iter, end):
-        ri = rng.split(it)
-        clip = dataset[int(ri.integers(0, len(dataset))[0])]
-        clip = _clip_window(clip, train_cfg.frames_at(it), ri.split(0))
+
+    def draw(clip, ri):
         z0 = codec.encode(clip)
-        eps = sample_gaussian(z0.extent, ri.split(1))
-        sigma = 0.001 + 0.998 * float(ri.uniform(1)[0])
-        z_sig = LatentGrid(z0.extent, (1 - sigma) * z0.values + sigma * eps.values)
-        target = eps.values - z0.values
-        outs, leaves = _forward_graph(params, z_sig, sigma, cond, train=True)
-        loss = None
-        for b, out in enumerate(outs):
-            diff = out - target[b]
-            term = (diff * diff).mean() / len(outs)
-            loss = term if loss is None else loss + term
-        loss.backward()
-        grads = {
-            k: (lt.grad if lt.grad is not None else np.zeros_like(lt.data))
-            for k, lt in leaves.items()
-        }
-        optimizer.step(params, grads)
-        losses.append(float(loss.data))
-    return params, optimizer, losses
+        return sample_gaussian(z0.extent, ri.split(1)), z0
+
+    return _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters)
 
 
 def refine(
@@ -568,14 +548,9 @@ def refine(
 ) -> LatentGrid:
     """Upsample the preview and integrate the refiner flow from t=1 to t=0
     on a linear schedule (NFE = n_steps)."""
-    if n_steps < 1:
-        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    sched = build_schedule(n_steps)
     z = resize_spatial(preview_lo, target_hw[0], target_hw[1])
-    ts = 1.0 - np.arange(n_steps + 1) / n_steps
-    for i in range(n_steps):
-        u = forward_velocity(params, z, float(ts[i]), cond)
-        z = axpy(float(ts[i + 1] - ts[i]), u, z)
-    return z
+    return sample_ode(ParamVelocityModel(params), z, sched, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -647,14 +622,19 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     for name, offset, shape in entries:
         if blob[offset : offset + 8] != LGR1_MAGIC:
             raise FormatError(f"{path}: bad record magic at byte {offset}")
-        axes = struct.unpack("<5Q", blob[offset + 8 : offset + 48])
-        count = int(np.prod(axes))
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset + 48)
-        named[name] = data.reshape(shape).astype(np.float64)
+        try:
+            axes = struct.unpack("<5Q", blob[offset + 8 : offset + 48])
+            data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(axes)), offset=offset + 48)
+            named[name] = data.reshape(shape).astype(np.float64)
+        except (struct.error, ValueError) as exc:
+            raise FormatError(f"{path}: record {name!r} at byte {offset} is truncated "
+                              "or does not match its index entry") from exc
+    arch = ("patch", "d", "heads", "depth", "w_t", "channels", "cond_dim")
+    missing = [k for k in arch if k not in meta]
+    if missing:
+        raise FormatError(f"{path}.index: missing meta keys {missing}")
     params = DenoiserParams(
-        patch=int(meta["patch"]), d=int(meta["d"]), heads=int(meta["heads"]),
-        depth=int(meta["depth"]), w_t=int(meta["w_t"]), channels=int(meta["channels"]),
-        cond_dim=int(meta["cond_dim"]),
+        **{k: int(meta[k]) for k in arch},
         tensors={k: v for k, v in named.items() if not k.startswith("opt.")},
     )
     optimizer = None

@@ -103,12 +103,9 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._bitgen = np.random.Philox(key=self.seed)
-        self.words_drawn = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        out = self._bitgen.random_raw(n)
-        self.words_drawn += n
-        return np.atleast_1d(np.asarray(out, dtype=np.uint64))
+        return np.atleast_1d(np.asarray(self._bitgen.random_raw(n), dtype=np.uint64))
 
     def uniform(self, n: int) -> np.ndarray:
         """n i.i.d. uniforms in [0, 1), 53-bit resolution."""

@@ -66,25 +66,6 @@ def window_bounds(T: int, w_t: int) -> list[tuple[int, int]]:
     return [(a, min(a + w_t, T)) for a in range(0, T, w_t)]
 
 
-def partition_temporal(x: np.ndarray, spec: WindowSpec):
-    """Split the frame axis into windows; returns (windows, bounds) where
-    ``bounds`` inverts the partition via :func:`unpartition_temporal`."""
-    bounds = window_bounds(x.shape[0], spec.w_t)
-    return [x[a:b] for a, b in bounds], bounds
-
-
-def unpartition_temporal(windows, bounds) -> np.ndarray:
-    return np.concatenate(list(windows), axis=0)
-
-
-def cyclic_shift(x: np.ndarray, s_t: int) -> np.ndarray:
-    """Roll the frame axis so frame i lands at (i - s_t) mod T."""
-    T = x.shape[0]
-    if not (0 <= abs(s_t) < T):
-        raise ConfigError(f"|shift| must be < T={T}, got {s_t}")
-    return np.roll(x, -s_t, axis=0)
-
-
 def _wrap_flags(T: int, s_t: int) -> np.ndarray:
     """For rolled position p, whether its original frame wrapped past T."""
     return (np.arange(T) + s_t) >= T

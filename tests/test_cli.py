@@ -90,6 +90,24 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         assert run("inspect", str(bad)) == 3
 
+    def _refine(self, tmp_path, checkpoint):
+        prev = tmp_path / "prev.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        return run("refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                   "--set", f"out={tmp_path / 'refined.lgr'}", "--set", "n_steps=1")
+
+    def test_truncated_checkpoint_is_3(self, tmp_path, checkpoint):
+        blob = checkpoint.read_bytes()
+        checkpoint.write_bytes(blob[: len(blob) - 8])
+        assert self._refine(tmp_path, checkpoint) == 3
+
+    def test_checkpoint_missing_meta_key_is_3(self, tmp_path, checkpoint):
+        index = tmp_path / "refiner.lgr.index"
+        lines = index.read_text().splitlines()
+        index.write_text("\n".join(ln for ln in lines if ln != "meta d 6") + "\n")
+        assert len(index.read_text().splitlines()) == len(lines) - 1
+        assert self._refine(tmp_path, checkpoint) == 3
+
     def test_existing_checkpoint_without_force_is_2(self, tmp_path, dataset, checkpoint):
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}", *FAST_TRAIN) == 2
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}",

@@ -18,6 +18,7 @@ from vidflow.denoiser import (
     refiner_loss,
     save_checkpoint,
     synth_video,
+    train_base,
     train_refiner,
 )
 from vidflow.grids import Extent5, Rng
@@ -27,6 +28,35 @@ from oracles import laplacian_energy
 
 
 EXT = Extent5(1, 4, 3, 4, 4)
+
+# Loss sequences recorded (float.hex) before the two trainers were folded into
+# one loop; the refactor must reproduce them exactly.
+BASE_LOSSES_HEX = (
+    "0x1.00c5822b11b03p+0",
+    "0x1.1197329847578p+0",
+    "0x1.eeccfa574676ep-1",
+    "0x1.05135e7fd6decp+0",
+    "0x1.169f6e7ac7c4cp+0",
+    "0x1.08d503b357482p+0",
+    "0x1.f7db7916f9a5cp-1",
+    "0x1.040bdaf8c6d66p+0",
+    "0x1.02a34ebd7c8dap+0",
+    "0x1.0a74d7e8fa5ebp+0",
+)
+RIG_LOSSES_HEAD_HEX = (
+    "0x1.7eceafcdeff03p-6",
+    "0x1.78859a5c48953p-7",
+    "0x1.e366e329f6317p-7",
+    "0x1.604958582e281p-6",
+    "0x1.66bf0d4559120p-5",
+)
+RIG_LOSSES_TAIL_HEX = (
+    "0x1.a569455fb6010p-8",
+    "0x1.8145aa8ed6513p-8",
+    "0x1.cac9306db930dp-8",
+    "0x1.6fbd15c27fae8p-8",
+    "0x1.eb03ef3ee72b8p-8",
+)
 
 
 def small_params(seed=0, d=6, heads=1, depth=2):
@@ -278,6 +308,21 @@ class TestTraining:
         cfg = TrainConfig(phase1_frames=5, phase1_iters=10, phase2_frames=9, phase2_iters=10)
         assert cfg.frames_at(0) == 5 and cfg.frames_at(9) == 5
         assert cfg.frames_at(10) == 9 and cfg.frames_at(19) == 9
+
+    def test_loss_sequences_pinned(self, trained_rig):
+        rng = Rng(7)
+        tiny = [synth_video("bouncing_rect", Extent5(1, 3, 6, 8, 8), rng.split(i)) for i in range(4)]
+        cfg = TrainConfig(lr=1e-2, phase1_frames=3, phase1_iters=5, phase2_frames=5, phase2_iters=5)
+        p = DenoiserParams.init(
+            patch=2, d=12, heads=2, depth=2, w_t=4, channels=12, cond_dim=4, rng=rng.split(99),
+        )
+        _, _, losses = train_base(tiny, ToyCodec(), cfg, rng, params=p)
+        assert [x.hex() for x in losses] == list(BASE_LOSSES_HEX)
+
+        _, rig, _ = trained_rig
+        assert len(rig) == RIG_TRAIN.total_iters
+        pinned = [float.fromhex(h) for h in RIG_LOSSES_HEAD_HEX + RIG_LOSSES_TAIL_HEX]
+        assert rig[:5] + rig[-5:] == pytest.approx(pinned, rel=1e-12, abs=0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vidflow.autodiff import Tensor
 from vidflow.errors import ConfigError
@@ -12,9 +10,6 @@ from vidflow.windows import (
     WindowSpec,
     apply_rope3d,
     build_boundary_mask,
-    cyclic_shift,
-    partition_temporal,
-    unpartition_temporal,
     window_attention,
     window_bounds,
 )
@@ -32,33 +27,10 @@ class TestPartition:
         assert window_bounds(7, 4) == [(0, 4), (4, 7)]
         assert window_bounds(3, 4) == [(0, 3)]
 
-    @given(st.integers(1, 20), st.sampled_from([2, 4, 6]))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, T, w_t):
-        x = np.arange(T * 2 * 3 * 4, dtype=float).reshape(T, 2, 3, 4)
-        wins, bounds = partition_temporal(x, WindowSpec(w_t))
-        assert np.array_equal(unpartition_temporal(wins, bounds), x)
-        assert len(wins) == -(-T // w_t)
-
     def test_window_spec_validation(self):
         for bad in (0, 1, 3):
             with pytest.raises(ConfigError):
                 WindowSpec(bad)
-
-
-class TestCyclicShift:
-    def test_frame_relabeling(self):
-        x = np.arange(6.0).reshape(6, 1, 1, 1)
-        out = cyclic_shift(x, 2)
-        assert out[:, 0, 0, 0].tolist() == [2, 3, 4, 5, 0, 1]
-
-    def test_inverse(self):
-        x = np.random.default_rng(0).normal(size=(5, 2, 2, 3))
-        assert np.array_equal(cyclic_shift(cyclic_shift(x, 2), -2), x)
-
-    def test_shift_too_large(self):
-        with pytest.raises(ConfigError):
-            cyclic_shift(np.zeros((3, 1, 1, 1)), 3)
 
 
 class TestBoundaryMask:
