@@ -12,7 +12,6 @@ from .costmodel import (
     PipelineSpec,
     StageSpec,
     affine_fit,
-    calibrate,
     recommended_pipeline,
     pipeline_report,
     stage_flops,
@@ -65,7 +64,6 @@ from .windows import (
     RoPEConfig,
     WindowSpec,
     apply_rope3d,
-    build_boundary_mask,
     swin_block_pair,
     window_attention,
 )

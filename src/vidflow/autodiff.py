@@ -136,11 +136,6 @@ class Tensor:
             self.requires_grad and self._accum(g.transpose(inv))
         return Tensor(self.data.transpose(axes), _parents=(self,), _backward=bw)
 
-    def roll(self, shift, axis):
-        def bw(g):
-            self.requires_grad and self._accum(np.roll(g, -shift, axis=axis))
-        return Tensor(np.roll(self.data, shift, axis=axis), _parents=(self,), _backward=bw)
-
     def __getitem__(self, key):
         def bw(g):
             if self.requires_grad:

@@ -30,7 +30,6 @@ from .costmodel import (
     PipelineSpec,
     StageSpec,
     affine_fit,
-    calibrate,
     recommended_pipeline,
     pipeline_report,
     stage_flops,
@@ -42,7 +41,6 @@ from .denoiser import (
     ParamVelocityModel,
     ToyCodec,
     TrainConfig,
-    forward_velocity,
     load_checkpoint,
     refine,
     save_checkpoint,
@@ -51,7 +49,7 @@ from .denoiser import (
     train_refiner,
 )
 from .errors import ConfigError, ContractError, FormatError, ShapeError, VidflowError
-from .grids import Extent5, LatentGrid, Rng, read_lgr1, sample_gaussian, write_lgr1
+from .grids import Extent5, LatentGrid, Rng, read_lgr1, write_lgr1
 from .preview import PreviewConfig, generate_preview
 from .schedule import Conditioning
 
@@ -121,7 +119,6 @@ _SCHEMAS = {
         "k_values": [5, 10, 20, 30, 40],
         "stages": None,  # list of stage dicts; None -> recommended shape
         "baseline": None,
-        "measure": False,
     },
 }
 
@@ -194,7 +191,10 @@ def read_manifest(path) -> dict:
                 out[key] = val
     if "command" not in out or "config_json" not in out:
         raise FormatError(f"{path}: not a run manifest")
-    out["config"] = json.loads(out["config_json"])
+    try:
+        out["config"] = json.loads(out["config_json"])
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: config_json is not valid JSON: {exc}") from exc
     return out
 
 
@@ -240,6 +240,8 @@ def load_dataset(dataset_dir) -> list[LatentGrid]:
         raise FormatError(f"dataset index not found: {index}")
     with open(index) as fh:
         names = [ln.strip() for ln in fh if ln.strip()]
+    if not names:
+        raise FormatError(f"dataset index lists no clips: {index}")
     return [read_lgr1(os.path.join(dataset_dir, n)) for n in names]
 
 
@@ -320,6 +322,9 @@ def cmd_train(cfg: dict) -> None:
 
 def cmd_preview(cfg: dict) -> None:
     params, _, _ = load_checkpoint(cfg["checkpoint"])
+    for key in ("hi", "lo"):
+        if any(int(v) % params.patch for v in cfg[key]):
+            raise ConfigError(f"preview.{key} {cfg[key]} not divisible by patch {params.patch}")
     model = ParamVelocityModel(params)
     cond = Conditioning.zeros(params.cond_dim)
     count = int(cfg["count"])
@@ -420,8 +425,6 @@ def cmd_profile(cfg: dict) -> None:
     else:
         pipe = recommended_pipeline()
     rate = float(cfg["rate"])
-    if cfg["measure"]:
-        rate = _measured_rate()
     report = pipeline_report(pipe, rate)
 
     lines = ["stage,flops,share,ratio_vs_baseline,predicted_s"]
@@ -460,25 +463,6 @@ def cmd_profile(cfg: dict) -> None:
     _atomic_write_text(cfg["out"], "\n".join(lines + foot) + "\n")
     _write_manifest(str(cfg["out"]) + ".manifest", "profile", cfg, {"stages": len(pipe.stages)})
     print("\n".join(lines + foot))
-
-
-def _measured_rate() -> float:
-    """Calibrate seconds/FLOP by timing toy-model forwards at two sizes."""
-    rng = Rng(0)
-    params = DenoiserParams.init(2, 12, 2, 2, 4, channels=4, cond_dim=4, rng=rng)
-    cond = Conditioning.zeros(4)
-    measured = []
-    for hw, steps in ((8, 2), (16, 2)):
-        z = sample_gaussian(Extent5(1, 4, 4, hw, hw), rng.split(hw))
-        tokens = 4 * (hw // 2) ** 2
-        spec = StageSpec(f"m{hw}", tokens, params.d, params.depth, steps,
-                         attention="windowed", w_t=params.w_t, token_frames=4)
-        t0 = time.time()
-        for _ in range(steps):
-            forward_velocity(params, z, 0.5, cond)
-        measured.append((spec, time.time() - t0))
-    rate, _, _ = calibrate(measured)
-    return max(rate, 1e-18)
 
 
 # ---------------------------------------------------------------------------

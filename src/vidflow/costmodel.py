@@ -159,23 +159,6 @@ def affine_fit(points) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def calibrate(measured: list[tuple[StageSpec, float]]) -> tuple[float, float, list[float]]:
-    """Fit time = rate * flops + overhead * steps to measured stage timings.
-
-    Returns (rate, overhead, residuals).  Needs at least two measurements with
-    linearly independent (flops, steps) rows.
-    """
-    if len(measured) < 2:
-        raise ConfigError("calibration needs at least 2 measurements")
-    A = np.array([[stage_flops(s), float(s.steps)] for s, _ in measured])
-    y = np.array([t for _, t in measured], dtype=np.float64)
-    if np.linalg.matrix_rank(A) < 2:
-        raise ConfigError("calibration measurements are rank-deficient")
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = (y - A @ coef).tolist()
-    return float(coef[0]), float(coef[1]), resid
-
-
 # Published reference arithmetic the reports are checked against: the 50-step
 # full-resolution baseline at 658.5 PFLOPs / 3497 s, its 30% / 50% step
 # variants, the two-stage pipeline at 34.3 PFLOPs, and the step-division

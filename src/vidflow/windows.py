@@ -1,8 +1,12 @@
-"""Cyclic shift-window 3D self-attention with boundary masks and 3D RoPE.
+"""Shift-window 3D self-attention with 3D RoPE.
 
 Token fields are arrays of shape (T, H, W, d): one token per (frame, row,
 column) with an embedding axis.  Attention always spans the full spatial
-plane; windows partition the frame axis only.  All math runs on
+plane; windows partition the frame axis only.  A shifted block moves the
+window grid by half a window with wrap-around, as a cyclic roll would, but
+attends directly over contiguous runs of original frames: a window that wraps
+past the last frame splits into two runs that never see each other, so no
+roll and no seam mask is needed.  All math runs on
 :class:`~vidflow.autodiff.Tensor` internally so the same code path serves
 inference (numpy in / numpy out) and training (gradients flow to the
 projection weights).
@@ -16,9 +20,6 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, concat
 from .errors import ConfigError
-
-BLOCKED = -1e9  # additive pre-softmax surrogate for minus infinity
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -66,31 +67,21 @@ def window_bounds(T: int, w_t: int) -> list[tuple[int, int]]:
     return [(a, min(a + w_t, T)) for a in range(0, T, w_t)]
 
 
-def _wrap_flags(T: int, s_t: int) -> np.ndarray:
-    """For rolled position p, whether its original frame wrapped past T."""
-    return (np.arange(T) + s_t) >= T
+def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int, int]]:
+    """(first, stop, RoPE time origin) of each attention run, in frame order.
 
-
-def build_boundary_mask(T: int, spec: WindowSpec, hw: int = 1) -> list[np.ndarray]:
-    """Additive per-window masks for shift-window attention.
-
-    After a forward shift of s_t, tokens whose original frames sit on opposite
-    sides of the wrap seam share a window but are temporally unrelated; their
-    pairs get the ``BLOCKED`` surrogate in both directions.  ``hw`` expands
-    each frame-level mask to hw tokens per frame.
+    Shifted mode lays the windows over the frame axis rolled by s_t; a window
+    whose frames wrap past T splits at the seam into two runs, and the wrapped
+    run keeps the window-local positions it had in the rolled window.  RoPE
+    scores depend only on position offsets within a run, so that origin moves
+    results by rounding only; keeping it reproduces the rolled form's values.
     """
-    if T < spec.w_t:
-        return [np.zeros((T * hw, T * hw))]
-    wrapped = _wrap_flags(T, spec.s_t)
-    masks = []
+    s = spec.s_t if (shifted and T > spec.w_t) else 0
+    runs = []
     for a, b in window_bounds(T, spec.w_t):
-        flags = wrapped[a:b]
-        blocked = flags[:, None] != flags[None, :]
-        m = np.where(blocked, BLOCKED, 0.0)
-        if hw > 1:
-            m = np.kron(m, np.ones((hw, hw)))
-        masks.append(m)
-    return masks
+        cut = min(max(T - s, a), b)
+        runs += [(a + s, cut + s, 0), (cut + s - T, b + s - T, cut - a)]
+    return sorted(r for r in runs if r[0] < r[1])
 
 
 def _rope_tables(coords: np.ndarray, cfg: RoPEConfig):
@@ -169,36 +160,25 @@ def _window_attention_t(
     scale = dh**-0.5
     wq, wk, wv, wo = (as_tensor(w) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
 
-    s = spec.s_t if (shifted and T > spec.w_t) else 0
-    if s:
-        x = x.roll(-s, axis=0)
-    masks = build_boundary_mask(T, spec, hw=H * W) if s else None
-
     outs = []
-    for wi, (a, b) in enumerate(window_bounds(T, spec.w_t)):
-        win = x[a:b]
+    for a, b, t0 in _frame_runs(T, spec, shifted):
         t_len = b - a
         n = t_len * H * W
-        flat = win.reshape(n, d)
+        flat = x[a:b].reshape(n, d)
         q = flat @ wq
         k = flat @ wk
         v = flat @ wv
-        coords = _field_coords(t_len, H, W)  # window-local positions
+        coords = _field_coords(t_len, H, W, (t0, 0, 0))  # window-local positions
         q = _rope_rotate(q, coords, rope)
         k = _rope_rotate(k, coords, rope)
         qh = q.reshape(n, heads, dh).transpose((1, 0, 2))
         kh = k.reshape(n, heads, dh).transpose((1, 0, 2))
         vh = v.reshape(n, heads, dh).transpose((1, 0, 2))
         scores = (qh @ kh.transpose((0, 2, 1))) * scale
-        if masks is not None:
-            scores = scores + masks[wi][None, :, :]
         attn = scores.softmax(axis=-1)
         ctx = (attn @ vh).transpose((1, 0, 2)).reshape(n, d)
         outs.append((ctx @ wo).reshape(t_len, H, W, d))
-    out = concat(outs, axis=0)
-    if s:
-        out = out.roll(s, axis=0)
-    return out
+    return concat(outs, axis=0)
 
 
 def window_attention(
@@ -211,8 +191,10 @@ def window_attention(
 ):
     """Per-window multi-head self-attention over a (T, H, W, d) token field.
 
-    Unshifted mode partitions the frame axis directly; shifted mode cyclically
-    rolls by half a window first, masks the seam window, and rolls back.
+    Unshifted mode attends within each window of the frame axis.  Shifted mode
+    moves the windows by half a window with wrap-around and attends within
+    each contiguous frame run: the window that wraps past the last frame
+    yields two runs, its tail frames and the leading frames it wrapped onto.
     Accepts a numpy array (returns numpy) or a Tensor (stays on the tape).
     """
     if isinstance(x, Tensor):

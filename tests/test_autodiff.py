@@ -73,10 +73,6 @@ class TestShapeMoves:
     def test_transpose(self):
         check_op(lambda t: (t.transpose((1, 0)) * np.arange(6.0).reshape(3, 2)).sum(), (2, 3))
 
-    def test_roll(self):
-        w = np.arange(5.0)
-        check_op(lambda t: (t.roll(2, axis=0) * w).sum(), (5,))
-
     def test_getitem(self):
         check_op(lambda t: (t[1:3] * np.arange(2.0)[:, None]).sum(), (4, 2))
 

@@ -108,6 +108,35 @@ class TestExitCodes:
         assert len(index.read_text().splitlines()) == len(lines) - 1
         assert self._refine(tmp_path, checkpoint) == 3
 
+    def test_empty_dataset_index_is_3(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "index.txt").write_text("\n")
+        assert run("train", "--set", f"dataset={empty}",
+                   "--set", f"out={tmp_path / 'ckpt.lgr'}", *FAST_TRAIN) == 3
+
+    def test_preview_size_off_patch_is_2_before_any_forward(self, tmp_path, checkpoint, monkeypatch):
+        from vidflow import denoiser
+
+        calls = []
+        original = denoiser.forward_velocity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(denoiser, "forward_velocity", counting)
+        assert run("preview", "--set", f"checkpoint={checkpoint}",
+                   "--set", f"out={tmp_path / 'prev.lgr'}", "--set", "n_total=6", "--set", "k=2",
+                   "--set", "hi=[8,8]", "--set", "lo=[5,5]", "--set", "frames=4") == 2
+        assert calls == []
+
+    def test_manifest_with_bad_config_json_is_format_error(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_text("command preview\nversion 0.1.0\nconfig_json {not json\n")
+        with pytest.raises(vf.FormatError):
+            read_manifest(path)
+
     def test_existing_checkpoint_without_force_is_2(self, tmp_path, dataset, checkpoint):
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}", *FAST_TRAIN) == 2
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}",

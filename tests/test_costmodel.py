@@ -11,7 +11,6 @@ from vidflow.costmodel import (
     StageSpec,
     affine_fit,
     attention_pair_count,
-    calibrate,
     recommended_pipeline,
     pipeline_report,
     predict_time,
@@ -129,19 +128,3 @@ class TestFits:
         assert f50 / REFERENCE_BASELINE_PFLOPS == pytest.approx(0.50, abs=0.001)
         assert t30 / REFERENCE_BASELINE_TIME_S == pytest.approx(0.30, abs=0.001)
         assert t50 / REFERENCE_BASELINE_TIME_S == pytest.approx(0.50, abs=0.001)
-
-    def test_calibrate_recovers_rate_and_overhead(self):
-        rate, overhead = 2e-15, 0.25
-        stages = [simple_stage(name=f"s{i}", tokens=32 * (i + 1), steps=i + 1) for i in range(3)]
-        measured = [(s, rate * stage_flops(s) + overhead * s.steps) for s in stages]
-        got_rate, got_overhead, resid = calibrate(measured)
-        assert got_rate == pytest.approx(rate, rel=1e-9)
-        assert got_overhead == pytest.approx(overhead, rel=1e-9)
-        assert max(abs(r) for r in resid) < 1e-9
-
-    def test_calibrate_needs_independent_rows(self):
-        s = simple_stage()
-        with pytest.raises(ConfigError):
-            calibrate([(s, 1.0)])
-        with pytest.raises(ConfigError):
-            calibrate([(s, 1.0), (s, 1.0)])

@@ -4,12 +4,10 @@ import pytest
 from vidflow.autodiff import Tensor
 from vidflow.errors import ConfigError
 from vidflow.windows import (
-    BLOCKED,
     AttentionWeights,
     RoPEConfig,
     WindowSpec,
     apply_rope3d,
-    build_boundary_mask,
     window_attention,
     window_bounds,
 )
@@ -31,35 +29,6 @@ class TestPartition:
         for bad in (0, 1, 3):
             with pytest.raises(ConfigError):
                 WindowSpec(bad)
-
-
-class TestBoundaryMask:
-    def test_t8_w4_seam_enumeration(self):
-        # shift 2: rolled positions 6 and 7 carry wrapped frames 0 and 1;
-        # only the second window touches the seam.
-        masks = build_boundary_mask(8, WindowSpec(4))
-        assert len(masks) == 2
-        assert np.all(masks[0] == 0.0)
-        seam = masks[1]
-        for i in range(4):
-            for j in range(4):
-                wrapped_i = i >= 2
-                wrapped_j = j >= 2
-                expect = BLOCKED if wrapped_i != wrapped_j else 0.0
-                assert seam[i, j] == expect
-
-    def test_symmetric(self):
-        for m in build_boundary_mask(12, WindowSpec(4), hw=2):
-            assert np.array_equal(m, m.T)
-
-    def test_short_sequence_unmasked(self):
-        masks = build_boundary_mask(3, WindowSpec(4), hw=2)
-        assert len(masks) == 1 and masks[0].shape == (6, 6) and np.all(masks[0] == 0)
-
-    def test_hw_expansion(self):
-        base = build_boundary_mask(8, WindowSpec(4))[1]
-        big = build_boundary_mask(8, WindowSpec(4), hw=3)[1]
-        assert np.array_equal(big, np.kron(base, np.ones((3, 3))))
 
 
 class TestRope:
@@ -110,7 +79,7 @@ class TestRope:
 class TestWindowAttention:
     @pytest.mark.parametrize("T,w_t,shifted", [
         (8, 4, False), (8, 4, True), (7, 4, True), (4, 2, True),
-        (12, 4, True), (5, 4, True), (2, 4, True),
+        (12, 4, True), (5, 4, True), (2, 4, True), (9, 4, True), (6, 4, True),
     ])
     def test_matches_masked_global_oracle(self, T, w_t, shifted):
         rng = np.random.default_rng(T * 100 + w_t + shifted)
@@ -152,7 +121,7 @@ class TestWindowAttention:
         assert np.abs(out[4] - base[4]).max() > 1e-8
 
     def test_seam_is_blocked(self):
-        # with the mask, frame 0 (wrapped into the seam window) must not see
+        # frame 0 (wrapped into the seam window) must not see
         # frames 6 and 7 and vice versa
         rng = np.random.default_rng(9)
         d = 6
