@@ -63,7 +63,6 @@ from .windows import (
     BlockWeights,
     RoPEConfig,
     WindowSpec,
-    apply_rope3d,
     swin_block_pair,
     window_attention,
 )

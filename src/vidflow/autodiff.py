@@ -1,15 +1,26 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough tape machinery for the transformer denoiser: broadcasted
-elementwise arithmetic, (batched) matmul, shape moves, softmax, layer norm,
-GELU, and gather along the last axis.  Leaves are created with
-``requires_grad=True``; call :meth:`Tensor.backward` on a scalar (or pass an
-explicit seed) to accumulate ``.grad`` on every leaf.
+elementwise arithmetic, (batched) matmul, shape moves, layer norm, GELU,
+gather along the last axis, and one fused op, :func:`attention`.  Leaves are
+created with ``requires_grad=True``; call :meth:`Tensor.backward` on a scalar
+(or pass an explicit seed) to accumulate ``.grad`` on every leaf.
+
+Only values that some gradient needs record a graph.  A result whose inputs
+all have ``requires_grad=False`` keeps no parents and no backward closure, so
+an inference forward frees each intermediate as soon as it is dropped, and
+:func:`attention` then runs over query tiles without keeping any scores.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# Score elements per query tile when attention records no graph: 2**17 float64
+# values are 1 MiB, so a tile of scores stays cache-sized.
+_TILE_ELEMS = 1 << 17
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -29,8 +40,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -172,19 +183,10 @@ class Tensor:
 
     # -- nonlinearities ------------------------------------------------------
 
-    def softmax(self, axis=-1):
-        x = self.data - self.data.max(axis=axis, keepdims=True)
-        y = np.exp(x)
-        y /= y.sum(axis=axis, keepdims=True)
-        def bw(g):
-            if self.requires_grad:
-                self._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-        return Tensor(y, _parents=(self,), _backward=bw)
-
     def gelu(self):
         c = np.sqrt(2.0 / np.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         y = 0.5 * x * (1.0 + t)
         def bw(g):
@@ -230,3 +232,47 @@ def concat(tensors, axis=0) -> Tensor:
         _parents=tuple(tensors),
         _backward=bw,
     )
+
+
+def attention(q, k, v, scale: float) -> Tensor:
+    """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands.
+
+    When any operand requires grad, the scores are computed whole and only the
+    probabilities are kept for the backward.  Otherwise the query rows run in
+    tiles of at most ``_TILE_ELEMS`` scores, in place, and nothing is kept:
+    softmax rows are independent, so tiling changes no arithmetic but the
+    matmul blocking.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if not (q.requires_grad or k.requires_grad or v.requires_grad):
+        return Tensor(_attention_tiled(q.data, k.data, v.data, scale))
+    s = (q.data @ k.data.swapaxes(-1, -2)) * scale
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    def bw(g):
+        if v.requires_grad:
+            v._accum(_unbroadcast(p.swapaxes(-1, -2) @ g, v.data.shape))
+        if q.requires_grad or k.requires_grad:
+            gp = g @ v.data.swapaxes(-1, -2)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                q._accum(_unbroadcast(gs @ k.data, q.data.shape))
+            if k.requires_grad:
+                k._accum(_unbroadcast((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k.data.shape))
+    return Tensor(p @ v.data, _parents=(q, k, v), _backward=bw)
+
+
+def _attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    n_q, n_k = q.shape[-2], k.shape[-2]
+    rows = max(1, _TILE_ELEMS // (n_k * math.prod(lead)))
+    kt = k.swapaxes(-1, -2)
+    out = np.empty(lead + (n_q, v.shape[-1]))
+    for i in range(0, n_q, rows):
+        s = q[..., i : i + rows, :] @ kt
+        s *= scale
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        np.matmul(s, v, out=out[..., i : i + rows, :])
+    return out

@@ -140,6 +140,27 @@ def _write_grid(path, grid: LatentGrid) -> None:
     os.replace(tmp, path)
 
 
+def _type_ok(val, default) -> bool:
+    """Whether ``val`` has the type of the schema default it replaces: int,
+    float (an int is accepted), bool, str or a list of ints.  A required key
+    or a ``None`` default takes any JSON value."""
+    if default is _REQUIRED or default is None:
+        return True
+    if isinstance(val, bool) or isinstance(default, bool):
+        return isinstance(val, bool) and isinstance(default, bool)
+    if isinstance(default, list):
+        return isinstance(val, list) and all(type(v) is int for v in val)
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    return isinstance(val, type(default))
+
+
+def _require_positive(command: str, cfg: dict, keys) -> None:
+    for key in keys:
+        if cfg[key] < 1:
+            raise ConfigError(f"{command}.{key} must be >= 1, got {cfg[key]}")
+
+
 def _resolve(command: str, config_path, overrides) -> dict:
     schema = _SCHEMAS[command]
     cfg = {k: v for k, v in schema.items() if v is not _REQUIRED}
@@ -169,6 +190,10 @@ def _resolve(command: str, config_path, overrides) -> dict:
     missing = [k for k, v in schema.items() if v is _REQUIRED and k not in cfg]
     if missing:
         raise ConfigError(f"missing required config keys for {command}: {missing}")
+    for key, val in cfg.items():
+        if not _type_ok(val, schema[key]):
+            raise ConfigError(f"config key {command}.{key} has the wrong type: {val!r} "
+                              f"(default {schema[key]!r})")
     return cfg
 
 
@@ -321,6 +346,7 @@ def cmd_train(cfg: dict) -> None:
 
 
 def cmd_preview(cfg: dict) -> None:
+    _require_positive("preview", cfg, ("count", "batch", "frames"))
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     for key in ("hi", "lo"):
         if any(int(v) % params.patch for v in cfg[key]):
@@ -360,6 +386,7 @@ def _numbered(path, i: int) -> str:
 
 
 def cmd_refine(cfg: dict) -> None:
+    _require_positive("refine", cfg, ("upscale",))
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     preview_lo = read_lgr1(cfg["preview"])
     cond = Conditioning.zeros(params.cond_dim)

@@ -9,13 +9,14 @@ reverse-mode tape in :mod:`vidflow.autodiff`.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .grids import (
     LGR1_MAGIC,
     Extent5,
@@ -473,7 +474,8 @@ def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters
     randomness from ``rng.split(it)``: a clip and a window of it, then
     ``draw(window, ri)`` for the (source, clean) pair, then the path time t.
     Resuming at ``start_iter`` with a checkpointed optimizer therefore
-    reproduces a straight run bit for bit."""
+    reproduces a straight run bit for bit.  A non-finite loss stops training
+    before the optimizer applies its gradients."""
     if optimizer is None:
         optimizer = AdamW(params, train_cfg)
     cond = Conditioning.zeros(params.cond_dim)
@@ -482,9 +484,12 @@ def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters
     for it in range(start_iter, end):
         ri = rng.split(it)
         clip = dataset[int(ri.integers(0, len(dataset))[0])]
-        source, clean = draw(_clip_window(clip, train_cfg.frames_at(it), ri.split(0)), ri)
+        frames = train_cfg.frames_at(it)
+        source, clean = draw(_clip_window(clip, frames, ri.split(0)), ri)
         t = 0.001 + 0.998 * float(ri.uniform(1)[0])
         loss, grads = refiner_loss(params, source, clean, t, cond)
+        if not math.isfinite(loss):
+            raise ContractError(f"training loss {loss} is not finite at iteration {it} ({frames} frames)")
         optimizer.step(params, grads)
         losses.append(loss)
     return params, optimizer, losses

@@ -7,18 +7,22 @@ window grid by half a window with wrap-around, as a cyclic roll would, but
 attends directly over contiguous runs of original frames: a window that wraps
 past the last frame splits into two runs that never see each other, so no
 roll and no seam mask is needed.  All math runs on
-:class:`~vidflow.autodiff.Tensor` internally so the same code path serves
+:class:`~vidflow.autodiff.Tensor` internally so one code path serves
 inference (numpy in / numpy out) and training (gradients flow to the
-projection weights).
+projection weights).  The two differ only inside
+:func:`~vidflow.autodiff.attention`: with no gradient needed it records no
+graph and runs over query tiles; otherwise it keeps the probabilities for the
+backward.  RoPE tables are built once per run shape and origin and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat
+from .autodiff import Tensor, as_tensor, attention, concat
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -84,8 +88,16 @@ def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int,
     return sorted(r for r in runs if r[0] < r[1])
 
 
-def _rope_tables(coords: np.ndarray, cfg: RoPEConfig):
-    """cos/sin tables (n, d) plus the pair-swap permutation and sign vector."""
+@lru_cache(maxsize=64)
+def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: RoPEConfig):
+    """Read-only RoPE tables for a (t_len, H, W) field whose positions start at
+    ``origin``: cos (n, d), the pair-swap permutation (d,), and sign * sin (n, d),
+    so a rotation is ``x * cos + x[..., perm] * sin``."""
+    t0, h0, w0 = origin
+    tt, hh, ww = np.meshgrid(
+        np.arange(t_len) + t0, np.arange(H) + h0, np.arange(W) + w0, indexing="ij"
+    )
+    coords = np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.float64)
     n = coords.shape[0]
     cos_parts, sin_parts = [], []
     perm = np.empty(cfg.d, dtype=int)
@@ -107,32 +119,10 @@ def _rope_tables(coords: np.ndarray, cfg: RoPEConfig):
         offset += d_a
     cos = np.concatenate(cos_parts, axis=1) if cos_parts else np.ones((n, 0))
     sin = np.concatenate(sin_parts, axis=1) if sin_parts else np.ones((n, 0))
-    return cos, sin, perm, sign
-
-
-def _rope_rotate(x: Tensor, coords: np.ndarray, cfg: RoPEConfig) -> Tensor:
-    """Rotate (n, d) embeddings by their (t, h, w) coordinates."""
-    cos, sin, perm, sign = _rope_tables(coords, cfg)
-    return x * cos + x.take_last(perm) * (sign[None, :] * sin)
-
-
-def _field_coords(t_len: int, H: int, W: int, origin=(0, 0, 0)) -> np.ndarray:
-    t0, h0, w0 = origin
-    tt, hh, ww = np.meshgrid(
-        np.arange(t_len) + t0, np.arange(H) + h0, np.arange(W) + w0, indexing="ij"
-    )
-    return np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.float64)
-
-
-def apply_rope3d(field: np.ndarray, cfg: RoPEConfig, window_local_origin=(0, 0, 0)) -> np.ndarray:
-    """Rotary-embed a (T, H, W, d) field; positions are the field indices
-    offset by ``window_local_origin`` (pass zeros for window-local coords)."""
-    T, H, W, d = field.shape
-    if d != cfg.d:
-        raise ConfigError(f"embedding dim {d} does not match rope split {cfg}")
-    coords = _field_coords(T, H, W, window_local_origin)
-    out = _rope_rotate(as_tensor(field.reshape(T * H * W, d)), coords, cfg)
-    return out.data.reshape(T, H, W, d)
+    tables = (cos, perm, sign[None, :] * sin)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 @dataclass
@@ -168,15 +158,13 @@ def _window_attention_t(
         q = flat @ wq
         k = flat @ wk
         v = flat @ wv
-        coords = _field_coords(t_len, H, W, (t0, 0, 0))  # window-local positions
-        q = _rope_rotate(q, coords, rope)
-        k = _rope_rotate(k, coords, rope)
+        cos, perm, sin = _rope_tables(t_len, H, W, (t0, 0, 0), rope)  # window-local positions
+        q = q * cos + q.take_last(perm) * sin
+        k = k * cos + k.take_last(perm) * sin
         qh = q.reshape(n, heads, dh).transpose((1, 0, 2))
         kh = k.reshape(n, heads, dh).transpose((1, 0, 2))
         vh = v.reshape(n, heads, dh).transpose((1, 0, 2))
-        scores = (qh @ kh.transpose((0, 2, 1))) * scale
-        attn = scores.softmax(axis=-1)
-        ctx = (attn @ vh).transpose((1, 0, 2)).reshape(n, d)
+        ctx = attention(qh, kh, vh, scale).transpose((1, 0, 2)).reshape(n, d)
         outs.append((ctx @ wo).reshape(t_len, H, W, d))
     return concat(outs, axis=0)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vidflow.autodiff import Tensor, as_tensor, concat
+from vidflow import autodiff
+from vidflow.autodiff import Tensor, as_tensor, attention, concat
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -94,14 +95,6 @@ class TestShapeMoves:
 
 
 class TestNonlinearities:
-    def test_softmax_rows_sum_to_one(self):
-        t = Tensor(np.random.default_rng(4).normal(size=(3, 5)))
-        assert np.allclose(t.softmax().data.sum(axis=-1), 1.0)
-
-    def test_softmax_grad(self):
-        w = np.random.default_rng(5).normal(size=(2, 4))
-        check_op(lambda t: (t.softmax() * w).sum(), (2, 4), seed=5)
-
     def test_gelu_grad(self):
         check_op(lambda t: (t.gelu() * t.gelu()).sum(), (3, 3), seed=6)
 
@@ -138,5 +131,39 @@ class TestTape:
     def test_composite_expression(self):
         def f(t):
             h = (t @ np.random.default_rng(9).normal(size=(4, 4))).gelu()
-            return (h.layernorm().softmax() * h).sum()
+            a = h.layernorm()
+            return (attention(a, h, a, 0.5) * h).sum()
         check_op(f, (3, 4), seed=9, tol=1e-5)
+
+    def test_no_graph_without_grads(self):
+        a = Tensor(np.ones((2, 2)))
+        out = attention((a @ a).gelu(), a, a.layernorm(), 1.0) + a
+        assert out._parents == () and out._backward is None
+        b = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert (a * b)._parents == (a, b) and (a * b)._backward is not None
+
+
+class TestAttention:
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_of_each_operand(self, which):
+        rng = np.random.default_rng(11 + which)
+        ops = [rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))]
+        w = rng.normal(size=(2, 5, 3))
+
+        def f(t):
+            args = list(ops)
+            args[which] = t
+            return (attention(*args, 0.7) * w).sum()
+        check_op(f, ops[which].shape, seed=11 + which)
+
+    def test_tiled_branch_matches_recording_branch(self):
+        heads, n, dh = 2, 1000, 4
+        rows = autodiff._TILE_ELEMS // (heads * n)
+        assert n // rows >= 3 and n % rows != 0  # >= 3 query tiles, ragged last tile
+        rng = np.random.default_rng(12)
+        q, k, v = (rng.normal(size=(heads, n, dh)) for _ in range(3))
+        tiled = attention(q, k, v, 0.5)
+        taped = attention(Tensor(q, requires_grad=True), k, v, 0.5)
+        assert tiled._parents == () and taped._parents != ()
+        rms = np.sqrt(np.mean(taped.data**2))
+        assert np.abs(tiled.data - taped.data).max() <= 1e-14 * rms

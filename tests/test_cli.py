@@ -131,6 +131,27 @@ class TestExitCodes:
                    "--set", "hi=[8,8]", "--set", "lo=[5,5]", "--set", "frames=4") == 2
         assert calls == []
 
+    @pytest.mark.parametrize("override", ["hi=8", "count=1O", "shift=true", "lo=[8,8.5]"])
+    def test_value_of_the_wrong_type_is_2(self, tmp_path, override):
+        assert run("preview", "--set", f"checkpoint={tmp_path / 'none.lgr'}",
+                   "--set", f"out={tmp_path / 'prev.lgr'}", "--set", override) == 2
+
+    @pytest.mark.parametrize("verb,override", [
+        ("preview", "batch=0"), ("preview", "frames=0"), ("preview", "count=0"),
+        ("refine", "upscale=0"),
+    ])
+    def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
+        # the checkpoint does not exist: exit 2 rather than 3 shows the check ran first
+        missing = str(tmp_path / "none.lgr")
+        inputs = ["--set", f"preview={missing}"] if verb == "refine" else []
+        assert run(verb, "--set", f"checkpoint={missing}", *inputs,
+                   "--set", f"out={tmp_path / 'out.lgr'}", "--set", override) == 2
+
+    def test_diverging_training_is_4(self, tmp_path, dataset):
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'ckpt.lgr'}",
+                   *FAST_TRAIN, "--set", "lr=1e200") == 4
+        assert not (tmp_path / "ckpt.lgr").exists()
+
     def test_manifest_with_bad_config_json_is_format_error(self, tmp_path):
         path = tmp_path / "run.manifest"
         path.write_text("command preview\nversion 0.1.0\nconfig_json {not json\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vidflow as vf
-from vidflow.errors import ConfigError, ShapeError
+from vidflow.errors import ConfigError, ContractError, ShapeError
 from vidflow.denoiser import (
     AdamW,
     DegradationConfig,
@@ -327,6 +327,16 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_refiner([], ToyCodec(), RIG_DEG, RIG_TRAIN, Rng(0))
+
+    def test_non_finite_loss_stops_training(self):
+        rng = Rng(7)
+        tiny = [synth_video("bouncing_rect", Extent5(1, 3, 6, 8, 8), rng.split(i)) for i in range(4)]
+        cfg = TrainConfig(lr=1e200, phase1_frames=3, phase1_iters=5, phase2_frames=5, phase2_iters=5)
+        p = DenoiserParams.init(
+            patch=2, d=12, heads=2, depth=2, w_t=4, channels=12, cond_dim=4, rng=rng.split(99),
+        )
+        with pytest.raises(ContractError, match=r"not finite at iteration 1 \(3 frames\)"):
+            train_base(tiny, ToyCodec(), cfg, rng, params=p)
 
 
 class TestRefine:

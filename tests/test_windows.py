@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,21 @@ from vidflow.windows import (
     AttentionWeights,
     RoPEConfig,
     WindowSpec,
-    apply_rope3d,
+    _rope_tables,
     window_attention,
     window_bounds,
 )
 
 from oracles import masked_global_attention_oracle, rope_oracle
+
+
+def apply_rope3d(field, cfg, window_local_origin=(0, 0, 0)):
+    """Rotary-embed a (T, H, W, d) field with the tables attention uses;
+    positions are the field indices offset by ``window_local_origin``."""
+    T, H, W, d = field.shape
+    cos, perm, sin = _rope_tables(T, H, W, tuple(window_local_origin), cfg)
+    flat = field.reshape(-1, d)
+    return (flat * cos + flat[:, perm] * sin).reshape(field.shape)
 
 
 def random_weights(d, rng):
@@ -134,6 +145,21 @@ class TestWindowAttention:
         out = window_attention(x2, spec, True, cfg, weights, 1)
         assert np.abs(out[0] - base[0]).max() == 0.0
         assert np.abs(out[1] - base[1]).max() == 0.0
+
+    def test_inference_keeps_no_score_matrix(self):
+        # one head's 1024x1024 float64 scores alone are 8 MB
+        rng = np.random.default_rng(11)
+        d, heads = 48, 6
+        x = rng.normal(size=(8, 16, 16, d))
+        weights = random_weights(d, rng)
+        spec, cfg = WindowSpec(4), RoPEConfig.even_split(d)
+        tracemalloc.start()
+        try:
+            window_attention(x, spec, False, cfg, weights, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_gradients_flow_to_projections(self):
         rng = np.random.default_rng(10)
