@@ -9,7 +9,8 @@ created with ``requires_grad=True``; call :meth:`Tensor.backward` on a scalar
 Only values that some gradient needs record a graph.  A result whose inputs
 all have ``requires_grad=False`` keeps no parents and no backward closure, so
 an inference forward frees each intermediate as soon as it is dropped, and
-:func:`attention` then runs over query tiles without keeping any scores.
+:func:`attention` then runs over query tiles in three passes over each tile's
+scores (matmul, exp, matmul) without keeping any of them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ import numpy as np
 # Score elements per query tile when attention records no graph: 2**17 float64
 # values are 1 MiB, so a tile of scores stays cache-sized.
 _TILE_ELEMS = 1 << 17
+
+# Largest score bound B for which attention without a graph skips the row-max
+# shift.  By Cauchy–Schwarz every score obeys |s_ij| <= scale·‖q_i‖·‖k_j‖, so
+# B = scale·max‖q_i‖·max‖k_j‖ bounds them before any is computed.  If B <= 64,
+# each exp(s) lies in [e**-64, e**64] = [1.6e-28, 6.2e27]: none overflows or
+# falls to a subnormal, and a row sum over even 2**40 keys stays below 1e40.
+# softmax(s) = softmax(s - max s), so the unshifted terms give the same
+# probabilities up to rounding; above the bound the row max is subtracted.
+_EXP_SAFE = 64.0
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -237,11 +247,21 @@ def concat(tensors, axis=0) -> Tensor:
 def attention(q, k, v, scale: float) -> Tensor:
     """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands.
 
-    When any operand requires grad, the scores are computed whole and only the
-    probabilities are kept for the backward.  Otherwise the query rows run in
-    tiles of at most ``_TILE_ELEMS`` scores, in place, and nothing is kept:
-    softmax rows are independent, so tiling changes no arithmetic but the
-    matmul blocking.
+    When any operand requires grad, the scores are computed whole, shifted by
+    their row max and normalised, and only the probabilities are kept for the
+    backward.  Otherwise nothing is kept: softmax rows are independent, so the
+    query rows run in tiles of at most ``_TILE_ELEMS`` scores through one
+    reused buffer, and each tile takes three passes over its scores:
+
+    1. ``s = (q * scale) @ kᵀ`` (q is scaled once, at n·dh cost);
+    2. ``exp(s)`` in place, with no shift;
+    3. ``(s @ v) / s.sum(-1)``: the row sums divide the (rows, dv) result,
+       not the (rows, n_k) tile.
+
+    The shift is skipped only when scale·max‖q_i‖·max‖k_j‖ <= ``_EXP_SAFE``,
+    which bounds every score so that no exp overflows or underflows; above
+    that bound the row max is subtracted first, as in the recording branch.
+    The two branches agree up to rounding.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if not (q.requires_grad or k.requires_grad or v.requires_grad):
@@ -266,13 +286,20 @@ def _attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) 
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n_q, n_k = q.shape[-2], k.shape[-2]
     rows = max(1, _TILE_ELEMS // (n_k * math.prod(lead)))
+    q = q * scale
     kt = k.swapaxes(-1, -2)
+    bound_sq = np.max((q * q).sum(-1), initial=0.0) * np.max((k * k).sum(-1), initial=0.0)
+    shift = bound_sq > _EXP_SAFE**2
     out = np.empty(lead + (n_q, v.shape[-1]))
+    buf = np.empty(lead + (min(rows, n_q), n_k))
     for i in range(0, n_q, rows):
-        s = q[..., i : i + rows, :] @ kt
-        s *= scale
-        s -= s.max(axis=-1, keepdims=True)
+        qi = q[..., i : i + rows, :]
+        s = buf[..., : qi.shape[-2], :]
+        np.matmul(qi, kt, out=s)
+        if shift:
+            s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        np.matmul(s, v, out=out[..., i : i + rows, :])
+        o = out[..., i : i + rows, :]
+        np.matmul(s, v, out=o)
+        o /= s.sum(axis=-1, keepdims=True)
     return out

@@ -237,6 +237,7 @@ def replay_manifest(path, overrides: dict | None = None) -> None:
 
 
 def cmd_synth(cfg: dict) -> None:
+    _require_positive("synth", cfg, ("count", "channels", "frames", "height", "width"))
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     master = Rng(int(cfg["seed"]))
@@ -275,6 +276,8 @@ def load_dataset(dataset_dir) -> list[LatentGrid]:
 
 
 def cmd_train(cfg: dict) -> None:
+    _require_positive("train", cfg,
+                      ("phase1_frames", "phase2_frames", "patch", "d", "heads", "depth", "w_t"))
     out = cfg["out"]
     if os.path.exists(out) and not cfg["force"] and not cfg["resume"]:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")

@@ -50,6 +50,9 @@ class DenoiserParams:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("patch", "d", "heads", "depth", "w_t", "channels"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.depth % 2 != 0:
             raise ConfigError(f"depth must be even (whole block pairs), got {self.depth}")
         if self.d % self.heads != 0:

@@ -28,6 +28,22 @@ def check_op(build, shape, seed=0, tol=1e-6):
     assert np.abs(t.grad - num).max() <= tol
 
 
+def longdouble_attention(q, k, v, scale):
+    """softmax(q @ kᵀ * scale) @ v in extended precision with the exact row-max
+    shift; returns it with P @ |v|, the scale of its float64 rounding error."""
+    q, k, v = (np.asarray(a, dtype=np.longdouble) for a in (q, k, v))
+    s = (q @ k.swapaxes(-1, -2)) * np.longdouble(scale)
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p @ v, p @ np.abs(v)
+
+
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
+
+
 class TestElementwise:
     def test_add_broadcast(self):
         check_op(lambda t: (t + np.ones((1, 3))).sum(), (2, 3))
@@ -167,3 +183,48 @@ class TestAttention:
         assert tiled._parents == () and taped._parents != ()
         rms = np.sqrt(np.mean(taped.data**2))
         assert np.abs(tiled.data - taped.data).max() <= 1e-14 * rms
+
+    @needs_longdouble
+    def test_both_branches_match_extended_precision_oracle(self):
+        heads, n_q, n_k, dh = 2, 200, 1000, 4
+        rows = autodiff._TILE_ELEMS // (heads * n_k)
+        assert n_q // rows >= 3 and n_q % rows != 0  # >= 3 query tiles, ragged last tile
+        rng = np.random.default_rng(5)
+        q = rng.normal(size=(heads, n_q, dh))
+        k, v = rng.normal(size=(2, heads, n_k, dh))
+        ref, weight = longdouble_attention(q, k, v, 0.5)
+        tol = 8 * np.finfo(np.float64).eps * weight
+        assert np.all(np.abs(attention(q, k, v, 0.5).data - ref) <= tol)
+        assert np.all(np.abs(attention(Tensor(q, requires_grad=True), k, v, 0.5).data - ref) <= tol)
+
+    @needs_longdouble
+    @pytest.mark.parametrize("case", ["just_below_exp_safe", "scores_near_800"])
+    def test_no_overflow_or_underflow_at_large_scores(self, case):
+        heads, n_q, n_k, dh, scale = 2, 200, 1000, 4, 0.5
+        rng = np.random.default_rng(6)
+        if case == "just_below_exp_safe":  # the unshifted exp at its limit
+            r = np.sqrt(0.99 * autodiff._EXP_SAFE / scale)
+            q, k = rng.normal(size=(heads, n_q, dh)), rng.normal(size=(heads, n_k, dh))
+            q *= r / np.linalg.norm(q, axis=-1, keepdims=True)
+            k *= r / np.linalg.norm(k, axis=-1, keepdims=True)
+        else:  # rows of scores near +800 (exp overflows) or -800 (exp underflows)
+            u = np.full(dh, dh**-0.5)
+            sign = np.where(rng.random(size=(heads, n_q, 1)) < 0.5, -1.0, 1.0)
+            q = sign * 40 * u + 0.1 * rng.normal(size=(heads, n_q, dh))
+            k = 40 * u + 0.1 * rng.normal(size=(heads, n_k, dh))
+        v = rng.normal(size=(heads, n_k, dh))
+        bound = scale * np.linalg.norm(q, axis=-1).max() * np.linalg.norm(k, axis=-1).max()
+        top = np.abs(q @ k.swapaxes(-1, -2)).max() * scale
+        if case == "just_below_exp_safe":
+            assert 0.9 * autodiff._EXP_SAFE < top <= bound <= autodiff._EXP_SAFE
+        else:
+            assert top > 750 and bound > autodiff._EXP_SAFE
+        ref, weight = longdouble_attention(q, k, v, scale)
+        with np.errstate(over="raise", under="raise"):
+            tiled = attention(q, k, v, scale).data
+            taped = attention(Tensor(q, requires_grad=True), k, v, scale).data
+        # a score of size `bound` is off by a few eps * bound, which exp turns
+        # into a relative error of the probabilities
+        tol = 8 * np.finfo(np.float64).eps * (1 + bound) * weight
+        assert np.all(np.isfinite(tiled))
+        assert np.all(np.abs(tiled - ref) <= tol) and np.all(np.abs(taped - ref) <= tol)

@@ -139,13 +139,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("verb,override", [
         ("preview", "batch=0"), ("preview", "frames=0"), ("preview", "count=0"),
         ("refine", "upscale=0"),
+        *[("synth", f"{key}=0") for key in ("count", "channels", "frames", "height", "width")],
+        *[("train", f"{key}=0") for key in ("phase1_frames", "phase2_frames", "patch", "d",
+                                            "heads", "depth", "w_t")],
     ])
     def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
-        # the checkpoint does not exist: exit 2 rather than 3 shows the check ran first
+        # the inputs do not exist: exit 2 rather than 3, with nothing written,
+        # shows the check ran first
         missing = str(tmp_path / "none.lgr")
-        inputs = ["--set", f"preview={missing}"] if verb == "refine" else []
-        assert run(verb, "--set", f"checkpoint={missing}", *inputs,
-                   "--set", f"out={tmp_path / 'out.lgr'}", "--set", override) == 2
+        inputs = {
+            "synth": [],
+            "train": ["--set", f"dataset={missing}"],
+            "preview": ["--set", f"checkpoint={missing}"],
+            "refine": ["--set", f"checkpoint={missing}", "--set", f"preview={missing}"],
+        }[verb]
+        out = tmp_path / "out.lgr"
+        assert run(verb, *inputs, "--set", f"out={out}", "--set", override) == 2
+        assert not out.exists()  # not even synth's index.txt
 
     def test_diverging_training_is_4(self, tmp_path, dataset):
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'ckpt.lgr'}",

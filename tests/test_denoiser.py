@@ -112,6 +112,10 @@ class TestForward:
         with pytest.raises(ConfigError):
             DenoiserParams(patch=2, d=8, heads=2, depth=2, w_t=2, channels=4, cond_dim=2)
 
+    def test_sizes_below_one_are_rejected_before_dividing(self):
+        with pytest.raises(ConfigError, match="heads must be >= 1"):
+            DenoiserParams(patch=2, d=6, heads=0, depth=2, w_t=2, channels=4, cond_dim=2)
+
 
 class TestBackward:
     def test_matches_finite_differences(self):
