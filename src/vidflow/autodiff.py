@@ -1,10 +1,12 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Just enough tape machinery for the transformer denoiser: broadcasted
-elementwise arithmetic, (batched) matmul, shape moves, layer norm, GELU,
-gather along the last axis, and one fused op, :func:`attention`.  Leaves are
-created with ``requires_grad=True``; call :meth:`Tensor.backward` on a scalar
-(or pass an explicit seed) to accumulate ``.grad`` on every leaf.
+Just enough tape machinery for the transformer denoiser, and no more:
+broadcasted add, subtract and multiply, division by a scalar, (batched)
+matmul, reshapes, transposes, basic slices, concatenation, whole-tensor sum
+and mean, layer norm, GELU, and two fused ops with closed-form backwards,
+:func:`rope` and :func:`attention`.  Leaves are created with
+``requires_grad=True``; call :meth:`Tensor.backward` on a scalar to
+accumulate ``.grad`` on every leaf.
 
 Only values that some gradient needs record a graph.  A result whose inputs
 all have ``requires_grad=False`` keeps no parents and no backward closure, so
@@ -50,6 +52,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        # A backward closure is kept only when some parent requires grad, so a
+        # one-parent op's backward accumulates into its parent unconditionally.
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -57,20 +61,14 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += _unbroadcast(np.asarray(g), self.data.shape)
 
-    def backward(self, seed=None):
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed needs a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self):
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar output")
         topo, visited = [], set()
         stack = [(self, False)]
         while stack:
@@ -85,7 +83,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad:
                     stack.append((p, False))
-        self._accum(seed)
+        self._accum(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -99,18 +97,13 @@ class Tensor:
             other.requires_grad and other._accum(g)
         return Tensor(self.data + other.data, _parents=(self, other), _backward=bw)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def bw(g):
-            self.requires_grad and self._accum(-g)
+            self._accum(-g)
         return Tensor(-self.data, _parents=(self,), _backward=bw)
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -119,16 +112,8 @@ class Tensor:
             other.requires_grad and other._accum(g * self.data)
         return Tensor(self.data * other.data, _parents=(self, other), _backward=bw)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        other = as_tensor(other)
-        def bw(g):
-            self.requires_grad and self._accum(g / other.data)
-            other.requires_grad and other._accum(-g * self.data / (other.data**2))
-        return Tensor(self.data / other.data, _parents=(self, other), _backward=bw)
+    def __truediv__(self, other: float):
+        return self * (1.0 / other)
 
     # -- linear algebra ------------------------------------------------------
 
@@ -136,60 +121,43 @@ class Tensor:
         other = as_tensor(other)
         def bw(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape))
+                self._accum(g @ other.data.swapaxes(-1, -2))
             if other.requires_grad:
-                other._accum(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape))
+                other._accum(self.data.swapaxes(-1, -2) @ g)
         return Tensor(self.data @ other.data, _parents=(self, other), _backward=bw)
 
     # -- shape moves ---------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         def bw(g):
-            self.requires_grad and self._accum(g.reshape(old))
+            self._accum(g.reshape(old))
         return Tensor(self.data.reshape(shape), _parents=(self,), _backward=bw)
 
     def transpose(self, axes):
         inv = np.argsort(axes)
         def bw(g):
-            self.requires_grad and self._accum(g.transpose(inv))
+            self._accum(g.transpose(inv))
         return Tensor(self.data.transpose(axes), _parents=(self,), _backward=bw)
 
     def __getitem__(self, key):
+        """A basic slice (ints, slices): it never repeats an element, so the
+        backward assigns the gradient into place instead of scatter-adding."""
         def bw(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
-                self._accum(full)
+            full = np.zeros_like(self.data)
+            full[key] = g
+            self._accum(full)
         return Tensor(self.data[key], _parents=(self,), _backward=bw)
-
-    def take_last(self, perm):
-        """Gather along the last axis: out[..., i] = x[..., perm[i]]."""
-        perm = np.asarray(perm)
-        def bw(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full.reshape(-1, full.shape[-1]).T, perm, g.reshape(-1, g.shape[-1]).T)
-                self._accum(full)
-        return Tensor(self.data[..., perm], _parents=(self,), _backward=bw)
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
         def bw(g):
-            if self.requires_grad:
-                if axis is None:
-                    self._accum(np.broadcast_to(g, self.data.shape))
-                else:
-                    gg = g if keepdims else np.expand_dims(g, axis)
-                    self._accum(np.broadcast_to(gg, self.data.shape))
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _backward=bw)
+            self._accum(np.broadcast_to(g, self.data.shape))
+        return Tensor(self.data.sum(), _parents=(self,), _backward=bw)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / n
+    def mean(self):
+        return self.sum() / self.data.size
 
     # -- nonlinearities ------------------------------------------------------
 
@@ -200,26 +168,23 @@ class Tensor:
         t = np.tanh(inner)
         y = 0.5 * x * (1.0 + t)
         def bw(g):
-            if self.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * x**2)
-                dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-                self._accum(g * dy)
+            dinner = c * (1.0 + 3 * 0.044715 * x**2)
+            dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+            self._accum(g * dy)
         return Tensor(y, _parents=(self,), _backward=bw)
 
-    def layernorm(self, eps=1e-6):
-        """Normalize the last axis to zero mean / unit variance (no affine)."""
+    def layernorm(self):
+        """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine)."""
         x = self.data
         mu = x.mean(axis=-1, keepdims=True)
         xc = x - mu
         var = (xc**2).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + 1e-6)
         y = xc * inv
-        n = x.shape[-1]
         def bw(g):
-            if self.requires_grad:
-                gm = g.mean(axis=-1, keepdims=True)
-                gym = (g * y).mean(axis=-1, keepdims=True)
-                self._accum(inv * (g - gm - y * gym))
+            gm = g.mean(axis=-1, keepdims=True)
+            gym = (g * y).mean(axis=-1, keepdims=True)
+            self._accum(inv * (g - gm - y * gym))
         return Tensor(y, _parents=(self,), _backward=bw)
 
 
@@ -227,21 +192,26 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat(tensors) -> Tensor:
+    """Join tensors along their first axis."""
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
-    return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        _parents=tuple(tensors),
-        _backward=bw,
-    )
+            t.requires_grad and t._accum(g[lo:hi])
+    return Tensor(np.concatenate([t.data for t in tensors]), _parents=tuple(tensors), _backward=bw)
+
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate adjacent pairs of the last axis: ``x * cos + x[..., swap] * sin``
+    with ``swap = [1, 0, 3, 2, ...]``, where ``sin`` carries the pair signs.
+
+    The swap is its own inverse, so the backward is the same gather applied to
+    the gradient: ``g * cos + (g * sin)[..., swap]``.
+    """
+    swap = np.arange(x.data.shape[-1]) ^ 1
+    def bw(g):
+        x._accum(g * cos + (g * sin)[..., swap])
+    return Tensor(x.data * cos + x.data[..., swap] * sin, _parents=(x,), _backward=bw)
 
 
 def attention(q, k, v, scale: float) -> Tensor:
@@ -271,14 +241,14 @@ def attention(q, k, v, scale: float) -> Tensor:
     p /= p.sum(axis=-1, keepdims=True)
     def bw(g):
         if v.requires_grad:
-            v._accum(_unbroadcast(p.swapaxes(-1, -2) @ g, v.data.shape))
+            v._accum(p.swapaxes(-1, -2) @ g)
         if q.requires_grad or k.requires_grad:
             gp = g @ v.data.swapaxes(-1, -2)
             gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
             if q.requires_grad:
-                q._accum(_unbroadcast(gs @ k.data, q.data.shape))
+                q._accum(gs @ k.data)
             if k.requires_grad:
-                k._accum(_unbroadcast((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), k.data.shape))
+                k._accum((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
     return Tensor(p @ v.data, _parents=(q, k, v), _backward=bw)
 
 

@@ -36,6 +36,7 @@ from .costmodel import (
     step_division_curve,
 )
 from .denoiser import (
+    REFINER_ARCH,
     DegradationConfig,
     DenoiserParams,
     ParamVelocityModel,
@@ -80,12 +81,7 @@ _SCHEMAS = {
         "phase1_iters": 100,
         "phase2_frames": 9,
         "phase2_iters": 100,
-        "patch": 2,
-        "d": 12,
-        "heads": 2,
-        "depth": 2,
-        "w_t": 4,
-        "cond_dim": 4,
+        **REFINER_ARCH,
         "blur_radius": 1,
         "blur_strength": 0.7,
         "downup_factor": 2,
@@ -299,10 +295,8 @@ def cmd_train(cfg: dict) -> None:
         start_iter = int(meta.get("iteration", 0))
     elif cfg["target"] in ("base", "refiner"):
         params = DenoiserParams.init(
-            patch=int(cfg["patch"]), d=int(cfg["d"]), heads=int(cfg["heads"]),
-            depth=int(cfg["depth"]), w_t=int(cfg["w_t"]),
-            channels=dataset[0].extent.c * 4, cond_dim=int(cfg["cond_dim"]),
-            rng=rng.split(10**9),
+            **{k: int(cfg[k]) for k in REFINER_ARCH},
+            channels=dataset[0].extent.c * 4, rng=rng.split(10**9),
         )
     else:
         raise ConfigError(f"unknown train target {cfg['target']!r}")

@@ -31,6 +31,14 @@ from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec, swi
 
 SIGMA_EMBED_DIM = 16
 
+# The integers that fix a parameter set's tensor shapes; checkpoints store
+# them as meta lines in this order.
+_ARCH_KEYS = ("patch", "d", "heads", "depth", "w_t", "channels", "cond_dim")
+
+# The Refiner's default architecture: ``train_refiner(params=None)`` builds it,
+# and the CLI ``train`` command defaults to it.
+REFINER_ARCH = {"patch": 2, "d": 12, "heads": 2, "depth": 2, "w_t": 4, "cond_dim": 4}
+
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -72,12 +80,20 @@ class DenoiserParams:
     def window(self) -> WindowSpec:
         return WindowSpec(self.w_t)
 
-    def tensor_names(self) -> list[str]:
-        names = ["embed.w", "embed.b", "sigma.w", "cond.w"]
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every weight tensor, in the order :meth:`init` draws them."""
+        d, cpp = self.d, self.token_dim
+        shapes = {"embed.w": (cpp, d), "embed.b": (d,), "sigma.w": (SIGMA_EMBED_DIM, d),
+                  "cond.w": (self.cond_dim, d)}
         for i in range(self.depth):
-            names += [f"block{i}.{k}" for k in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")]
-        names += ["head.w", "head.b"]
-        return names
+            shapes.update({
+                f"block{i}.wq": (d, d), f"block{i}.wk": (d, d),
+                f"block{i}.wv": (d, d), f"block{i}.wo": (d, d),
+                f"block{i}.ffn_w1": (d, 4 * d), f"block{i}.ffn_b1": (4 * d,),
+                f"block{i}.ffn_w2": (4 * d, d), f"block{i}.ffn_b2": (d,),
+            })
+        shapes.update({"head.w": (d, cpp), "head.b": (cpp,)})
+        return shapes
 
     @classmethod
     def init(
@@ -93,30 +109,7 @@ class DenoiserParams:
         init_scale: float = 0.02,
     ) -> "DenoiserParams":
         p = cls(patch, d, heads, depth, w_t, channels, cond_dim)
-        cpp = p.token_dim
-        shapes = {
-            "embed.w": (cpp, d),
-            "embed.b": (d,),
-            "sigma.w": (SIGMA_EMBED_DIM, d),
-            "cond.w": (cond_dim, d),
-            "head.w": (d, cpp),
-            "head.b": (cpp,),
-        }
-        for i in range(depth):
-            shapes.update(
-                {
-                    f"block{i}.wq": (d, d),
-                    f"block{i}.wk": (d, d),
-                    f"block{i}.wv": (d, d),
-                    f"block{i}.wo": (d, d),
-                    f"block{i}.ffn_w1": (d, 4 * d),
-                    f"block{i}.ffn_b1": (4 * d,),
-                    f"block{i}.ffn_w2": (4 * d, d),
-                    f"block{i}.ffn_b2": (d,),
-                }
-            )
-        for name in p.tensor_names():
-            shape = shapes[name]
+        for name, shape in p.tensor_shapes().items():
             if name.startswith("head.") or name.endswith(".b") or "ffn_b" in name:
                 p.tensors[name] = np.zeros(shape)
             else:
@@ -511,13 +504,12 @@ def train_refiner(
 ) -> tuple[DenoiserParams, AdamW, list[float]]:
     """Train the Refiner on (degraded, clean) latent pairs with the
     progressive frame-count schedule; ``params=None`` starts from a fresh
-    d=12 Refiner."""
+    Refiner of the default architecture :data:`REFINER_ARCH`."""
     if not dataset:
         raise ConfigError("empty dataset")
     if params is None:
         params = DenoiserParams.init(
-            patch=2, d=12, heads=2, depth=2, w_t=4,
-            channels=dataset[0].extent.c * 4, cond_dim=4, rng=rng.split(10**9),
+            **REFINER_ARCH, channels=dataset[0].extent.c * 4, rng=rng.split(10**9),
         )
 
     def draw(clip, ri):
@@ -591,15 +583,10 @@ def save_checkpoint(
             named[f"opt.m.{k}"] = v
         for k, v in optimizer.v.items():
             named[f"opt.v.{k}"] = v
-    lines = []
-    for key, val in {
-        "patch": params.patch, "d": params.d, "heads": params.heads,
-        "depth": params.depth, "w_t": params.w_t, "channels": params.channels,
-        "cond_dim": params.cond_dim,
-        **({"opt_t": optimizer.t} if optimizer is not None else {}),
-        **(meta or {}),
-    }.items():
-        lines.append(f"meta {key} {val}")
+    header = {k: getattr(params, k) for k in _ARCH_KEYS}
+    if optimizer is not None:
+        header["opt_t"] = optimizer.t
+    lines = [f"meta {k} {v}" for k, v in {**header, **(meta or {})}.items()]
     with open(path, "wb") as fh:
         for name in sorted(named):
             arr = named[name]
@@ -612,22 +599,64 @@ def save_checkpoint(
 
 def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     """Inverse of :func:`save_checkpoint`; returns (params, optimizer-or-None,
-    meta dict).  ``train_cfg`` is required to reconstruct the optimizer."""
+    meta dict).  ``train_cfg`` is required to reconstruct the optimizer.  An
+    index line other than ``meta <key> <value>`` or ``tensor <name> <offset>
+    <shape>``, a non-integer or invalid architecture, a tensor set or shape
+    other than :meth:`DenoiserParams.tensor_shapes`, or a missing moment record
+    when resuming raises :class:`FormatError` naming the line or tensor."""
+    index = f"{path}.index"
     try:
-        with open(str(path) + ".index") as fh:
-            lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
+        with open(index) as fh:
+            lines = fh.read().splitlines()
     except FileNotFoundError as exc:
         raise FormatError(f"missing index file for checkpoint {path}") from exc
-    meta, entries = {}, []
-    for parts in lines:
-        if parts[0] == "meta":
-            meta[parts[1]] = parts[2]
-        elif parts[0] == "tensor":
-            entries.append((parts[1], int(parts[2]), tuple(int(s) for s in parts[3].split(","))))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{index}: not a text index: {exc}") from exc
+    meta, entries = {}, {}
+    for no, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "meta" and len(parts) == 3:
+                meta[parts[1]] = parts[2]
+            elif parts[0] == "tensor" and len(parts) == 4:
+                entries[parts[1]] = (int(parts[2]), tuple(int(s) for s in parts[3].split(",")))
+            else:
+                raise ValueError
+        except ValueError:
+            raise FormatError(f"{index} line {no}: expected 'meta <key> <value>' or "
+                              f"'tensor <name> <offset> <d0,d1,...>', got {line!r}") from None
+
+    def meta_int(key):
+        if key not in meta:
+            raise FormatError(f"{index}: missing meta key {key!r}")
+        try:
+            return int(meta[key])
+        except ValueError:
+            raise FormatError(f"{index}: meta {key} must be an integer, got {meta[key]!r}") from None
+
+    try:
+        params = DenoiserParams(**{k: meta_int(k) for k in _ARCH_KEYS})
+    except ConfigError as exc:
+        raise FormatError(f"{index}: invalid architecture: {exc}") from exc
+    shapes = params.tensor_shapes()
+    unexpected = sorted(n for n in entries if not n.startswith("opt.") and n not in shapes)
+    if unexpected:
+        raise FormatError(f"{index}: tensors {unexpected} are not part of the architecture")
+    resume = "opt_t" in meta and train_cfg is not None
+    records = dict(shapes)
+    if resume:
+        records.update({f"opt.{m}.{k}": s for m in "mv" for k, s in shapes.items()})
     with open(path, "rb") as fh:
         blob = fh.read()
     named = {}
-    for name, offset, shape in entries:
+    for name, shape in records.items():
+        if name not in entries:
+            raise FormatError(f"{index}: no record for tensor {name!r}")
+        offset, stored = entries[name]
+        if stored != shape:
+            raise FormatError(f"{index}: tensor {name!r} has shape {stored}, the architecture needs {shape}")
         if blob[offset : offset + 8] != LGR1_MAGIC:
             raise FormatError(f"{path}: bad record magic at byte {offset}")
         try:
@@ -637,18 +666,11 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
         except (struct.error, ValueError) as exc:
             raise FormatError(f"{path}: record {name!r} at byte {offset} is truncated "
                               "or does not match its index entry") from exc
-    arch = ("patch", "d", "heads", "depth", "w_t", "channels", "cond_dim")
-    missing = [k for k in arch if k not in meta]
-    if missing:
-        raise FormatError(f"{path}.index: missing meta keys {missing}")
-    params = DenoiserParams(
-        **{k: int(meta[k]) for k in arch},
-        tensors={k: v for k, v in named.items() if not k.startswith("opt.")},
-    )
+    params.tensors = {k: named[k] for k in shapes}
     optimizer = None
-    if "opt_t" in meta and train_cfg is not None:
+    if resume:
         optimizer = AdamW(params, train_cfg)
-        optimizer.t = int(meta["opt_t"])
+        optimizer.t = meta_int("opt_t")
         for k in params.tensors:
             optimizer.m[k] = named[f"opt.m.{k}"]
             optimizer.v[k] = named[f"opt.v.{k}"]

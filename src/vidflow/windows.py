@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, attention, concat
+from .autodiff import Tensor, as_tensor, attention, concat, rope as rotate_pairs
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -91,8 +91,10 @@ def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int,
 @lru_cache(maxsize=64)
 def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: RoPEConfig):
     """Read-only RoPE tables for a (t_len, H, W) field whose positions start at
-    ``origin``: cos (n, d), the pair-swap permutation (d,), and sign * sin (n, d),
-    so a rotation is ``x * cos + x[..., perm] * sin``."""
+    ``origin``: cos (n, d) and sign * sin (n, d) with sign = [-1, 1, -1, 1, ...],
+    so that :func:`~vidflow.autodiff.rope` turns each adjacent pair
+    (x[2i], x[2i+1]) into (x[2i]·cos − x[2i+1]·sin, x[2i+1]·cos + x[2i]·sin).
+    The sub-dimensions d_t, d_h, d_w are even, so no pair straddles two axes."""
     t0, h0, w0 = origin
     tt, hh, ww = np.meshgrid(
         np.arange(t_len) + t0, np.arange(H) + h0, np.arange(W) + w0, indexing="ij"
@@ -100,9 +102,6 @@ def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: 
     coords = np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.float64)
     n = coords.shape[0]
     cos_parts, sin_parts = [], []
-    perm = np.empty(cfg.d, dtype=int)
-    sign = np.empty(cfg.d)
-    offset = 0
     for axis, d_a in enumerate((cfg.d_t, cfg.d_h, cfg.d_w)):
         if d_a == 0:
             continue
@@ -111,15 +110,9 @@ def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: 
         ang = coords[:, axis : axis + 1] * inv_freq[None, :]
         cos_parts.append(np.repeat(np.cos(ang), 2, axis=1))
         sin_parts.append(np.repeat(np.sin(ang), 2, axis=1))
-        idx = offset + np.arange(d_a)
-        perm[offset : offset + d_a : 2] = idx[1::2]
-        perm[offset + 1 : offset + d_a : 2] = idx[0::2]
-        sign[offset : offset + d_a : 2] = -1.0
-        sign[offset + 1 : offset + d_a : 2] = 1.0
-        offset += d_a
     cos = np.concatenate(cos_parts, axis=1) if cos_parts else np.ones((n, 0))
     sin = np.concatenate(sin_parts, axis=1) if sin_parts else np.ones((n, 0))
-    tables = (cos, perm, sign[None, :] * sin)
+    tables = (cos, np.tile([-1.0, 1.0], cfg.d // 2) * sin)
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -150,23 +143,24 @@ def _window_attention_t(
     scale = dh**-0.5
     wq, wk, wv, wo = (as_tensor(w) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
 
+    plane = H * W
+    tokens = x.reshape(T * plane, d)
     outs = []
     for a, b, t0 in _frame_runs(T, spec, shifted):
-        t_len = b - a
-        n = t_len * H * W
-        flat = x[a:b].reshape(n, d)
-        q = flat @ wq
-        k = flat @ wk
-        v = flat @ wv
-        cos, perm, sin = _rope_tables(t_len, H, W, (t0, 0, 0), rope)  # window-local positions
-        q = q * cos + q.take_last(perm) * sin
-        k = k * cos + k.take_last(perm) * sin
+        n = (b - a) * plane
+        run = tokens[a * plane : b * plane]
+        q = run @ wq
+        k = run @ wk
+        v = run @ wv
+        cos, sin = _rope_tables(b - a, H, W, (t0, 0, 0), rope)  # window-local positions
+        q = rotate_pairs(q, cos, sin)
+        k = rotate_pairs(k, cos, sin)
         qh = q.reshape(n, heads, dh).transpose((1, 0, 2))
         kh = k.reshape(n, heads, dh).transpose((1, 0, 2))
         vh = v.reshape(n, heads, dh).transpose((1, 0, 2))
         ctx = attention(qh, kh, vh, scale).transpose((1, 0, 2)).reshape(n, d)
-        outs.append((ctx @ wo).reshape(t_len, H, W, d))
-    return concat(outs, axis=0)
+        outs.append(ctx @ wo)
+    return concat(outs).reshape(T, H, W, d)
 
 
 def window_attention(

@@ -225,7 +225,7 @@ class TestAcceptance:
             return float((forward_velocity(p, z, 0.4, cond).values * up.values).sum())
 
         rng = np.random.default_rng(14)
-        names = [n for n in params.tensor_names() if n != "cond.w"]  # zero cond -> zero grad
+        names = [n for n in params.tensor_shapes() if n != "cond.w"]  # zero cond -> zero grad
         eps = 1e-6
         worst, checked = 0.0, 0
         while checked < 52:
@@ -240,7 +240,7 @@ class TestAcceptance:
             checked += 1
         wall = time.monotonic() - t0
         report(
-            "hand-derived-gradients",
+            "tape-gradients",
             worst <= 1e-4 and wall < 60.0,
             f"{checked} parameters, max rel err {worst:.3e} (tol 1e-4), {wall:.1f}s (limit 60s)",
         )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,22 @@ FAST_TRAIN = [
     "--set", "phase1_frames=3", "--set", "phase2_frames=4",
     "--set", "d=6", "--set", "heads=1", "--set", "lr=0.001",
 ]
+
+
+def _replace(pattern, repl):
+    return lambda lines: [re.sub(pattern, repl, ln) for ln in lines]
+
+
+# Edits of a trained checkpoint's index (d=6, 48 values per token) that
+# load_checkpoint must reject with a FormatError.
+CHECKPOINT_INDEX_PROBES = {
+    "meta_without_value": _replace(r"^meta d 6$", "meta d"),
+    "meta_not_an_integer": _replace(r"^meta d 6$", "meta d six"),
+    "offset_not_an_integer": _replace(r"^tensor embed\.w \d+ ", "tensor embed.w xx "),
+    "tensor_missing": lambda lines: [ln for ln in lines if not ln.startswith("tensor head.w ")],
+    "shape_transposed": _replace(r"^(tensor embed\.w \d+) 48,6$", r"\1 6,48"),
+    "unknown_line_kind": lambda lines: lines + ["weights embed.w 0 48,6"],
+}
 
 
 def run(*argv):
@@ -108,6 +125,20 @@ class TestExitCodes:
         assert len(index.read_text().splitlines()) == len(lines) - 1
         assert self._refine(tmp_path, checkpoint) == 3
 
+    @pytest.mark.parametrize("probe", sorted(CHECKPOINT_INDEX_PROBES))
+    def test_malformed_checkpoint_index_is_3(self, tmp_path, checkpoint, capsys, probe):
+        index = tmp_path / "refiner.lgr.index"
+        lines = index.read_text().splitlines()
+        edited = CHECKPOINT_INDEX_PROBES[probe](lines)
+        assert edited != lines
+        index.write_text("\n".join(edited) + "\n")
+        assert run("preview", "--set", f"checkpoint={checkpoint}",
+                   "--set", f"out={tmp_path / 'prev.lgr'}", "--set", "n_total=4", "--set", "k=1",
+                   "--set", "hi=[4,4]", "--set", "lo=[2,2]", "--set", "frames=2") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert not (tmp_path / "prev.lgr").exists()
+
     def test_empty_dataset_index_is_3(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -157,6 +188,7 @@ class TestExitCodes:
         assert run(verb, *inputs, "--set", f"out={out}", "--set", override) == 2
         assert not out.exists()  # not even synth's index.txt
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_is_4(self, tmp_path, dataset):
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'ckpt.lgr'}",
                    *FAST_TRAIN, "--set", "lr=1e200") == 4

@@ -332,6 +332,7 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_refiner([], ToyCodec(), RIG_DEG, RIG_TRAIN, Rng(0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_training(self):
         rng = Rng(7)
         tiny = [synth_video("bouncing_rect", Extent5(1, 3, 6, 8, 8), rng.split(i)) for i in range(4)]
@@ -384,6 +385,18 @@ class TestCheckpoint:
         for k in opt.m:
             assert np.array_equal(opt.m[k], opt2.m[k])
             assert np.array_equal(opt.v[k], opt2.v[k])
+
+    def test_resume_needs_every_moment_record(self, tmp_path):
+        p = small_params(seed=35)
+        cfg = TrainConfig(lr=1e-3)
+        path = tmp_path / "model.lgr"
+        save_checkpoint(path, p, AdamW(p, cfg))
+        index = tmp_path / "model.lgr.index"
+        lines = index.read_text().splitlines(keepends=True)
+        index.write_text("".join(ln for ln in lines if not ln.startswith("tensor opt.v.head.w ")))
+        assert load_checkpoint(path)[1] is None  # no train_cfg: the moments are not read
+        with pytest.raises(vf.FormatError, match=r"opt\.v\.head\.w"):
+            load_checkpoint(path, cfg)
 
     def test_missing_index_is_format_error(self, tmp_path):
         p = small_params()

@@ -18,12 +18,14 @@ from oracles import masked_global_attention_oracle, rope_oracle
 
 
 def apply_rope3d(field, cfg, window_local_origin=(0, 0, 0)):
-    """Rotary-embed a (T, H, W, d) field with the tables attention uses;
-    positions are the field indices offset by ``window_local_origin``."""
+    """Rotary-embed a (T, H, W, d) field with the tables attention uses and a
+    pair swap of its own; positions are the field indices offset by
+    ``window_local_origin``."""
     T, H, W, d = field.shape
-    cos, perm, sin = _rope_tables(T, H, W, tuple(window_local_origin), cfg)
+    cos, sin = _rope_tables(T, H, W, tuple(window_local_origin), cfg)
     flat = field.reshape(-1, d)
-    return (flat * cos + flat[:, perm] * sin).reshape(field.shape)
+    swapped = flat.reshape(-1, d // 2, 2)[:, :, ::-1].reshape(-1, d)
+    return (flat * cos + swapped * sin).reshape(field.shape)
 
 
 def random_weights(d, rng):
