@@ -142,11 +142,11 @@ class Tensor:
 
     def __getitem__(self, key):
         """A basic slice (ints, slices): it never repeats an element, so the
-        backward assigns the gradient into place instead of scatter-adding."""
+        backward adds the gradient into its region of ``self.grad`` in place."""
         def bw(g):
-            full = np.zeros_like(self.data)
-            full[key] = g
-            self._accum(full)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[key] += g
         return Tensor(self.data[key], _parents=(self,), _backward=bw)
 
     # -- reductions ----------------------------------------------------------

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -75,12 +76,7 @@ _SCHEMAS = {
         "seed": 0,
         "force": False,
         "resume": None,
-        "lr": 5e-5,
-        "weight_decay": 0.0,
-        "phase1_frames": 5,
-        "phase1_iters": 100,
-        "phase2_frames": 9,
-        "phase2_iters": 100,
+        **{f.name: f.default for f in fields(TrainConfig)},
         **REFINER_ARCH,
         "blur_radius": 1,
         "blur_strength": 0.7,
@@ -157,9 +153,14 @@ def _require_positive(command: str, cfg: dict, keys) -> None:
             raise ConfigError(f"{command}.{key} must be >= 1, got {cfg[key]}")
 
 
-def _resolve(command: str, config_path, overrides) -> dict:
-    schema = _SCHEMAS[command]
-    cfg = {k: v for k, v in schema.items() if v is not _REQUIRED}
+def _build(cls, cfg: dict):
+    """``cls`` built from the config keys named like its fields."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
+
+
+def _parse(command: str, config_path, overrides) -> dict:
+    """The values a config file section and ``--set`` overrides give, unchecked."""
+    values = {}
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -168,21 +169,31 @@ def _resolve(command: str, config_path, overrides) -> dict:
             raise FormatError(f"config file not found: {config_path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        section = raw.get(command, raw if set(raw) <= set(schema) else {})
-        for key, val in section.items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key {command}.{key}")
-            cfg[key] = val
+        if isinstance(raw, dict):
+            raw = raw.get(command, raw if set(raw) <= set(_SCHEMAS[command]) else {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file must hold a JSON object, or one per verb: {config_path}")
+        values.update(raw)
     for kv in overrides or []:
         if "=" not in kv:
             raise ConfigError(f"override must look like key=value, got {kv!r}")
         key, _, val = kv.partition("=")
+        try:
+            values[key] = json.loads(val)
+        except json.JSONDecodeError:
+            values[key] = val
+    return values
+
+
+def _validated(command: str, values: dict) -> dict:
+    """The schema's defaults updated with ``values``, after rejecting unknown
+    keys, missing required keys and values of the wrong type."""
+    schema = _SCHEMAS[command]
+    for key in values:
         if key not in schema:
             raise ConfigError(f"unknown config key {command}.{key}")
-        try:
-            cfg[key] = json.loads(val)
-        except json.JSONDecodeError:
-            cfg[key] = val
+    cfg = {k: v for k, v in schema.items() if v is not _REQUIRED}
+    cfg.update(values)
     missing = [k for k, v in schema.items() if v is _REQUIRED and k not in cfg]
     if missing:
         raise ConfigError(f"missing required config keys for {command}: {missing}")
@@ -216,16 +227,23 @@ def read_manifest(path) -> dict:
         out["config"] = json.loads(out["config_json"])
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: config_json is not valid JSON: {exc}") from exc
+    if not isinstance(out["config"], dict):
+        raise FormatError(f"{path}: config_json is not a JSON object")
     return out
 
 
 def replay_manifest(path, overrides: dict | None = None) -> None:
     """Re-run the command recorded in a manifest (optionally overriding keys,
-    e.g. the output path)."""
+    e.g. the output path), with the same checks as the command line.  A
+    manifest of another version or of a verb that writes none is a
+    :class:`FormatError`."""
     m = read_manifest(path)
-    cfg = dict(m["config"])
-    cfg.update(overrides or {})
-    _DISPATCH[m["command"]](cfg)
+    command = m["command"]
+    if command not in _DISPATCH:
+        raise FormatError(f"{path}: command {command!r} cannot be replayed")
+    if m.get("version") != __version__:
+        raise FormatError(f"{path}: written by vidflow {m.get('version')}, this is {__version__}")
+    _DISPATCH[command](_validated(command, {**m["config"], **(overrides or {})}))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +254,15 @@ def cmd_synth(cfg: dict) -> None:
     _require_positive("synth", cfg, ("count", "channels", "frames", "height", "width"))
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
-    master = Rng(int(cfg["seed"]))
-    extent = Extent5(1, int(cfg["channels"]), int(cfg["frames"]), int(cfg["height"]), int(cfg["width"]))
-    clip_seeds = cfg.get("clip_seeds") or [master.split(i).seed for i in range(int(cfg["count"]))]
-    if len(clip_seeds) != int(cfg["count"]):
+    master = Rng(cfg["seed"])
+    extent = Extent5(1, cfg["channels"], cfg["frames"], cfg["height"], cfg["width"])
+    clip_seeds = cfg["clip_seeds"] or [master.split(i).seed for i in range(cfg["count"])]
+    if len(clip_seeds) != cfg["count"]:
         raise ConfigError(f"clip_seeds has {len(clip_seeds)} entries, count is {cfg['count']}")
     t0 = time.time()
     names = []
     for i, cseed in enumerate(clip_seeds):
-        clip = synth_video(cfg["kind"], extent, Rng(int(cseed)))
+        clip = synth_video(cfg["kind"], extent, Rng(cseed))
         name = f"clip_{i:04d}.lgr"
         _write_grid(os.path.join(out_dir, name), clip)
         names.append(name)
@@ -272,45 +290,31 @@ def load_dataset(dataset_dir) -> list[LatentGrid]:
 
 
 def cmd_train(cfg: dict) -> None:
-    _require_positive("train", cfg,
-                      ("phase1_frames", "phase2_frames", "patch", "d", "heads", "depth", "w_t"))
+    if cfg["target"] not in ("base", "refiner"):
+        raise ConfigError(f"unknown train target {cfg['target']!r}")
+    _require_positive("train", cfg, ("patch", "d", "heads", "depth", "w_t"))
+    tc = _build(TrainConfig, cfg)
+    deg = _build(DegradationConfig, cfg)
     out = cfg["out"]
     if os.path.exists(out) and not cfg["force"] and not cfg["resume"]:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
     dataset = load_dataset(cfg["dataset"])
     codec = ToyCodec()
-    tc = TrainConfig(
-        lr=float(cfg["lr"]),
-        weight_decay=float(cfg["weight_decay"]),
-        phase1_frames=int(cfg["phase1_frames"]),
-        phase1_iters=int(cfg["phase1_iters"]),
-        phase2_frames=int(cfg["phase2_frames"]),
-        phase2_iters=int(cfg["phase2_iters"]),
-    )
-    rng = Rng(int(cfg["seed"]))
-    params = optimizer = None
+    rng = Rng(cfg["seed"])
+    optimizer = None
     start_iter = 0
     if cfg["resume"]:
         params, optimizer, meta = load_checkpoint(cfg["resume"], train_cfg=tc)
         start_iter = int(meta.get("iteration", 0))
-    elif cfg["target"] in ("base", "refiner"):
+    else:
         params = DenoiserParams.init(
-            **{k: int(cfg[k]) for k in REFINER_ARCH},
+            **{k: cfg[k] for k in REFINER_ARCH},
             channels=dataset[0].extent.c * 4, rng=rng.split(10**9),
         )
-    else:
-        raise ConfigError(f"unknown train target {cfg['target']!r}")
 
     t0 = time.time()
     n_iters = tc.total_iters - start_iter
     if cfg["target"] == "refiner":
-        deg = DegradationConfig(
-            blur_radius=int(cfg["blur_radius"]),
-            blur_strength=float(cfg["blur_strength"]),
-            downup_factor=int(cfg["downup_factor"]),
-            latent_noise=float(cfg["latent_noise"]),
-            latent_downup_factor=int(cfg["latent_downup_factor"]),
-        )
         params, optimizer, losses = train_refiner(
             dataset, codec, deg, tc, rng, params=params,
             optimizer=optimizer, start_iter=start_iter, n_iters=n_iters,
@@ -344,22 +348,19 @@ def cmd_train(cfg: dict) -> None:
 
 def cmd_preview(cfg: dict) -> None:
     _require_positive("preview", cfg, ("count", "batch", "frames"))
+    base_cfg = _build(PreviewConfig, cfg)
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     for key in ("hi", "lo"):
-        if any(int(v) % params.patch for v in cfg[key]):
+        if any(v % params.patch for v in cfg[key]):
             raise ConfigError(f"preview.{key} {cfg[key]} not divisible by patch {params.patch}")
     model = ParamVelocityModel(params)
     cond = Conditioning.zeros(params.cond_dim)
-    count = int(cfg["count"])
+    count = cfg["count"]
     t0 = time.time()
     for i in range(count):
-        seed = int(cfg["seed"]) if count == 1 else Rng(int(cfg["seed"])).split(i).seed
-        pcfg = PreviewConfig(
-            n_total=int(cfg["n_total"]), k=int(cfg["k"]),
-            hi=tuple(cfg["hi"]), lo=tuple(cfg["lo"]),
-            shift=float(cfg["shift"]), seed=seed,
-        )
-        extent = Extent5(int(cfg["batch"]), params.channels, int(cfg["frames"]), *pcfg.hi)
+        seed = cfg["seed"] if count == 1 else Rng(cfg["seed"]).split(i).seed
+        pcfg = replace(base_cfg, seed=seed)
+        extent = Extent5(cfg["batch"], params.channels, cfg["frames"], *pcfg.hi)
         res = generate_preview(model, cond, pcfg, extent)
         out = cfg["out"] if count == 1 else _numbered(cfg["out"], i)
         _write_grid(out, res.latent)
@@ -383,13 +384,13 @@ def _numbered(path, i: int) -> str:
 
 
 def cmd_refine(cfg: dict) -> None:
-    _require_positive("refine", cfg, ("upscale",))
+    _require_positive("refine", cfg, ("n_steps", "upscale"))
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     preview_lo = read_lgr1(cfg["preview"])
     cond = Conditioning.zeros(params.cond_dim)
-    up = int(cfg["upscale"])
+    up = cfg["upscale"]
     target_hw = (preview_lo.extent.h * up, preview_lo.extent.w * up)
-    n_steps = int(cfg["n_steps"])
+    n_steps = cfg["n_steps"]
     t0 = time.time()
     refined = refine(params, preview_lo, target_hw, n_steps, cond)
     _write_grid(cfg["out"], refined)
@@ -432,9 +433,7 @@ def _dump_ppm_frames(pixels: LatentGrid, frames_dir) -> int:
 
 
 def _stage_from_dict(d: dict) -> StageSpec:
-    known = {"name", "tokens", "dim", "depth", "steps", "heads", "attention",
-             "w_t", "token_frames", "step_overhead_s"}
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in fields(StageSpec)}
     if unknown:
         raise ConfigError(f"unknown stage keys {sorted(unknown)}")
     return StageSpec(**d)
@@ -448,7 +447,7 @@ def cmd_profile(cfg: dict) -> None:
         pipe = PipelineSpec(stages=stages, baseline=_stage_from_dict(cfg["baseline"]))
     else:
         pipe = recommended_pipeline()
-    rate = float(cfg["rate"])
+    rate = cfg["rate"]
     report = pipeline_report(pipe, rate)
 
     lines = ["stage,flops,share,ratio_vs_baseline,predicted_s"]
@@ -456,10 +455,9 @@ def cmd_profile(cfg: dict) -> None:
         lines.append(f"{name},{flops:.6g},{share:.6f},{flops / report.baseline_flops:.6f},{seconds:.6g}")
     lines.append(f"total,{report.total_flops:.6g},1.000000,{report.flops_ratio:.6f},{report.total_time_s:.6g}")
 
-    from dataclasses import replace as _rep
     b = pipe.baseline
-    r30 = stage_flops(_rep(b, steps=int(round(b.steps * 0.3)))) / report.baseline_flops
-    r50 = stage_flops(_rep(b, steps=int(round(b.steps * 0.5)))) / report.baseline_flops
+    r30 = stage_flops(replace(b, steps=int(round(b.steps * 0.3)))) / report.baseline_flops
+    r50 = stage_flops(replace(b, steps=int(round(b.steps * 0.5)))) / report.baseline_flops
     ref30 = REFERENCE_30PCT[0] / REFERENCE_BASELINE_PFLOPS
     ref50 = REFERENCE_50PCT[0] / REFERENCE_BASELINE_PFLOPS
     foot = [
@@ -532,7 +530,7 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             cmd_inspect({"path": args.path})
         else:
-            cfg = _resolve(args.command, args.config, args.set)
+            cfg = _validated(args.command, _parse(args.command, args.config, args.set))
             _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

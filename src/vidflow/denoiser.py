@@ -61,24 +61,18 @@ class DenoiserParams:
         for key in ("patch", "d", "heads", "depth", "w_t", "channels"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.cond_dim < 0:
+            raise ConfigError(f"cond_dim must be >= 0, got {self.cond_dim}")
         if self.depth % 2 != 0:
             raise ConfigError(f"depth must be even (whole block pairs), got {self.depth}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.d % 6 != 0:
-            raise ConfigError(f"d={self.d} must be divisible by 6 for 3-axis rope")
+        self.window = WindowSpec(self.w_t)
+        self.rope = RoPEConfig.even_split(self.d)
 
     @property
     def token_dim(self) -> int:
         return self.channels * self.patch * self.patch
-
-    @property
-    def rope(self) -> RoPEConfig:
-        return RoPEConfig.even_split(self.d)
-
-    @property
-    def window(self) -> WindowSpec:
-        return WindowSpec(self.w_t)
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of every weight tensor, in the order :meth:`init` draws them."""
@@ -106,7 +100,6 @@ class DenoiserParams:
         channels: int,
         cond_dim: int,
         rng: Rng,
-        init_scale: float = 0.02,
     ) -> "DenoiserParams":
         p = cls(patch, d, heads, depth, w_t, channels, cond_dim)
         for name, shape in p.tensor_shapes().items():
@@ -114,12 +107,11 @@ class DenoiserParams:
                 p.tensors[name] = np.zeros(shape)
             else:
                 n = int(np.prod(shape))
-                p.tensors[name] = init_scale * rng.normal(n).reshape(shape)
+                p.tensors[name] = 0.02 * rng.normal(n).reshape(shape)
         return p
 
     def copy(self) -> "DenoiserParams":
-        out = replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
-        return out
+        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
 
 def _sigma_embedding(sigma: float, dim: int = SIGMA_EMBED_DIM) -> np.ndarray:
@@ -267,7 +259,6 @@ class DegradationConfig:
     downup_factor: int = 2
     latent_noise: float = 0.1
     latent_downup_factor: int = 1  # extra latent-space round trip through the preview resolution
-    seed: int = 0
 
     def __post_init__(self):
         if self.blur_radius < 0 or self.blur_strength < 0 or self.latent_noise < 0:
@@ -292,12 +283,12 @@ def degrade_pair(
     hr_pixels: LatentGrid,
     codec: ToyCodec,
     cfg: DegradationConfig,
-    rng: Rng | None = None,
+    rng: Rng,
 ) -> tuple[LatentGrid, LatentGrid]:
     """Synthesize a (degraded, clean) latent pair from a clean pixel video.
 
     Pixel path: blur -> bilinear down by factor -> bilinear up -> encode ->
-    additive latent Gaussian noise.
+    additive latent Gaussian noise drawn from ``rng``.
     """
     e = hr_pixels.extent
     if e.h % (codec.factor * cfg.downup_factor) or e.w % (codec.factor * cfg.downup_factor):
@@ -316,8 +307,7 @@ def degrade_pair(
         degraded = resize_spatial(lo, e.h, e.w)
     z_lr = codec.encode(degraded)
     if cfg.latent_noise > 0:
-        noise_rng = rng if rng is not None else Rng(cfg.seed)
-        z_lr = axpy(cfg.latent_noise, sample_gaussian(z_lr.extent, noise_rng), z_lr)
+        z_lr = axpy(cfg.latent_noise, sample_gaussian(z_lr.extent, rng), z_lr)
     if cfg.latent_downup_factor > 1:
         le = z_lr.extent
         lo = resize_spatial(z_lr, le.h // cfg.latent_downup_factor, le.w // cfg.latent_downup_factor)
@@ -387,9 +377,6 @@ def synth_video(
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     phase1_frames: int = 5
     phase1_iters: int = 100
@@ -399,8 +386,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
-        if self.phase2_frames < self.phase1_frames:
-            raise ConfigError("phase-2 frame count must be >= phase-1")
+        if not 1 <= self.phase1_frames <= self.phase2_frames:
+            raise ConfigError(f"need 1 <= phase1_frames <= phase2_frames, "
+                              f"got {self.phase1_frames}, {self.phase2_frames}")
+        if min(self.phase1_iters, self.phase2_iters) < 0:
+            raise ConfigError(f"iteration counts must be >= 0, got {self.phase1_iters}, {self.phase2_iters}")
 
     @property
     def total_iters(self) -> int:
@@ -413,6 +403,8 @@ class TrainConfig:
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict."""
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: DenoiserParams, cfg: TrainConfig):
         self.cfg = cfg
         self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
@@ -420,15 +412,15 @@ class AdamW:
         self.t = 0
 
     def step(self, params: DenoiserParams, grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
+        c, b1, b2 = self.cfg, self.BETA1, self.BETA2
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         for k, p in params.tensors.items():
             g = grads[k]
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.EPS)
             params.tensors[k] = p - c.lr * (update + c.weight_decay * p)
 
 

@@ -45,10 +45,11 @@ class RoPEConfig:
     """Per-axis rotary embedding setup; the embedding splits into (temporal,
     vertical, horizontal) sub-dimensions, each rotated by its own coordinate."""
 
+    base = 10000.0  # frequency base (RoFormer); a class constant, not a field
+
     d_t: int
     d_h: int
     d_w: int
-    base: float = 10000.0
 
     def __post_init__(self):
         for part in (self.d_t, self.d_h, self.d_w):
@@ -60,10 +61,10 @@ class RoPEConfig:
         return self.d_t + self.d_h + self.d_w
 
     @classmethod
-    def even_split(cls, d: int, base: float = 10000.0) -> "RoPEConfig":
+    def even_split(cls, d: int) -> "RoPEConfig":
         if d % 6 != 0:
             raise ConfigError(f"embedding dim must be divisible by 6 for a 3-axis split, got {d}")
-        return cls(d // 3, d // 3, d // 3, base)
+        return cls(d // 3, d // 3, d // 3)
 
 
 def window_bounds(T: int, w_t: int) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vidflow as vf
+from vidflow import __version__
 from vidflow.cli import main, read_manifest, replay_manifest
 
 
@@ -29,6 +30,17 @@ CHECKPOINT_INDEX_PROBES = {
     "tensor_missing": lambda lines: [ln for ln in lines if not ln.startswith("tensor head.w ")],
     "shape_transposed": _replace(r"^(tensor embed\.w \d+) 48,6$", r"\1 6,48"),
     "unknown_line_kind": lambda lines: lines + ["weights embed.w 0 48,6"],
+    "odd_window": _replace(r"^meta w_t 4$", "meta w_t 3"),
+}
+
+# Edits of a preview manifest that replay must refuse before loading anything.
+MANIFEST_PROBES = {
+    "wrong_type": (lambda text: text.replace('"hi": [8, 8]', '"hi": 4'), vf.ConfigError),
+    "unknown_key": (lambda text: text.replace('"k": 1,', '"k": 1, "bogus": 1,'), vf.ConfigError),
+    "other_version": (lambda text: text.replace(f"version {__version__}", "version 9.9.9"), vf.FormatError),
+    "not_replayable": (lambda text: text.replace("command preview", "command inspect"), vf.FormatError),
+    "config_not_an_object": (lambda text: re.sub(r"(?m)^config_json .*$", "config_json [1]", text),
+                             vf.FormatError),
 }
 
 
@@ -96,6 +108,12 @@ class TestExitCodes:
 
     def test_missing_config_file_is_3(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "nope.json")) == 3
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"synth": [1]}'])
+    def test_config_file_not_an_object_is_2(self, tmp_path, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert run("synth", "--config", str(cfgfile)) == 2
 
     def test_invalid_json_config_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -173,6 +191,8 @@ class TestExitCodes:
         *[("synth", f"{key}=0") for key in ("count", "channels", "frames", "height", "width")],
         *[("train", f"{key}=0") for key in ("phase1_frames", "phase2_frames", "patch", "d",
                                             "heads", "depth", "w_t")],
+        ("train", "phase1_iters=-1"), ("train", "target=refinr"), ("train", "lr=-1"),
+        ("preview", "k=0"), ("refine", "n_steps=0"),
     ])
     def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
         # the inputs do not exist: exit 2 rather than 3, with nothing written,
@@ -187,6 +207,20 @@ class TestExitCodes:
         out = tmp_path / "out.lgr"
         assert run(verb, *inputs, "--set", f"out={out}", "--set", override) == 2
         assert not out.exists()  # not even synth's index.txt
+
+    def test_negative_cond_dim_is_2(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "ckpt.lgr"
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}",
+                   *FAST_TRAIN, "--set", "cond_dim=-1") == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_unknown_target_is_2_when_resuming(self, tmp_path, dataset, checkpoint):
+        files = [checkpoint, tmp_path / "refiner.lgr.index"]
+        before = [f.read_bytes() for f in files]
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}", *FAST_TRAIN,
+                   "--set", "target=refinr", "--set", f"resume={checkpoint}") == 2
+        assert [f.read_bytes() for f in files] == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_is_4(self, tmp_path, dataset):
@@ -288,6 +322,42 @@ class TestReplay:
         replayed = tmp_path / "replayed.lgr"
         replay_manifest(str(out) + ".manifest", {"out": str(replayed)})
         assert out.read_bytes() == replayed.read_bytes()
+
+    def test_synth_replay_is_byte_identical(self, tmp_path, dataset):
+        again = tmp_path / "again"
+        replay_manifest(str(dataset) + ".manifest", {"out": str(again)})
+        names = sorted(os.listdir(dataset))
+        assert sorted(os.listdir(again)) == names
+        for name in names:
+            assert (dataset / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_train_replay_is_byte_identical(self, tmp_path, checkpoint):
+        again = tmp_path / "again.lgr"
+        replay_manifest(str(checkpoint) + ".manifest", {"out": str(again)})
+        assert again.read_bytes() == checkpoint.read_bytes()
+        assert (tmp_path / "again.lgr.index").read_bytes() == (tmp_path / "refiner.lgr.index").read_bytes()
+
+    def test_profile_replay_is_byte_identical(self, tmp_path):
+        out, again = tmp_path / "profile.csv", tmp_path / "again.csv"
+        assert run("profile", "--set", f"out={out}") == 0
+        replay_manifest(str(out) + ".manifest", {"out": str(again)})
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("probe", sorted(MANIFEST_PROBES))
+    def test_edited_manifest_is_refused(self, tmp_path, checkpoint, probe):
+        out = tmp_path / "prev.lgr"
+        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}",
+                   "--set", "n_total=4", "--set", "k=1",
+                   "--set", "hi=[8,8]", "--set", "lo=[4,4]", "--set", "frames=4") == 0
+        manifest = tmp_path / "prev.lgr.manifest"
+        edit, error = MANIFEST_PROBES[probe]
+        edited = edit(manifest.read_text())
+        assert edited != manifest.read_text()
+        manifest.write_text(edited)
+        replayed = tmp_path / "replayed.lgr"
+        with pytest.raises(error):
+            replay_manifest(manifest, {"out": str(replayed)})
+        assert not replayed.exists()
 
 
 class TestProfile:
