@@ -3,8 +3,8 @@
 Just enough tape machinery for the transformer denoiser, and no more:
 broadcasted add, subtract and multiply, division by a scalar, (batched)
 matmul, reshapes, transposes, basic slices, concatenation, whole-tensor sum
-and mean, layer norm, GELU, and two fused ops with closed-form backwards,
-:func:`rope` and :func:`attention`.  Leaves are created with
+and mean, layer norm, GELU, and three fused ops with closed-form backwards,
+:func:`linear`, :func:`rope` and :func:`attention`.  Leaves are created with
 ``requires_grad=True``; call :meth:`Tensor.backward` on a scalar to
 accumulate ``.grad`` on every leaf.
 
@@ -162,11 +162,24 @@ class Tensor:
     # -- nonlinearities ------------------------------------------------------
 
     def gelu(self):
+        """tanh-approximate GELU, ``0.5*x*(1 + tanh(c*(x + 0.044715*x**3)))``.
+
+        The forward runs in place on one work array, in the textbook
+        expression's operation order, so its bits equal the expression's."""
         c = np.sqrt(2.0 / np.pi)
         x = self.data
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        y = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        y = 0.5 * x
+        if not self.requires_grad:
+            t += 1.0
+            y *= t
+            return Tensor(y)
+        y *= 1.0 + t
         def bw(g):
             dinner = c * (1.0 + 3 * 0.044715 * x**2)
             dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
@@ -174,13 +187,14 @@ class Tensor:
         return Tensor(y, _parents=(self,), _backward=bw)
 
     def layernorm(self):
-        """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine)."""
+        """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine).
+
+        The centred input is the one work array; it is scaled in place into
+        the output, and the backward keeps only the output and the row scales."""
         x = self.data
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc**2).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + 1e-6)
-        y = xc * inv
+        y = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + 1e-6)
+        y *= inv
         def bw(g):
             gm = g.mean(axis=-1, keepdims=True)
             gym = (g * y).mean(axis=-1, keepdims=True)
@@ -199,6 +213,20 @@ def concat(tensors) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             t.requires_grad and t._accum(g[lo:hi])
     return Tensor(np.concatenate([t.data for t in tensors]), _parents=tuple(tensors), _backward=bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node: the bias is added in place to the product,
+    and the backward forms the same three products as separate ``@`` and
+    ``+`` nodes would: ``g @ wᵀ``, ``xᵀ @ g`` and ``g`` summed to ``b``'s shape."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    y = x.data @ w.data
+    y += b.data
+    def bw(g):
+        x.requires_grad and x._accum(g @ w.data.swapaxes(-1, -2))
+        w.requires_grad and w._accum(x.data.swapaxes(-1, -2) @ g)
+        b.requires_grad and b._accum(g)
+    return Tensor(y, _parents=(x, w, b), _backward=bw)
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, linear
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .grids import (
     LGR1_MAGIC,
@@ -153,7 +153,7 @@ def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Co
     for b in range(e.b):
         tokens = _patchify(z.values[b], p)
         f, hp, wp, cpp = tokens.shape
-        x = Tensor(tokens.reshape(-1, cpp)) @ leaves["embed.w"] + leaves["embed.b"]
+        x = linear(tokens.reshape(-1, cpp), leaves["embed.w"], leaves["embed.b"])
         x = (x + bias).reshape(f, hp, wp, params.d)
         for i in range(0, params.depth, 2):
             blocks = tuple(
@@ -172,7 +172,7 @@ def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Co
                 for j in (i, i + 1)
             )
             x = swin_block_pair(x, blocks, spec, rope, params.heads)
-        y = x.layernorm().reshape(-1, params.d) @ leaves["head.w"] + leaves["head.b"]
+        y = linear(x.layernorm().reshape(-1, params.d), leaves["head.w"], leaves["head.b"])
         outs.append(_unpatchify_t(y.reshape(f, hp, wp, cpp), e.c, p, e.f, e.h, e.w))
     return outs, leaves
 

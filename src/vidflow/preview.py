@@ -16,6 +16,7 @@ from .schedule import (
     Conditioning,
     SigmaSchedule,
     VelocityModel,
+    _check_shift,
     _checked_eval,
     build_schedule,
     estimate_clean,
@@ -33,6 +34,10 @@ class PreviewConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hi", "lo"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must be a (height, width) pair, got {getattr(self, name)}")
+        _check_shift(self.shift)
         if not (1 <= self.k < self.n_total):
             raise ConfigError(f"k must satisfy 1 <= k < n_total, got k={self.k}, n_total={self.n_total}")
         if self.lo[0] > self.hi[0] or self.lo[1] > self.hi[1]:

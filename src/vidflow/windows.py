@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, attention, concat, rope as rotate_pairs
+from .autodiff import Tensor, as_tensor, attention, concat, linear, rope as rotate_pairs
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _block(x: Tensor, bw: BlockWeights, spec, shifted, rope, heads) -> Tensor:
     h = x + _window_attention_t(x.layernorm(), spec, shifted, rope, bw.attn, heads)
     T, H, W, d = h.shape
     flat = h.layernorm().reshape(T * H * W, d)
-    f = (flat @ as_tensor(bw.w1) + as_tensor(bw.b1)).gelu() @ as_tensor(bw.w2) + as_tensor(bw.b2)
+    f = linear(linear(flat, bw.w1, bw.b1).gelu(), bw.w2, bw.b2)
     return h + f.reshape(T, H, W, d)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vidflow import autodiff
-from vidflow.autodiff import Tensor, attention, concat, rope
+from vidflow.autodiff import Tensor, attention, concat, linear, rope
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -77,6 +77,33 @@ class TestLinalg:
         check_op(lambda t: ((t @ w) * (t @ w)).sum(), (2, 3, 4), seed=2)
 
 
+class TestLinear:
+    X = np.random.default_rng(40).normal(size=(2, 3, 4))
+    W = np.random.default_rng(41).normal(size=(4, 5))
+    B = np.random.default_rng(42).normal(size=5)  # broadcast over both leading axes
+    M = np.random.default_rng(43).normal(size=(2, 3, 5))
+
+    def test_grad_of_x(self):
+        check_op(lambda t: (linear(t, self.W, self.B) * self.M).sum(), self.X.shape, seed=4)
+
+    def test_grad_of_w(self):
+        check_op(lambda t: (linear(self.X, t, self.B) * self.M).sum(), self.W.shape, seed=5)
+
+    def test_grad_of_broadcast_bias(self):
+        check_op(lambda t: (linear(self.X, self.W, t) * self.M).sum(), self.B.shape, seed=6)
+
+    def test_bitwise_the_matmul_and_add_it_replaces(self):
+        leaves = [Tensor(a, requires_grad=True) for a in (self.X, self.W, self.B)]
+        fused = [Tensor(a, requires_grad=True) for a in (self.X, self.W, self.B)]
+        y = leaves[0] @ leaves[1] + leaves[2]
+        (y * self.M).sum().backward()
+        z = linear(*fused)
+        (z * self.M).sum().backward()
+        assert z.data.tobytes() == y.data.tobytes()
+        for a, b in zip(leaves, fused):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+
 class TestShapeMoves:
     def test_reshape(self):
         check_op(lambda t: (t.reshape(6) * np.arange(6.0)).sum(), (2, 3))
@@ -102,6 +129,19 @@ class TestShapeMoves:
 class TestNonlinearities:
     def test_gelu_grad(self):
         check_op(lambda t: (t.gelu() * t.gelu()).sum(), (3, 3), seed=6)
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_forwards_are_bitwise_the_textbook_expressions(self, requires_grad):
+        x = np.random.default_rng(9).normal(size=(16, 24)) * 3 + 1
+        before = x.copy()
+        c = np.sqrt(2.0 / np.pi)
+        gelu = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+        xc = x - x.mean(axis=-1, keepdims=True)
+        layernorm = xc * (1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + 1e-6))
+        t = Tensor(x, requires_grad=requires_grad)
+        assert t.gelu().data.tobytes() == gelu.tobytes()
+        assert t.layernorm().data.tobytes() == layernorm.tobytes()
+        assert x.tobytes() == before.tobytes()  # the input is not a work array
 
     def test_layernorm_output_normalized(self):
         t = Tensor(np.random.default_rng(7).normal(size=(4, 8)) * 3 + 1)

@@ -1,6 +1,8 @@
+import ctypes
 import json
 import os
 import re
+import resource
 
 import numpy as np
 import pytest
@@ -46,6 +48,13 @@ MANIFEST_PROBES = {
 
 def run(*argv):
     return main(list(argv))
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 @pytest.fixture()
@@ -193,6 +202,8 @@ class TestExitCodes:
                                             "heads", "depth", "w_t")],
         ("train", "phase1_iters=-1"), ("train", "target=refinr"), ("train", "lr=-1"),
         ("preview", "k=0"), ("refine", "n_steps=0"),
+        ("preview", "hi=[16]"), ("preview", "lo=[8]"), ("preview", "shift=0.5"),
+        ("synth", 'clip_seeds=["a","b","c","d"]'), ("synth", "clip_seeds=[1,2]"),
     ])
     def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
         # the inputs do not exist: exit 2 rather than 3, with nothing written,
@@ -286,6 +297,7 @@ class TestPreviewRefine:
         m = read_manifest(str(out) + ".manifest")
         assert m["nfe_hi"] == "3" and m["nfe_lo"] == "4"
         assert float(m["sigma_switch"]) > 0
+        assert float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
 
     def test_preview_count_fans_out(self, tmp_path, checkpoint):
         out = tmp_path / "prev.lgr"
@@ -311,6 +323,8 @@ class TestPreviewRefine:
         data = ppms[0].read_bytes()
         assert data.startswith(b"P6\n16 16\n255\n")  # decoded pixels are 2x latent
         assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+        m = read_manifest(str(out) + ".manifest")
+        assert float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
 
 
 class TestReplay:
@@ -390,6 +404,23 @@ class TestProfile:
             "stages": [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}],
         }}))
         assert run("profile", "--config", str(cfgfile)) == 2
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+class TestAllocatorPolicy:
+    def test_forward_after_main_reuses_its_heap(self, tmp_path):
+        """Once main has run, a base forward at gen_small's hi shape (batch 4,
+        8x16x16 latent, d=48) finds its temporaries in the heap: with the
+        C library's default thresholds it took over 7000 minor faults."""
+        assert run("profile", "--set", f"out={tmp_path / 'profile.csv'}") == 0
+        params = vf.DenoiserParams.init(patch=2, d=48, heads=6, depth=2, w_t=4, channels=12,
+                                        cond_dim=4, rng=vf.Rng(0))
+        z = vf.sample_gaussian(vf.Extent5(4, 12, 8, 16, 16), vf.Rng(1))
+        cond = vf.Conditioning.zeros(4)
+        vf.forward_velocity(params, z, 0.5, cond)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        vf.forward_velocity(params, z, 0.5, cond)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
 
 
 class TestInspect:
