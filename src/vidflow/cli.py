@@ -15,6 +15,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import resource
 import sys
@@ -41,6 +42,7 @@ from .costmodel import (
 )
 from .denoiser import (
     REFINER_ARCH,
+    SYNTH_KINDS,
     DegradationConfig,
     DenoiserParams,
     ParamVelocityModel,
@@ -263,6 +265,8 @@ def replay_manifest(path, overrides: dict | None = None) -> None:
 
 def cmd_synth(cfg: dict) -> None:
     _require_positive("synth", cfg, ("count", "channels", "frames", "height", "width"))
+    if cfg["kind"] not in SYNTH_KINDS:
+        raise ConfigError(f"unknown synth.kind {cfg['kind']!r}, expected one of {SYNTH_KINDS}")
     clip_seeds = cfg["clip_seeds"]
     if clip_seeds is not None and not _type_ok(clip_seeds, []):
         raise ConfigError(f"synth.clip_seeds must be null or a list of ints, got {clip_seeds!r}")
@@ -306,7 +310,8 @@ def load_dataset(dataset_dir) -> list[LatentGrid]:
 def cmd_train(cfg: dict) -> None:
     if cfg["target"] not in ("base", "refiner"):
         raise ConfigError(f"unknown train target {cfg['target']!r}")
-    _require_positive("train", cfg, ("patch", "d", "heads", "depth", "w_t"))
+    arch = {k: cfg[k] for k in REFINER_ARCH}
+    DenoiserParams(**arch, channels=1)  # the architecture's rules; channels come from the dataset
     tc = _build(TrainConfig, cfg)
     deg = _build(DegradationConfig, cfg)
     out = cfg["out"]
@@ -321,10 +326,7 @@ def cmd_train(cfg: dict) -> None:
         params, optimizer, meta = load_checkpoint(cfg["resume"], train_cfg=tc)
         start_iter = int(meta.get("iteration", 0))
     else:
-        params = DenoiserParams.init(
-            **{k: cfg[k] for k in REFINER_ARCH},
-            channels=dataset[0].extent.c * 4, rng=rng.split(10**9),
-        )
+        params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
     t0 = time.time()
     n_iters = tc.total_iters - start_iter
@@ -508,14 +510,17 @@ def cmd_profile(cfg: dict) -> None:
 def cmd_inspect(cfg: dict) -> None:
     grid = read_lgr1(cfg["path"])
     v = grid.values
+    # a power of two: v / scale is exact and below 2 in magnitude, so the
+    # moments of a grid holding values near 1.8e308 do not overflow
+    scale = math.ldexp(1.0, int(np.frexp(np.abs(v).max())[1]) - 1)
     print(f"file      {cfg['path']}")
     print(f"extent    b={grid.extent.b} c={grid.extent.c} f={grid.extent.f} "
           f"h={grid.extent.h} w={grid.extent.w}")
     print(f"elements  {grid.extent.count}")
     print(f"min       {v.min():.9g}")
     print(f"max       {v.max():.9g}")
-    print(f"mean      {v.mean():.9g}")
-    print(f"std       {v.std():.9g}")
+    print(f"mean      {float((v / scale).mean()) * scale:.9g}")
+    print(f"std       {float((v / scale).std()) * scale:.9g}")
     print(f"nan_count {int(np.isnan(v).sum())}")
 
 

@@ -10,7 +10,6 @@ reverse-mode tape in :mod:`vidflow.autodiff`.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,13 +17,15 @@ import numpy as np
 from .autodiff import Tensor, linear
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .grids import (
-    LGR1_MAGIC,
     Extent5,
     LatentGrid,
     Rng,
     axpy,
+    read_record,
+    record_axes,
     resize_spatial,
     sample_gaussian,
+    write_record,
 )
 from .schedule import Conditioning, build_schedule, sample_ode
 from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec, swin_block_pair
@@ -148,6 +149,9 @@ def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Co
     cemb = Tensor(cond.as_array()[None, :]) @ leaves["cond.w"]
     bias = temb + cemb  # (1, d), broadcast over all tokens
 
+    blocks = [BlockWeights(AttentionWeights(*(leaves[f"block{j}.w{m}"] for m in "qkvo")),
+                           *(leaves[f"block{j}.ffn_{m}"] for m in ("w1", "b1", "w2", "b2")))
+              for j in range(params.depth)]
     spec, rope = params.window, params.rope
     outs = []
     for b in range(e.b):
@@ -156,22 +160,7 @@ def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Co
         x = linear(tokens.reshape(-1, cpp), leaves["embed.w"], leaves["embed.b"])
         x = (x + bias).reshape(f, hp, wp, params.d)
         for i in range(0, params.depth, 2):
-            blocks = tuple(
-                BlockWeights(
-                    attn=AttentionWeights(
-                        leaves[f"block{j}.wq"],
-                        leaves[f"block{j}.wk"],
-                        leaves[f"block{j}.wv"],
-                        leaves[f"block{j}.wo"],
-                    ),
-                    w1=leaves[f"block{j}.ffn_w1"],
-                    b1=leaves[f"block{j}.ffn_b1"],
-                    w2=leaves[f"block{j}.ffn_w2"],
-                    b2=leaves[f"block{j}.ffn_b2"],
-                )
-                for j in (i, i + 1)
-            )
-            x = swin_block_pair(x, blocks, spec, rope, params.heads)
+            x = swin_block_pair(x, (blocks[i], blocks[i + 1]), spec, rope, params.heads)
         y = linear(x.layernorm().reshape(-1, params.d), leaves["head.w"], leaves["head.b"])
         outs.append(_unpatchify_t(y.reshape(f, hp, wp, cpp), e.c, p, e.f, e.h, e.w))
     return outs, leaves
@@ -328,6 +317,9 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + np.where(y > span, 2 * span - y, y)
 
 
+SYNTH_KINDS = ("bouncing_rect", "moving_gaussian")
+
+
 def synth_video(
     kind: str,
     extent: Extent5,
@@ -340,8 +332,8 @@ def synth_video(
     off the walls; edges are anti-aliased.  ``velocity`` overrides the random
     draw (use (0, 0) for a static clip).
     """
-    if kind not in ("bouncing_rect", "moving_gaussian"):
-        raise ConfigError(f"unknown synth kind {kind!r}")
+    if kind not in SYNTH_KINDS:
+        raise ConfigError(f"unknown synth kind {kind!r}, expected one of {SYNTH_KINDS}")
     e = extent
     ys = np.arange(e.h)[:, None]
     xs = np.arange(e.w)[None, :]
@@ -450,10 +442,7 @@ def refiner_loss(
 
 
 def _clip_window(clip: LatentGrid, frames: int, ri: Rng) -> LatentGrid:
-    e = clip.extent
-    if frames > e.f:
-        raise ConfigError(f"clip has {e.f} frames, need {frames}")
-    start = int(ri.integers(0, e.f - frames + 1)[0])
+    start = int(ri.integers(0, clip.extent.f - frames + 1)[0])
     return LatentGrid.from_array(clip.values[:, :, start : start + frames])
 
 
@@ -462,12 +451,18 @@ def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters
     randomness from ``rng.split(it)``: a clip and a window of it, then
     ``draw(window, ri)`` for the (source, clean) pair, then the path time t.
     Resuming at ``start_iter`` with a checkpointed optimizer therefore
-    reproduces a straight run bit for bit.  A non-finite loss stops training
-    before the optimizer applies its gradients."""
+    reproduces a straight run bit for bit.  A schedule that needs more frames
+    than the shortest clip holds is refused before the first iteration; a
+    non-finite loss stops training before the optimizer applies its
+    gradients."""
+    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
+    need = train_cfg.frames_at(end - 1) if end > start_iter else 0
+    shortest = min(clip.extent.f for clip in dataset)
+    if need > shortest:
+        raise ConfigError(f"iteration {end - 1} needs {need} frames, the shortest clip has {shortest}")
     if optimizer is None:
         optimizer = AdamW(params, train_cfg)
     cond = Conditioning.zeros(params.cond_dim)
-    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
     losses = []
     for it in range(start_iter, end):
         ri = rng.split(it)
@@ -549,18 +544,6 @@ def refine(
 # checkpoints
 
 
-def _write_record(fh, arr: np.ndarray) -> int:
-    """Append one tensor as an LGR1 record (shape right-padded into 5 axes)."""
-    shape5 = (1,) * (5 - arr.ndim) + arr.shape if arr.ndim <= 5 else None
-    if shape5 is None:
-        raise ConfigError(f"cannot store tensor of ndim {arr.ndim}")
-    start = fh.tell()
-    fh.write(LGR1_MAGIC)
-    fh.write(struct.pack("<5Q", *shape5))
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return start
-
-
 def save_checkpoint(
     path,
     params: DenoiserParams,
@@ -570,21 +553,16 @@ def save_checkpoint(
     """Write ``path`` (concatenated LGR1 tensor records) and ``path`` +
     ``.index`` (plain text: meta lines, then name/offset/shape per tensor)."""
     named = dict(params.tensors)
-    if optimizer is not None:
-        for k, v in optimizer.m.items():
-            named[f"opt.m.{k}"] = v
-        for k, v in optimizer.v.items():
-            named[f"opt.v.{k}"] = v
     header = {k: getattr(params, k) for k in _ARCH_KEYS}
     if optimizer is not None:
+        for m, moments in (("m", optimizer.m), ("v", optimizer.v)):
+            named.update({f"opt.{m}.{k}": v for k, v in moments.items()})
         header["opt_t"] = optimizer.t
     lines = [f"meta {k} {v}" for k, v in {**header, **(meta or {})}.items()]
     with open(path, "wb") as fh:
-        for name in sorted(named):
-            arr = named[name]
-            offset = _write_record(fh, arr)
-            shape = ",".join(str(s) for s in arr.shape)
-            lines.append(f"tensor {name} {offset} {shape}")
+        for name, arr in sorted(named.items()):
+            lines.append(f"tensor {name} {fh.tell()} {','.join(str(s) for s in arr.shape)}")
+            write_record(fh, arr)
     with open(str(path) + ".index", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -594,8 +572,10 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     meta dict).  ``train_cfg`` is required to reconstruct the optimizer.  An
     index line other than ``meta <key> <value>`` or ``tensor <name> <offset>
     <shape>``, a non-integer or invalid architecture, a tensor set or shape
-    other than :meth:`DenoiserParams.tensor_shapes`, or a missing moment record
-    when resuming raises :class:`FormatError` naming the line or tensor."""
+    other than :meth:`DenoiserParams.tensor_shapes`, a missing moment record
+    when resuming, or a record that :func:`~vidflow.grids.read_record` refuses
+    or whose header axes differ from its index shape raises
+    :class:`FormatError` naming the line, tensor or byte."""
     index = f"{path}.index"
     try:
         with open(index) as fh:
@@ -649,15 +629,11 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
         offset, stored = entries[name]
         if stored != shape:
             raise FormatError(f"{index}: tensor {name!r} has shape {stored}, the architecture needs {shape}")
-        if blob[offset : offset + 8] != LGR1_MAGIC:
-            raise FormatError(f"{path}: bad record magic at byte {offset}")
-        try:
-            axes = struct.unpack("<5Q", blob[offset + 8 : offset + 48])
-            data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(axes)), offset=offset + 48)
-            named[name] = data.reshape(shape).astype(np.float64)
-        except (struct.error, ValueError) as exc:
-            raise FormatError(f"{path}: record {name!r} at byte {offset} is truncated "
-                              "or does not match its index entry") from exc
+        axes, values, _ = read_record(blob, offset, f"{path} record {name!r}")
+        if axes != record_axes(shape):
+            raise FormatError(f"{path}: record {name!r} header at byte {offset + 8} has axes {axes}, "
+                              f"its index entry says {shape}")
+        named[name] = values.reshape(shape)
     params.tensors = {k: named[k] for k in shapes}
     optimizer = None
     if resume:

@@ -1,4 +1,5 @@
-"""Dense 5-axis latent tensors, deterministic RNG, and the LGR1 file format.
+"""Dense 5-axis latent tensors, deterministic RNG, and the LGR1 record that
+grid files and checkpoints are made of.
 
 Every latent, velocity field, and noise draw in the pipeline is carried by a
 :class:`LatentGrid`: a float64 array laid out (batch, channel, frame, height,
@@ -7,6 +8,7 @@ width). Grids are immutable values; operations return new grids.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -193,13 +195,46 @@ def mse(a: LatentGrid, b: LatentGrid) -> float:
     return float(np.mean(d * d))
 
 
+def record_axes(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The five header axes of an LGR1 record holding an array of ``shape``
+    (at most five axes): its axes left-padded with 1s."""
+    return (1,) * (5 - len(shape)) + tuple(shape)
+
+
+def write_record(fh, arr: np.ndarray) -> None:
+    """Append ``arr`` to ``fh`` as one LGR1 record: the magic, its
+    :func:`record_axes` as five little-endian u64s, then its values as <f8."""
+    fh.write(LGR1_MAGIC)
+    fh.write(struct.pack("<5Q", *record_axes(arr.shape)))
+    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_record(data: bytes, offset: int, where) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """Decode the LGR1 record at byte ``offset`` of ``data``: returns its five
+    axes (zero lengths allowed), its values as a flat float64 array and the
+    byte after it.  A bad magic, a truncated header or payload, or a
+    non-finite value raises :class:`FormatError` naming ``where`` and the byte."""
+    if offset < 0 or data[offset : offset + 8] != LGR1_MAGIC:
+        raise FormatError(f"{where}: bad magic at byte {offset} (expected {LGR1_MAGIC!r})")
+    start = offset + 48
+    if len(data) < start:
+        raise FormatError(f"{where}: truncated header at byte {len(data)} (need {start})")
+    axes = struct.unpack_from("<5Q", data, offset + 8)
+    end = start + 8 * math.prod(axes)
+    if len(data) < end:
+        raise FormatError(f"{where}: expected {end} bytes, got {len(data)} (payload starts at byte {start})")
+    values = np.frombuffer(data, dtype="<f8", count=(end - start) // 8, offset=start)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f"{where}: non-finite value {values[i]} at byte {start + 8 * i}")
+    return axes, values.astype(np.float64), end
+
+
 def write_lgr1(grid: LatentGrid, path) -> None:
-    """Write a grid in the LGR1 raw format (magic, 5 u64 axes, f64 data, LE)."""
-    e = grid.extent
+    """Write a grid as an LGR1 file: one record with axes (b, c, f, h, w)."""
     with open(path, "wb") as fh:
-        fh.write(LGR1_MAGIC)
-        fh.write(struct.pack("<5Q", *e.as_tuple()))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+        write_record(fh, grid.values)
 
 
 def read_lgr1(path) -> LatentGrid:
@@ -207,19 +242,11 @@ def read_lgr1(path) -> LatentGrid:
     the first problem on malformed input."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 8 or data[:8] != LGR1_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0 (expected {LGR1_MAGIC!r})")
-    if len(data) < 48:
-        raise FormatError(f"{path}: truncated header at byte {len(data)} (need 48)")
-    axes = struct.unpack("<5Q", data[8:48])
+    axes, values, end = read_record(data, 0, path)
+    if end != len(data):
+        raise FormatError(f"{path}: expected {end} bytes, got {len(data)} (trailing data at byte {end})")
     try:
-        extent = Extent5(*(int(a) for a in axes))
+        extent = Extent5(*axes)
     except ShapeError as exc:
         raise FormatError(f"{path}: invalid axis lengths {axes} at byte 8") from exc
-    expected = 48 + extent.count * 8
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, got {len(data)} (payload starts at byte 48)"
-        )
-    values = np.frombuffer(data[48:], dtype="<f8").reshape(extent.as_tuple())
-    return LatentGrid(extent, values.astype(np.float64))
+    return LatentGrid(extent, values.reshape(axes))

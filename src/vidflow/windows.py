@@ -129,41 +129,6 @@ class AttentionWeights:
     wo: object
 
 
-def _window_attention_t(
-    x: Tensor,
-    spec: WindowSpec,
-    shifted: bool,
-    rope: RoPEConfig,
-    weights: AttentionWeights,
-    heads: int,
-) -> Tensor:
-    T, H, W, d = x.shape
-    if d % heads != 0:
-        raise ConfigError(f"embedding dim {d} not divisible by heads {heads}")
-    dh = d // heads
-    scale = dh**-0.5
-    wq, wk, wv, wo = (as_tensor(w) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
-
-    plane = H * W
-    tokens = x.reshape(T * plane, d)
-    outs = []
-    for a, b, t0 in _frame_runs(T, spec, shifted):
-        n = (b - a) * plane
-        run = tokens[a * plane : b * plane]
-        q = run @ wq
-        k = run @ wk
-        v = run @ wv
-        cos, sin = _rope_tables(b - a, H, W, (t0, 0, 0), rope)  # window-local positions
-        q = rotate_pairs(q, cos, sin)
-        k = rotate_pairs(k, cos, sin)
-        qh = q.reshape(n, heads, dh).transpose((1, 0, 2))
-        kh = k.reshape(n, heads, dh).transpose((1, 0, 2))
-        vh = v.reshape(n, heads, dh).transpose((1, 0, 2))
-        ctx = attention(qh, kh, vh, scale).transpose((1, 0, 2)).reshape(n, d)
-        outs.append(ctx @ wo)
-    return concat(outs).reshape(T, H, W, d)
-
-
 def window_attention(
     x,
     spec: WindowSpec,
@@ -180,9 +145,33 @@ def window_attention(
     yields two runs, its tail frames and the leading frames it wrapped onto.
     Accepts a numpy array (returns numpy) or a Tensor (stays on the tape).
     """
-    if isinstance(x, Tensor):
-        return _window_attention_t(x, spec, shifted, rope, weights, heads)
-    return _window_attention_t(as_tensor(x), spec, shifted, rope, weights, heads).data
+    t = as_tensor(x)
+    T, H, W, d = t.shape
+    if d % heads != 0:
+        raise ConfigError(f"embedding dim {d} not divisible by heads {heads}")
+    dh = d // heads
+    scale = dh**-0.5
+    wq, wk, wv, wo = (as_tensor(w) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
+
+    plane = H * W
+    tokens = t.reshape(T * plane, d)
+    outs = []
+    for a, b, t0 in _frame_runs(T, spec, shifted):
+        n = (b - a) * plane
+        run = tokens[a * plane : b * plane]
+        q = run @ wq
+        k = run @ wk
+        v = run @ wv
+        cos, sin = _rope_tables(b - a, H, W, (t0, 0, 0), rope)  # window-local positions
+        q = rotate_pairs(q, cos, sin)
+        k = rotate_pairs(k, cos, sin)
+        qh = q.reshape(n, heads, dh).transpose((1, 0, 2))
+        kh = k.reshape(n, heads, dh).transpose((1, 0, 2))
+        vh = v.reshape(n, heads, dh).transpose((1, 0, 2))
+        ctx = attention(qh, kh, vh, scale).transpose((1, 0, 2)).reshape(n, d)
+        outs.append(ctx @ wo)
+    out = concat(outs).reshape(T, H, W, d)
+    return out if isinstance(x, Tensor) else out.data
 
 
 @dataclass
@@ -197,7 +186,7 @@ class BlockWeights:
 
 
 def _block(x: Tensor, bw: BlockWeights, spec, shifted, rope, heads) -> Tensor:
-    h = x + _window_attention_t(x.layernorm(), spec, shifted, rope, bw.attn, heads)
+    h = x + window_attention(x.layernorm(), spec, shifted, rope, bw.attn, heads)
     T, H, W, d = h.shape
     flat = h.layernorm().reshape(T * H * W, d)
     f = linear(linear(flat, bw.w1, bw.b1).gelu(), bw.w2, bw.b2)
@@ -212,7 +201,7 @@ def swin_block_pair(
     heads: int,
 ):
     """Unshifted block followed by a shifted block (pre-norm, residual)."""
-    t = as_tensor(x) if not isinstance(x, Tensor) else x
+    t = as_tensor(x)
     t = _block(t, block_weights[0], spec, False, rope, heads)
     t = _block(t, block_weights[1], spec, True, rope, heads)
     return t if isinstance(x, Tensor) else t.data

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import resource
+import struct
 
 import numpy as np
 import pytest
@@ -48,6 +49,37 @@ MANIFEST_PROBES = {
 
 def run(*argv):
     return main(list(argv))
+
+
+def _record_offset(checkpoint, name) -> int:
+    """Byte offset of tensor ``name``'s record, read from the checkpoint's index."""
+    for line in checkpoint.with_name(checkpoint.name + ".index").read_text().splitlines():
+        parts = line.split()
+        if parts[:2] == ["tensor", name]:
+            return int(parts[2])
+    raise KeyError(name)
+
+
+def _overwrite(path, offset: int, data: bytes) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + len(data)] = data
+    path.write_bytes(bytes(blob))
+
+
+@pytest.fixture()
+def counted_forwards(monkeypatch):
+    """The list that gets one entry per ``denoiser.forward_velocity`` call."""
+    from vidflow import denoiser
+
+    calls = []
+    original = denoiser.forward_velocity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(denoiser, "forward_velocity", counting)
+    return calls
 
 
 def _has_mallopt() -> bool:
@@ -159,11 +191,51 @@ class TestExitCodes:
         edited = CHECKPOINT_INDEX_PROBES[probe](lines)
         assert edited != lines
         index.write_text("\n".join(edited) + "\n")
-        assert run("preview", "--set", f"checkpoint={checkpoint}",
-                   "--set", f"out={tmp_path / 'prev.lgr'}", "--set", "n_total=4", "--set", "k=1",
-                   "--set", "hi=[4,4]", "--set", "lo=[2,2]", "--set", "frames=2") == 3
+        assert self._preview(tmp_path, checkpoint) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "Traceback" not in err
+        assert not (tmp_path / "prev.lgr").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("verb", ["inspect", "refine"])
+    def test_non_finite_grid_is_3(self, tmp_path, checkpoint, counted_forwards, capsys, verb, value):
+        prev = tmp_path / "prev.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        _overwrite(prev, 48 + 8 * 5, np.array([value], "<f8").tobytes())
+        out = tmp_path / "refined.lgr"
+        argv = {"inspect": ["inspect", str(prev)],
+                "refine": ["refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                           "--set", f"out={out}", "--set", "n_steps=1"]}[verb]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert f"at byte {48 + 8 * 5}" in err
+        assert counted_forwards == [] and not out.exists()
+
+    def _preview(self, tmp_path, checkpoint):
+        return run("preview", "--set", f"checkpoint={checkpoint}",
+                   "--set", f"out={tmp_path / 'prev.lgr'}", "--set", "n_total=4", "--set", "k=1",
+                   "--set", "hi=[4,4]", "--set", "lo=[2,2]", "--set", "frames=2")
+
+    @pytest.mark.parametrize("name", ["block0.wq", "head.b"])
+    def test_non_finite_checkpoint_record_is_3_before_any_forward(self, tmp_path, checkpoint,
+                                                                   counted_forwards, capsys, name):
+        byte = _record_offset(checkpoint, name) + 48 + 8 * 2
+        _overwrite(checkpoint, byte, np.array([np.nan], "<f8").tobytes())
+        assert self._preview(tmp_path, checkpoint) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert name in err and f"at byte {byte}" in err
+        assert counted_forwards == [] and not (tmp_path / "prev.lgr").exists()
+
+    def test_record_header_transposed_against_index_is_3(self, tmp_path, checkpoint, capsys):
+        offset = _record_offset(checkpoint, "embed.w")
+        assert struct.unpack_from("<5Q", checkpoint.read_bytes(), offset + 8) == (1, 1, 1, 48, 6)
+        _overwrite(checkpoint, offset + 8, struct.pack("<5Q", 1, 1, 1, 6, 48))
+        assert self._preview(tmp_path, checkpoint) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert f"byte {offset + 8}" in err
         assert not (tmp_path / "prev.lgr").exists()
 
     def test_empty_dataset_index_is_3(self, tmp_path):
@@ -173,21 +245,11 @@ class TestExitCodes:
         assert run("train", "--set", f"dataset={empty}",
                    "--set", f"out={tmp_path / 'ckpt.lgr'}", *FAST_TRAIN) == 3
 
-    def test_preview_size_off_patch_is_2_before_any_forward(self, tmp_path, checkpoint, monkeypatch):
-        from vidflow import denoiser
-
-        calls = []
-        original = denoiser.forward_velocity
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(denoiser, "forward_velocity", counting)
+    def test_preview_size_off_patch_is_2_before_any_forward(self, tmp_path, checkpoint, counted_forwards):
         assert run("preview", "--set", f"checkpoint={checkpoint}",
                    "--set", f"out={tmp_path / 'prev.lgr'}", "--set", "n_total=6", "--set", "k=2",
                    "--set", "hi=[8,8]", "--set", "lo=[5,5]", "--set", "frames=4") == 2
-        assert calls == []
+        assert counted_forwards == []
 
     @pytest.mark.parametrize("override", ["hi=8", "count=1O", "shift=true", "lo=[8,8.5]"])
     def test_value_of_the_wrong_type_is_2(self, tmp_path, override):
@@ -204,6 +266,7 @@ class TestExitCodes:
         ("preview", "k=0"), ("refine", "n_steps=0"),
         ("preview", "hi=[16]"), ("preview", "lo=[8]"), ("preview", "shift=0.5"),
         ("synth", 'clip_seeds=["a","b","c","d"]'), ("synth", "clip_seeds=[1,2]"),
+        ("train", "w_t=3"), ("train", "d=7"), ("train", "depth=3"), ("synth", "kind=bogus"),
     ])
     def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
         # the inputs do not exist: exit 2 rather than 3, with nothing written,
@@ -432,3 +495,12 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "extent    b=1 c=2 f=3 h=4 w=4" in out
         assert "nan_count 0" in out
+
+    def test_values_near_the_float64_limit(self, tmp_path, capsys):
+        """The moments of a finite grid are printed without overflowing."""
+        path = tmp_path / "big.lgr"
+        big = np.array([1.7e308, -1.7e308, 1.0, 0.0]).reshape(1, 1, 1, 2, 2)
+        vf.write_lgr1(vf.LatentGrid.from_array(big), path)
+        assert run("inspect", str(path)) == 0
+        out = capsys.readouterr().out
+        assert "mean      0.25\n" in out and "std       1.20208153e+308\n" in out

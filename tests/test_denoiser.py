@@ -328,6 +328,23 @@ class TestTraining:
         pinned = [float.fromhex(h) for h in RIG_LOSSES_HEAD_HEX + RIG_LOSSES_TAIL_HEX]
         assert rig[:5] + rig[-5:] == pytest.approx(pinned, rel=1e-12, abs=0)
 
+    def test_clip_shorter_than_schedule_is_refused_before_the_first_iteration(self, monkeypatch):
+        from vidflow import denoiser
+
+        calls = []
+        original = denoiser.refiner_loss
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(denoiser, "refiner_loss", counting)
+        dataset = [synth_video("bouncing_rect", Extent5(1, 1, f, 8, 8), Rng(100 + f)) for f in (6, 4, 6)]
+        cfg = TrainConfig(lr=1e-3, phase1_frames=3, phase1_iters=4, phase2_frames=5, phase2_iters=2)
+        with pytest.raises(ConfigError, match="iteration 5 needs 5 frames, the shortest clip has 4"):
+            train_refiner(dataset, ToyCodec(), RIG_DEG, cfg, Rng(0))
+        assert calls == []
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_refiner([], ToyCodec(), RIG_DEG, RIG_TRAIN, Rng(0))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import vidflow as vf
 from vidflow.errors import FormatError, ShapeError
-from vidflow.grids import Extent5, LatentGrid, Rng
+from vidflow.grids import Extent5, LatentGrid, Rng, read_record, write_record
 
 from oracles import bilinear_resize_oracle, mse_twopass
 
@@ -165,4 +165,33 @@ class TestLgr1:
         vf.write_lgr1(g, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="expected"):
+            vf.read_lgr1(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i", [0, 7, 119])
+    def test_non_finite_payload_names_its_byte(self, tmp_path, value, i):
+        path = tmp_path / "n.lgr"
+        vf.write_lgr1(vf.sample_gaussian(Extent5(1, 2, 3, 4, 5), Rng(2)), path)
+        data = bytearray(path.read_bytes())
+        data[48 + 8 * i : 56 + 8 * i] = np.array([value], "<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=rf"non-finite value .* at byte {48 + 8 * i}$"):
+            vf.read_lgr1(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 2)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing data at byte 80"):
+            vf.read_lgr1(path)
+
+    def test_zero_length_axis_is_a_record_but_not_a_grid(self, tmp_path):
+        path = tmp_path / "z.lgr"
+        with open(path, "wb") as fh:
+            write_record(fh, np.zeros((0, 6)))
+        data = path.read_bytes()
+        assert len(data) == 48
+        axes, values, end = read_record(data, 0, path)
+        assert axes == (1, 1, 1, 0, 6) and values.size == 0 and end == 48
+        with pytest.raises(FormatError, match="byte 8"):
             vf.read_lgr1(path)
