@@ -60,7 +60,9 @@ from .grids import Extent5, LatentGrid, Rng, read_lgr1, write_lgr1
 from .preview import PreviewConfig, generate_preview
 from .schedule import Conditioning
 
-_REQUIRED = object()
+# Schema defaults of the path keys: a required one, and an optional one whose
+# default is null.  Every required key is a path.
+_REQUIRED, _OPTIONAL_PATH = object(), object()
 
 _SCHEMAS = {
     "synth": {
@@ -80,14 +82,10 @@ _SCHEMAS = {
         "out": _REQUIRED,
         "seed": 0,
         "force": False,
-        "resume": None,
+        "resume": _OPTIONAL_PATH,
         **{f.name: f.default for f in fields(TrainConfig)},
         **REFINER_ARCH,
-        "blur_radius": 1,
-        "blur_strength": 0.7,
-        "downup_factor": 2,
-        "latent_noise": 0.05,
-        "latent_downup_factor": 2,
+        **{f.name: f.default for f in fields(DegradationConfig)},
     },
     "preview": {
         "checkpoint": _REQUIRED,
@@ -106,7 +104,7 @@ _SCHEMAS = {
         "checkpoint": _REQUIRED,
         "preview": _REQUIRED,
         "out": _REQUIRED,
-        "frames_dir": None,
+        "frames_dir": _OPTIONAL_PATH,
         "n_steps": 10,
         "upscale": 2,
     },
@@ -139,16 +137,21 @@ def _write_grid(path, grid: LatentGrid) -> None:
 
 def _type_ok(val, default) -> bool:
     """Whether ``val`` has the type of the schema default it replaces: int,
-    float (an int is accepted), bool, str or a list of ints.  A required key
-    or a ``None`` default takes any JSON value."""
-    if default is _REQUIRED or default is None:
+    finite float (an int is accepted), bool, str or a list of ints.  A path
+    key takes a non-empty string without NUL (or null, if optional); a
+    ``None`` default takes any JSON value."""
+    if default is _REQUIRED or default is _OPTIONAL_PATH:
+        if val is None:
+            return default is _OPTIONAL_PATH
+        return isinstance(val, str) and val != "" and "\0" not in val
+    if default is None:
         return True
     if isinstance(val, bool) or isinstance(default, bool):
         return isinstance(val, bool) and isinstance(default, bool)
     if isinstance(default, list):
         return isinstance(val, list) and all(type(v) is int for v in val)
     if isinstance(default, float):
-        return isinstance(val, (int, float))
+        return isinstance(val, (int, float)) and math.isfinite(val)
     return isinstance(val, type(default))
 
 
@@ -197,7 +200,7 @@ def _validated(command: str, values: dict) -> dict:
     for key in values:
         if key not in schema:
             raise ConfigError(f"unknown config key {command}.{key}")
-    cfg = {k: v for k, v in schema.items() if v is not _REQUIRED}
+    cfg = {k: None if v is _OPTIONAL_PATH else v for k, v in schema.items() if v is not _REQUIRED}
     cfg.update(values)
     missing = [k for k, v in schema.items() if v is _REQUIRED and k not in cfg]
     if missing:
@@ -229,11 +232,15 @@ def _write_manifest(path, command: str, cfg: dict, extra: dict) -> None:
 
 def read_manifest(path) -> dict:
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            key, _, val = line.rstrip("\n").partition(" ")
-            if key:
-                out[key] = val
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 manifest: {exc}") from None
+    for line in lines:
+        key, _, val = line.rstrip("\n").partition(" ")
+        if key:
+            out[key] = val
     if "command" not in out or "config_json" not in out:
         raise FormatError(f"{path}: not a run manifest")
     try:
@@ -248,8 +255,8 @@ def read_manifest(path) -> dict:
 def replay_manifest(path, overrides: dict | None = None) -> None:
     """Re-run the command recorded in a manifest (optionally overriding keys,
     e.g. the output path), with the same checks as the command line.  A
-    manifest of another version or of a verb that writes none is a
-    :class:`FormatError`."""
+    manifest that is not UTF-8, of another version or of a verb that writes
+    none is a :class:`FormatError`."""
     m = read_manifest(path)
     command = m["command"]
     if command not in _DISPATCH:
@@ -314,17 +321,27 @@ def cmd_train(cfg: dict) -> None:
     DenoiserParams(**arch, channels=1)  # the architecture's rules; channels come from the dataset
     tc = _build(TrainConfig, cfg)
     deg = _build(DegradationConfig, cfg)
-    out = cfg["out"]
-    if os.path.exists(out) and not cfg["force"] and not cfg["resume"]:
+    out, resume = cfg["out"], cfg["resume"]
+    if os.path.exists(out) and not cfg["force"] and not resume:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
     dataset = load_dataset(cfg["dataset"])
     codec = ToyCodec()
     rng = Rng(cfg["seed"])
     optimizer = None
     start_iter = 0
-    if cfg["resume"]:
-        params, optimizer, meta = load_checkpoint(cfg["resume"], train_cfg=tc)
-        start_iter = int(meta.get("iteration", 0))
+    if resume:
+        params, optimizer, meta = load_checkpoint(resume, train_cfg=tc)
+        for key, val in arch.items():
+            if getattr(params, key) != val:
+                raise ConfigError(f"train.{key} is {val}, the checkpoint {resume} has {getattr(params, key)}")
+        if meta.get("target", cfg["target"]) != cfg["target"]:
+            raise ConfigError(f"train.target is {cfg['target']!r}, the checkpoint {resume} "
+                              f"was trained as {meta['target']!r}")
+        try:
+            start_iter = int(meta.get("iteration", 0))
+        except ValueError:
+            raise FormatError(f"{resume}.index: meta iteration must be an integer, "
+                              f"got {meta['iteration']!r}") from None
     else:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
@@ -342,7 +359,7 @@ def cmd_train(cfg: dict) -> None:
         )
     wall = time.time() - t0
 
-    save_checkpoint(out, params, optimizer, meta={"iteration": tc.total_iters})
+    save_checkpoint(out, params, optimizer, meta={"target": cfg["target"], "iteration": tc.total_iters})
     csv_lines = ["iter,loss,frames,wall_ms"]
     per_iter_ms = 1000.0 * wall / max(len(losses), 1)
     for j, loss in enumerate(losses):

@@ -10,7 +10,7 @@ reverse-mode tape in :mod:`vidflow.autodiff`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,10 +31,6 @@ from .schedule import Conditioning, build_schedule, sample_ode
 from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec, swin_block_pair
 
 SIGMA_EMBED_DIM = 16
-
-# The integers that fix a parameter set's tensor shapes; checkpoints store
-# them as meta lines in this order.
-_ARCH_KEYS = ("patch", "d", "heads", "depth", "w_t", "channels", "cond_dim")
 
 # The Refiner's default architecture: ``train_refiner(params=None)`` builds it,
 # and the CLI ``train`` command defaults to it.
@@ -59,11 +55,10 @@ class DenoiserParams:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in ("patch", "d", "heads", "depth", "w_t", "channels"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.cond_dim < 0:
-            raise ConfigError(f"cond_dim must be >= 0, got {self.cond_dim}")
+        for key in _ARCH_KEYS:
+            low = 0 if key == "cond_dim" else 1
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.depth % 2 != 0:
             raise ConfigError(f"depth must be even (whole block pairs), got {self.depth}")
         if self.d % self.heads != 0:
@@ -91,18 +86,11 @@ class DenoiserParams:
         return shapes
 
     @classmethod
-    def init(
-        cls,
-        patch: int,
-        d: int,
-        heads: int,
-        depth: int,
-        w_t: int,
-        channels: int,
-        cond_dim: int,
-        rng: Rng,
-    ) -> "DenoiserParams":
-        p = cls(patch, d, heads, depth, w_t, channels, cond_dim)
+    def init(cls, rng: Rng, **arch) -> "DenoiserParams":
+        """A fresh parameter set of the architecture ``arch`` (every
+        :data:`_ARCH_KEYS` name): weights drawn from ``rng`` in
+        :meth:`tensor_shapes` order, biases and the output head zero."""
+        p = cls(**arch)
         for name, shape in p.tensor_shapes().items():
             if name.startswith("head.") or name.endswith(".b") or "ffn_b" in name:
                 p.tensors[name] = np.zeros(shape)
@@ -113,6 +101,11 @@ class DenoiserParams:
 
     def copy(self) -> "DenoiserParams":
         return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
+
+
+# The integers that fix a parameter set's tensor shapes, in field order;
+# checkpoints store them as the first meta lines of their index.
+_ARCH_KEYS = tuple(f.name for f in fields(DenoiserParams) if f.name != "tensors")
 
 
 def _sigma_embedding(sigma: float, dim: int = SIGMA_EMBED_DIM) -> np.ndarray:
@@ -139,6 +132,8 @@ def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Co
     """Build the forward tape; returns (per-batch output tensors, leaf dict)."""
     e = z.extent
     p = params.patch
+    if e.c != params.channels:
+        raise ShapeError(f"latent has {e.c} channels, the model takes {params.channels}")
     if e.h % p != 0 or e.w % p != 0:
         raise ConfigError(f"spatial dims {(e.h, e.w)} not divisible by patch {p}")
     if len(cond.vector) != params.cond_dim:
@@ -246,8 +241,8 @@ class DegradationConfig:
     blur_radius: int = 1
     blur_strength: float = 0.7
     downup_factor: int = 2
-    latent_noise: float = 0.1
-    latent_downup_factor: int = 1  # extra latent-space round trip through the preview resolution
+    latent_noise: float = 0.05
+    latent_downup_factor: int = 2  # extra latent-space round trip through the preview resolution
 
     def __post_init__(self):
         if self.blur_radius < 0 or self.blur_strength < 0 or self.latent_noise < 0:
@@ -550,32 +545,32 @@ def save_checkpoint(
     optimizer: AdamW | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write ``path`` (concatenated LGR1 tensor records) and ``path`` +
-    ``.index`` (plain text: meta lines, then name/offset/shape per tensor)."""
-    named = dict(params.tensors)
+    """Write ``path``: one LGR1 record per tensor in
+    :meth:`DenoiserParams.tensor_shapes` order, then, with an optimizer, every
+    first moment and every second moment in that order; and ``path`` +
+    ``.index``: ``meta <key> <value>`` lines, the architecture first, then
+    ``opt_t`` when moments follow, then ``meta``."""
     header = {k: getattr(params, k) for k in _ARCH_KEYS}
+    groups = [params.tensors]
     if optimizer is not None:
-        for m, moments in (("m", optimizer.m), ("v", optimizer.v)):
-            named.update({f"opt.{m}.{k}": v for k, v in moments.items()})
         header["opt_t"] = optimizer.t
-    lines = [f"meta {k} {v}" for k, v in {**header, **(meta or {})}.items()]
+        groups += [optimizer.m, optimizer.v]
     with open(path, "wb") as fh:
-        for name, arr in sorted(named.items()):
-            lines.append(f"tensor {name} {fh.tell()} {','.join(str(s) for s in arr.shape)}")
-            write_record(fh, arr)
+        for group in groups:
+            for name in params.tensor_shapes():
+                write_record(fh, group[name])
     with open(str(path) + ".index", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"meta {k} {v}\n" for k, v in {**header, **(meta or {})}.items()))
 
 
 def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     """Inverse of :func:`save_checkpoint`; returns (params, optimizer-or-None,
     meta dict).  ``train_cfg`` is required to reconstruct the optimizer.  An
-    index line other than ``meta <key> <value>`` or ``tensor <name> <offset>
-    <shape>``, a non-integer or invalid architecture, a tensor set or shape
-    other than :meth:`DenoiserParams.tensor_shapes`, a missing moment record
-    when resuming, or a record that :func:`~vidflow.grids.read_record` refuses
-    or whose header axes differ from its index shape raises
-    :class:`FormatError` naming the line, tensor or byte."""
+    index line other than ``meta <key> <value>``, a non-integer or invalid
+    architecture, a record that :func:`~vidflow.grids.read_record` refuses or
+    whose header axes differ from the architecture's shape, or a byte after
+    the last record the index implies raises :class:`FormatError` naming the
+    line, record or byte."""
     index = f"{path}.index"
     try:
         with open(index) as fh:
@@ -584,21 +579,13 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
         raise FormatError(f"missing index file for checkpoint {path}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{index}: not a text index: {exc}") from exc
-    meta, entries = {}, {}
+    meta = {}
     for no, line in enumerate(lines, 1):
         parts = line.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "meta" and len(parts) == 3:
-                meta[parts[1]] = parts[2]
-            elif parts[0] == "tensor" and len(parts) == 4:
-                entries[parts[1]] = (int(parts[2]), tuple(int(s) for s in parts[3].split(",")))
-            else:
-                raise ValueError
-        except ValueError:
-            raise FormatError(f"{index} line {no}: expected 'meta <key> <value>' or "
-                              f"'tensor <name> <offset> <d0,d1,...>', got {line!r}") from None
+        if parts[:1] == ["meta"] and len(parts) == 3:
+            meta[parts[1]] = parts[2]
+        elif parts:
+            raise FormatError(f"{index} line {no}: expected 'meta <key> <value>', got {line!r}")
 
     def meta_int(key):
         if key not in meta:
@@ -612,34 +599,27 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
         params = DenoiserParams(**{k: meta_int(k) for k in _ARCH_KEYS})
     except ConfigError as exc:
         raise FormatError(f"{index}: invalid architecture: {exc}") from exc
+    opt_t = meta_int("opt_t") if "opt_t" in meta else None
     shapes = params.tensor_shapes()
-    unexpected = sorted(n for n in entries if not n.startswith("opt.") and n not in shapes)
-    if unexpected:
-        raise FormatError(f"{index}: tensors {unexpected} are not part of the architecture")
-    resume = "opt_t" in meta and train_cfg is not None
-    records = dict(shapes)
-    if resume:
-        records.update({f"opt.{m}.{k}": s for m in "mv" for k, s in shapes.items()})
     with open(path, "rb") as fh:
         blob = fh.read()
-    named = {}
-    for name, shape in records.items():
-        if name not in entries:
-            raise FormatError(f"{index}: no record for tensor {name!r}")
-        offset, stored = entries[name]
-        if stored != shape:
-            raise FormatError(f"{index}: tensor {name!r} has shape {stored}, the architecture needs {shape}")
-        axes, values, _ = read_record(blob, offset, f"{path} record {name!r}")
-        if axes != record_axes(shape):
-            raise FormatError(f"{path}: record {name!r} header at byte {offset + 8} has axes {axes}, "
-                              f"its index entry says {shape}")
-        named[name] = values.reshape(shape)
-    params.tensors = {k: named[k] for k in shapes}
+    groups = [{}] if opt_t is None else [{}, {}, {}]
+    offset = 0
+    for group, prefix in zip(groups, ("", "opt.m.", "opt.v.")):
+        for key, shape in shapes.items():
+            name = prefix + key
+            axes, values, end = read_record(blob, offset, f"{path} record {name!r}")
+            if axes != record_axes(shape):
+                raise FormatError(f"{path}: record {name!r} header at byte {offset + 8} has axes {axes}, "
+                                  f"the architecture needs {record_axes(shape)}")
+            group[key] = values.reshape(shape)
+            offset = end
+    if offset != len(blob):
+        raise FormatError(f"{path}: expected {offset} bytes, got {len(blob)} "
+                          f"(trailing data at byte {offset}, after record {name!r})")
+    params.tensors = groups[0]
     optimizer = None
-    if resume:
+    if opt_t is not None and train_cfg is not None:
         optimizer = AdamW(params, train_cfg)
-        optimizer.t = meta_int("opt_t")
-        for k in params.tensors:
-            optimizer.m[k] = named[f"opt.m.{k}"]
-            optimizer.v[k] = named[f"opt.v.{k}"]
+        optimizer.t, optimizer.m, optimizer.v = opt_t, groups[1], groups[2]
     return params, optimizer, meta

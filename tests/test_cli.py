@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import re
 import resource
@@ -29,9 +30,7 @@ def _replace(pattern, repl):
 CHECKPOINT_INDEX_PROBES = {
     "meta_without_value": _replace(r"^meta d 6$", "meta d"),
     "meta_not_an_integer": _replace(r"^meta d 6$", "meta d six"),
-    "offset_not_an_integer": _replace(r"^tensor embed\.w \d+ ", "tensor embed.w xx "),
-    "tensor_missing": lambda lines: [ln for ln in lines if not ln.startswith("tensor head.w ")],
-    "shape_transposed": _replace(r"^(tensor embed\.w \d+) 48,6$", r"\1 6,48"),
+    "tensor_line": lambda lines: lines + ["tensor embed.w 0 48,6"],
     "unknown_line_kind": lambda lines: lines + ["weights embed.w 0 48,6"],
     "odd_window": _replace(r"^meta w_t 4$", "meta w_t 3"),
 }
@@ -52,12 +51,11 @@ def run(*argv):
 
 
 def _record_offset(checkpoint, name) -> int:
-    """Byte offset of tensor ``name``'s record, read from the checkpoint's index."""
-    for line in checkpoint.with_name(checkpoint.name + ".index").read_text().splitlines():
-        parts = line.split()
-        if parts[:2] == ["tensor", name]:
-            return int(parts[2])
-    raise KeyError(name)
+    """Byte offset of tensor ``name``'s record: the records before it, one per
+    tensor in the architecture's order, take 48 + 8 * size bytes each."""
+    shapes = vf.load_checkpoint(checkpoint)[0].tensor_shapes()
+    earlier = list(shapes)[: list(shapes).index(name)]
+    return sum(48 + 8 * math.prod(shapes[n]) for n in earlier)
 
 
 def _overwrite(path, offset: int, data: bytes) -> None:
@@ -228,15 +226,25 @@ class TestExitCodes:
         assert name in err and f"at byte {byte}" in err
         assert counted_forwards == [] and not (tmp_path / "prev.lgr").exists()
 
-    def test_record_header_transposed_against_index_is_3(self, tmp_path, checkpoint, capsys):
+    def test_record_header_transposed_against_architecture_is_3(self, tmp_path, checkpoint, capsys):
         offset = _record_offset(checkpoint, "embed.w")
         assert struct.unpack_from("<5Q", checkpoint.read_bytes(), offset + 8) == (1, 1, 1, 48, 6)
         _overwrite(checkpoint, offset + 8, struct.pack("<5Q", 1, 1, 1, 6, 48))
         assert self._preview(tmp_path, checkpoint) == 3
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "Traceback" not in err
-        assert f"byte {offset + 8}" in err
+        assert f"byte {offset + 8}" in err and "the architecture needs (1, 1, 1, 48, 6)" in err
         assert not (tmp_path / "prev.lgr").exists()
+
+    def test_byte_after_the_last_record_is_3(self, tmp_path, checkpoint, counted_forwards, capsys):
+        end = checkpoint.stat().st_size
+        with open(checkpoint, "ab") as fh:
+            fh.write(b"\0")
+        assert self._preview(tmp_path, checkpoint) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert f"trailing data at byte {end}, after record 'opt.v.head.b'" in err
+        assert counted_forwards == [] and not (tmp_path / "prev.lgr").exists()
 
     def test_empty_dataset_index_is_3(self, tmp_path):
         empty = tmp_path / "empty"
@@ -267,6 +275,9 @@ class TestExitCodes:
         ("preview", "hi=[16]"), ("preview", "lo=[8]"), ("preview", "shift=0.5"),
         ("synth", 'clip_seeds=["a","b","c","d"]'), ("synth", "clip_seeds=[1,2]"),
         ("train", "w_t=3"), ("train", "d=7"), ("train", "depth=3"), ("synth", "kind=bogus"),
+        ("train", "dataset=[1,2]"), ("train", "out=null"), ("train", 'out=""'), ("train", "resume=7"),
+        ("preview", 'checkpoint="a\\u0000b"'), ("refine", "checkpoint=null"),
+        ("refine", 'frames_dir="x\\u0000"'), ("train", "lr=NaN"), ("preview", "shift=Infinity"),
     ])
     def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
         # the inputs do not exist: exit 2 rather than 3, with nothing written,
@@ -296,11 +307,73 @@ class TestExitCodes:
                    "--set", "target=refinr", "--set", f"resume={checkpoint}") == 2
         assert [f.read_bytes() for f in files] == before
 
+    @pytest.mark.parametrize("overrides,named", [
+        (["d=12", "heads=2"], "train.d is 12, the checkpoint"),
+        (["target=base"], "train.target is 'base', the checkpoint"),
+    ])
+    def test_resume_against_the_checkpoint_is_2(self, tmp_path, dataset, checkpoint, capsys,
+                                                 overrides, named):
+        out = tmp_path / "resumed.lgr"
+        sets = [arg for kv in overrides for arg in ("--set", kv)]
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={out}", *FAST_TRAIN, *sets,
+                   "--set", f"resume={checkpoint}") == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert list(tmp_path.glob("resumed.lgr*")) == []
+
+    def test_resume_from_a_non_integer_iteration_is_3(self, tmp_path, dataset, checkpoint, capsys):
+        index = tmp_path / "refiner.lgr.index"
+        index.write_text(index.read_text().replace("meta iteration 5\n", "meta iteration five\n"))
+        out = tmp_path / "resumed.lgr"
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={out}", *FAST_TRAIN,
+                   "--set", f"resume={checkpoint}") == 3
+        err = capsys.readouterr().err
+        assert "meta iteration must be an integer, got 'five'" in err and "Traceback" not in err
+        assert list(tmp_path.glob("resumed.lgr*")) == []
+
+    def test_resume_of_a_checkpoint_without_target(self, tmp_path, dataset):
+        """The library writes no ``meta target`` line; either target resumes it."""
+        params = vf.DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=4, channels=12,
+                                        cond_dim=4, rng=vf.Rng(0))
+        vf.save_checkpoint(tmp_path / "lib.lgr", params)
+        for target in ("base", "refiner"):
+            out = tmp_path / f"{target}.lgr"
+            assert run("train", "--set", f"dataset={dataset}", "--set", f"out={out}", *FAST_TRAIN,
+                       "--set", f"target={target}", "--set", f"resume={tmp_path / 'lib.lgr'}") == 0
+            assert "meta target " + target in (tmp_path / f"{target}.lgr.index").read_text()
+
+    def test_refine_of_a_preview_of_other_channels_is_4(self, tmp_path, checkpoint, capsys):
+        prev = tmp_path / "prev.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 4, 4, 4, 4)), prev)
+        out = tmp_path / "refined.lgr"
+        assert run("refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                   "--set", f"out={out}", "--set", "n_steps=1") == 4
+        err = capsys.readouterr().err
+        assert "latent has 4 channels, the model takes 12" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_resume_on_a_dataset_of_other_channels_is_4(self, tmp_path, checkpoint, capsys):
+        gray = tmp_path / "gray"
+        assert run("synth", "--set", f"out={gray}", "--set", "count=2", "--set", "channels=1",
+                   "--set", "frames=6", "--set", "height=8", "--set", "width=8") == 0
+        out = tmp_path / "resumed.lgr"
+        assert run("train", "--set", f"dataset={gray}", "--set", f"out={out}", *FAST_TRAIN,
+                   "--set", "phase2_iters=3", "--set", f"resume={checkpoint}") == 4
+        err = capsys.readouterr().err
+        assert "latent has 4 channels, the model takes 12" in err and "Traceback" not in err
+        assert list(tmp_path.glob("resumed.lgr*")) == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_is_4(self, tmp_path, dataset):
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'ckpt.lgr'}",
                    *FAST_TRAIN, "--set", "lr=1e200") == 4
         assert not (tmp_path / "ckpt.lgr").exists()
+
+    def test_manifest_not_in_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_bytes(b"command profile\nversion 0.1.0\xff\nconfig_json {}\n")
+        with pytest.raises(vf.FormatError, match="not a UTF-8 manifest"):
+            replay_manifest(path)
 
     def test_manifest_with_bad_config_json_is_format_error(self, tmp_path):
         path = tmp_path / "run.manifest"

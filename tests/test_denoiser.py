@@ -198,7 +198,8 @@ class TestDegradation:
     def test_latent_noise_moments(self):
         codec = ToyCodec()
         px = vf.LatentGrid.zeros(Extent5(1, 1, 4, 32, 32))
-        cfg = DegradationConfig(blur_radius=0, blur_strength=0.0, downup_factor=1, latent_noise=0.2)
+        cfg = DegradationConfig(blur_radius=0, blur_strength=0.0, downup_factor=1, latent_noise=0.2,
+                                latent_downup_factor=1)
         z_lr, _ = degrade_pair(px, codec, cfg, rng=Rng(17))
         assert abs(z_lr.values.std() - 0.2) <= 0.01
 
@@ -408,12 +409,64 @@ class TestCheckpoint:
         cfg = TrainConfig(lr=1e-3)
         path = tmp_path / "model.lgr"
         save_checkpoint(path, p, AdamW(p, cfg))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8])  # inside the last record, opt.v.head.b
+        for train_cfg in (None, cfg):  # every record the index implies is decoded
+            with pytest.raises(vf.FormatError, match=r"opt\.v\.head\.b"):
+                load_checkpoint(path, train_cfg)
+
+    @pytest.mark.parametrize("cond_dim", [2, 0])
+    @pytest.mark.parametrize("with_moments", [False, True])
+    def test_round_trip_is_bit_identical(self, tmp_path, cond_dim, with_moments):
+        p = DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=2, channels=4, cond_dim=cond_dim,
+                                rng=Rng(36))
+        cfg = TrainConfig(lr=1e-3)
+        opt = None
+        if with_moments:
+            opt = AdamW(p, cfg)
+            rng = Rng(37)
+            for _ in range(2):
+                opt.step(p, {k: rng.normal(v.size).reshape(v.shape) for k, v in p.tensors.items()})
+        path = tmp_path / "model.lgr"
+        save_checkpoint(path, p, opt)
+        back, opt2, _ = load_checkpoint(path, cfg)
+        assert list(back.tensors) == list(p.tensor_shapes())
+        pairs = [(p.tensors, back.tensors)]
+        if with_moments:
+            assert opt2.t == 2
+            pairs += [(opt.m, opt2.m), (opt.v, opt2.v)]
+        else:
+            assert opt2 is None
+        for want, got in pairs:
+            assert want.keys() == got.keys()
+            for k in want:
+                assert want[k].shape == got[k].shape
+                assert want[k].tobytes() == got[k].tobytes(), k
+
+    def test_records_follow_the_architecture_not_the_dict(self, tmp_path):
+        p = small_params(seed=38)
+        opt = AdamW(p, TrainConfig(lr=1e-3))
+        opt.step(p, {k: np.full_like(v, 0.25) for k, v in p.tensors.items()})
+        save_checkpoint(tmp_path / "a.lgr", p, opt)
+        p.tensors = dict(reversed(p.tensors.items()))
+        opt.m, opt.v = dict(sorted(opt.m.items())), dict(reversed(opt.v.items()))
+        save_checkpoint(tmp_path / "b.lgr", p, opt)
+        for suffix in ("lgr", "lgr.index"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+    def test_index_holds_meta_lines_only(self, tmp_path):
+        p = small_params(seed=39)
+        path = tmp_path / "model.lgr"
+        save_checkpoint(path, p, AdamW(p, TrainConfig()), meta={"iteration": 3})
         index = tmp_path / "model.lgr.index"
-        lines = index.read_text().splitlines(keepends=True)
-        index.write_text("".join(ln for ln in lines if not ln.startswith("tensor opt.v.head.w ")))
-        assert load_checkpoint(path)[1] is None  # no train_cfg: the moments are not read
-        with pytest.raises(vf.FormatError, match=r"opt\.v\.head\.w"):
-            load_checkpoint(path, cfg)
+        assert index.read_text().splitlines() == [
+            "meta patch 2", "meta d 6", "meta heads 1", "meta depth 2", "meta w_t 2",
+            "meta channels 4", "meta cond_dim 2", "meta opt_t 0", "meta iteration 3"]
+        # an index of the earlier format, with a line per tensor, is refused at its first one
+        index.write_text(index.read_text() + "tensor cond.w 0 2,6\ntensor embed.b 144 6\n")
+        with pytest.raises(vf.FormatError, match=r"line 10: expected 'meta <key> <value>', "
+                                                 r"got 'tensor cond\.w 0 2,6'"):
+            load_checkpoint(path)
 
     def test_missing_index_is_format_error(self, tmp_path):
         p = small_params()

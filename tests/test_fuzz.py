@@ -1,12 +1,19 @@
-"""Derandomized fuzzing of LGR1 and checkpoint bytes.
+"""Derandomized fuzzing of LGR1, checkpoint and manifest bytes, and of
+config values.
 
-Each example applies one edit to a small valid file: a single-byte overwrite,
-a truncation or an append.  The readers must then either return or raise
-:class:`FormatError`, and ``vidflow inspect`` must exit 0 or 3.  The examples
-are a fixed function of each test (``derandomize=True``), so the suite stays
-deterministic.
+Each byte example applies one edit to a small valid file: a single-byte
+overwrite, a truncation or an append.  The readers must then either return or
+raise :class:`FormatError` (:class:`ConfigError` too for a manifest), and
+``vidflow inspect`` must exit 0 or 3.  Each config example sets one key of a
+verb to one JSON value, with the verb's inputs missing: the verb must exit 2
+or 3.  The examples are a fixed function of each test (``derandomize=True``),
+so the suite stays deterministic.
 """
 
+import contextlib
+import io
+import json
+import math
 import shutil
 
 import pytest
@@ -14,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vidflow as vf
-from vidflow.cli import main
+from vidflow.cli import _SCHEMAS, main, replay_manifest
 from vidflow.denoiser import AdamW, DenoiserParams, TrainConfig, load_checkpoint, save_checkpoint
-from vidflow.errors import FormatError
+from vidflow.errors import ConfigError, FormatError
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 TRAIN = TrainConfig(lr=1e-3)
@@ -96,3 +103,48 @@ def test_edited_checkpoint_index_is_loaded_or_refused(workdir, checkpoint, data)
         fh.write(_edited(index, data.draw))
     for train_cfg in (None, TRAIN):
         _load_or_format_error(path, train_cfg)
+
+
+JSON_VALUES = st.one_of(
+    st.sampled_from([0, -1, -0.5, 2**70, -(2**70), math.nan, math.inf, -math.inf, True, False,
+                     "", "a\0b", [], [0, -1], [2**70, 8], {}, None]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+@FUZZ
+@given(st.data())
+def test_config_value_is_refused_before_the_missing_inputs(workdir, data):
+    verb = data.draw(st.sampled_from(["train", "preview", "refine"]))
+    key = data.draw(st.sampled_from(sorted(_SCHEMAS[verb])))
+    missing = str(workdir / "missing")
+    cfg = {"train": {"dataset": missing}, "preview": {"checkpoint": missing},
+           "refine": {"checkpoint": missing, "preview": missing}}[verb]
+    cfg = {**cfg, "out": str(workdir / "out.lgr"), key: data.draw(JSON_VALUES)}
+    argv = [verb] + [arg for k, v in cfg.items() for arg in ("--set", f"{k}={json.dumps(v)}")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (2, 3)
+
+
+@pytest.fixture(scope="module")
+def profile_manifest(workdir):
+    out = workdir / "profile.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["profile", "--set", f"out={out}"]) == 0
+    return (workdir / "profile.csv.manifest").read_bytes()
+
+
+@FUZZ
+@given(st.data())
+def test_edited_manifest_is_replayed_or_refused(workdir, profile_manifest, data):
+    path = workdir / "edited.manifest"
+    path.write_bytes(_edited(profile_manifest, data.draw))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            replay_manifest(path, {"out": str(workdir / "replayed.csv")})
+    except (ConfigError, FormatError):
+        pass
