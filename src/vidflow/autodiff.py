@@ -2,17 +2,18 @@
 
 Just enough tape machinery for the transformer denoiser, and no more:
 broadcasted add, subtract and multiply, division by a scalar, (batched)
-matmul, reshapes, transposes, basic slices, concatenation, whole-tensor sum
-and mean, layer norm, GELU, and three fused ops with closed-form backwards,
-:func:`linear`, :func:`rope` and :func:`attention`.  Leaves are created with
-``requires_grad=True``; call :meth:`Tensor.backward` on a scalar to
-accumulate ``.grad`` on every leaf.
+matmul, reshapes, transposes, whole-tensor sum and mean, and four ops with
+closed-form backwards: :func:`layernorm`, :func:`linear`, :func:`ffn` and
+:func:`attention`.  Leaves are created with ``requires_grad=True``; call
+:meth:`Tensor.backward` on a scalar to accumulate ``.grad`` on every leaf.
 
 Only values that some gradient needs record a graph.  A result whose inputs
-all have ``requires_grad=False`` keeps no parents and no backward closure, so
-an inference forward frees each intermediate as soon as it is dropped, and
-:func:`attention` then runs over query tiles in three passes over each tile's
-scores (matmul, exp, matmul) without keeping any of them.
+all have ``requires_grad=False`` keeps no parents and no backward closure;
+:func:`layernorm` and :func:`ffn` then return plain arrays and run in place on
+their work arrays, and :func:`attention` runs over query tiles in three passes
+over each tile's scores (matmul, exp, matmul) without keeping any of them.
+:func:`~vidflow.windows.window_attention` builds its single tape node from
+:func:`attention_probs` and :func:`attention_grads`.
 """
 
 from __future__ import annotations
@@ -62,9 +63,11 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g):
+        g = _unbroadcast(np.asarray(g), self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(g), self.data.shape)
+            self.grad = g + 0.0  # a new array with the bits of zeros + g (-0.0 becomes +0.0)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -140,15 +143,6 @@ class Tensor:
             self._accum(g.transpose(inv))
         return Tensor(self.data.transpose(axes), _parents=(self,), _backward=bw)
 
-    def __getitem__(self, key):
-        """A basic slice (ints, slices): it never repeats an element, so the
-        backward adds the gradient into its region of ``self.grad`` in place."""
-        def bw(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[key] += g
-        return Tensor(self.data[key], _parents=(self,), _backward=bw)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self):
@@ -159,60 +153,38 @@ class Tensor:
     def mean(self):
         return self.sum() / self.data.size
 
-    # -- nonlinearities ------------------------------------------------------
-
-    def gelu(self):
-        """tanh-approximate GELU, ``0.5*x*(1 + tanh(c*(x + 0.044715*x**3)))``.
-
-        The forward runs in place on one work array, in the textbook
-        expression's operation order, so its bits equal the expression's."""
-        c = np.sqrt(2.0 / np.pi)
-        x = self.data
-        t = x * x
-        t *= x
-        t *= 0.044715
-        t += x
-        t *= c
-        np.tanh(t, out=t)
-        y = 0.5 * x
-        if not self.requires_grad:
-            t += 1.0
-            y *= t
-            return Tensor(y)
-        y *= 1.0 + t
-        def bw(g):
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
-            dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            self._accum(g * dy)
-        return Tensor(y, _parents=(self,), _backward=bw)
-
-    def layernorm(self):
-        """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine).
-
-        The centred input is the one work array; it is scaled in place into
-        the output, and the backward keeps only the output and the row scales."""
-        x = self.data
-        y = x - x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + 1e-6)
-        y *= inv
-        def bw(g):
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y).mean(axis=-1, keepdims=True)
-            self._accum(inv * (g - gm - y * gym))
-        return Tensor(y, _parents=(self,), _backward=bw)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def concat(tensors) -> Tensor:
-    """Join tensors along their first axis."""
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+def value(x) -> np.ndarray:
+    """The array behind a Tensor, or ``x`` itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def needs_grad(*xs) -> bool:
+    """Whether any argument is a Tensor that requires grad."""
+    return any(isinstance(x, Tensor) and x.requires_grad for x in xs)
+
+
+def layernorm(x):
+    """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine).
+
+    The centred input is the one work array; it is scaled in place into the
+    output.  Without grads the output is a plain array; otherwise the node's
+    backward keeps only the output and the row scales."""
+    xd = value(x)
+    y = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + 1e-6)
+    y *= inv
+    if not needs_grad(x):
+        return y
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            t.requires_grad and t._accum(g[lo:hi])
-    return Tensor(np.concatenate([t.data for t in tensors]), _parents=tuple(tensors), _backward=bw)
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        x._accum(inv * (g - gm - y * gym))
+    return Tensor(y, _parents=(x,), _backward=bw)
 
 
 def linear(x, w, b) -> Tensor:
@@ -229,17 +201,81 @@ def linear(x, w, b) -> Tensor:
     return Tensor(y, _parents=(x, w, b), _backward=bw)
 
 
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate adjacent pairs of the last axis: ``x * cos + x[..., swap] * sin``
-    with ``swap = [1, 0, 3, 2, ...]``, where ``sin`` carries the pair signs.
+_GELU_C = np.sqrt(2.0 / np.pi)
 
-    The swap is its own inverse, so the backward is the same gather applied to
-    the gradient: ``g * cos + (g * sin)[..., swap]``.
-    """
-    swap = np.arange(x.data.shape[-1]) ^ 1
+
+def _gelu_gate(h: np.ndarray) -> np.ndarray:
+    """``tanh(c*(h + 0.044715*h**3))`` in one new work array, in the textbook
+    expression's operation order (the cube as ``h * h * h``: numpy sends
+    ``h**3`` to libm ``pow``)."""
+    t = h * h
+    t *= h
+    t *= 0.044715
+    t += h
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def ffn(x, w1, b1, w2, b2):
+    """The feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` over the last axis of
+    ``x`` as one op, with the tanh-approximate GELU
+    ``0.5*h*(1 + tanh(c*(h + 0.044715*h**3)))``.
+
+    The leading axes are flattened, so each matmul is one 2-D product.
+    Without grads the GELU runs in place on the hidden array and a plain
+    array is returned.  Otherwise one node keeps the hidden array, its tanh
+    and its activation, and its backward forms the same products that
+    separate ``linear``, GELU and ``linear`` nodes would, so the gradients
+    keep their bits."""
+    xd, w1d, b1d, w2d, b2d = (value(a) for a in (x, w1, b1, w2, b2))
+    flat = xd.reshape(-1, xd.shape[-1])
+    h = flat @ w1d
+    h += b1d
+    t = _gelu_gate(h)
+    out_shape = xd.shape[:-1] + w2d.shape[-1:]
+    if not needs_grad(x, w1, b1, w2, b2):
+        t += 1.0
+        h *= 0.5
+        h *= t
+        del t  # freed before the output product allocates
+        y = h @ w2d
+        y += b2d
+        return y.reshape(out_shape)
+    a = 0.5 * h
+    a *= 1.0 + t
+    y = a @ w2d
+    y += b2d
+    x, w1, b1, w2, b2 = (as_tensor(v) for v in (x, w1, b1, w2, b2))
     def bw(g):
-        x._accum(g * cos + (g * sin)[..., swap])
-    return Tensor(x.data * cos + x.data[..., swap] * sin, _parents=(x,), _backward=bw)
+        g = g.reshape(y.shape)
+        ga = g @ w2d.T
+        w2.requires_grad and w2._accum(a.T @ g)
+        b2.requires_grad and b2._accum(g)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * h**2)
+        gh = ga * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t**2) * dinner)
+        x.requires_grad and x._accum((gh @ w1d.T).reshape(xd.shape))
+        w1.requires_grad and w1._accum(flat.T @ gh)
+        b1.requires_grad and b1._accum(gh)
+    return Tensor(y.reshape(out_shape), _parents=(x, w1, b1, w2, b2), _backward=bw)
+
+
+def attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(q @ kᵀ * scale) over the last axis, computed whole and shifted
+    by the row max: the probabilities a recording attention keeps."""
+    s = (q @ k.swapaxes(-1, -2)) * scale
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention_grads(p, q, k, v, g, scale: float):
+    """(gq, gk, gv) of ``p @ v`` with ``p = attention_probs(q, k, scale)``,
+    given the output gradient ``g``: gV = Pᵀ·g, gP = g·vᵀ,
+    gS = P·(gP − Σ gP·P)·scale, gQ = gS·k, gK = (qᵀ·gS)ᵀ."""
+    gv = p.swapaxes(-1, -2) @ g
+    gp = g @ v.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    return gs @ k, (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), gv
 
 
 def attention(q, k, v, scale: float) -> Tensor:
@@ -263,24 +299,18 @@ def attention(q, k, v, scale: float) -> Tensor:
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if not (q.requires_grad or k.requires_grad or v.requires_grad):
-        return Tensor(_attention_tiled(q.data, k.data, v.data, scale))
-    s = (q.data @ k.data.swapaxes(-1, -2)) * scale
-    p = np.exp(s - s.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
+        return Tensor(attention_tiled(q.data, k.data, v.data, scale))
+    p = attention_probs(q.data, k.data, scale)
     def bw(g):
-        if v.requires_grad:
-            v._accum(p.swapaxes(-1, -2) @ g)
-        if q.requires_grad or k.requires_grad:
-            gp = g @ v.data.swapaxes(-1, -2)
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad:
-                q._accum(gs @ k.data)
-            if k.requires_grad:
-                k._accum((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gq, gk, gv = attention_grads(p, q.data, k.data, v.data, g, scale)
+        v.requires_grad and v._accum(gv)
+        q.requires_grad and q._accum(gq)
+        k.requires_grad and k._accum(gk)
     return Tensor(p @ v.data, _parents=(q, k, v), _backward=bw)
 
 
-def _attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(q @ kᵀ * scale) @ v without a graph, in query tiles (see :func:`attention`)."""
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n_q, n_k = q.shape[-2], k.shape[-2]
     rows = max(1, _TILE_ELEMS // (n_k * math.prod(lead)))

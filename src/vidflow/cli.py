@@ -20,7 +20,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -465,21 +465,40 @@ def _dump_ppm_frames(pixels: LatentGrid, frames_dir) -> int:
 # profile
 
 
-def _stage_from_dict(d: dict) -> StageSpec:
-    unknown = set(d) - {f.name for f in fields(StageSpec)}
+# A stage whose field values give each StageSpec field's type to _type_ok.
+_STAGE_TYPES = StageSpec("name", 1, 1, 1, 1)
+
+
+def _stage_from_dict(d, where: str) -> StageSpec:
+    """The StageSpec a config stage object describes: a JSON object whose keys
+    are StageSpec fields, with at least the ones that have no default, and
+    whose values have the fields' types."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a stage object, got {d!r}")
+    spec = {f.name: f for f in fields(StageSpec)}
+    unknown = set(d) - set(spec)
     if unknown:
-        raise ConfigError(f"unknown stage keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown stage keys {sorted(unknown)}")
+    missing = [k for k, f in spec.items() if f.default is MISSING and k not in d]
+    if missing:
+        raise ConfigError(f"{where}: missing stage keys {missing}")
+    for key, val in d.items():
+        proto = getattr(_STAGE_TYPES, key)
+        if not _type_ok(val, proto):
+            raise ConfigError(f"{where}.{key} has the wrong type: {val!r} (needs {type(proto).__name__})")
     return StageSpec(**d)
 
 
 def cmd_profile(cfg: dict) -> None:
-    if cfg["stages"]:
-        stages = tuple(_stage_from_dict(s) for s in cfg["stages"])
-        if not cfg["baseline"]:
-            raise ConfigError("profile config with explicit stages needs a baseline stage")
-        pipe = PipelineSpec(stages=stages, baseline=_stage_from_dict(cfg["baseline"]))
-    else:
+    if cfg["stages"] is None and cfg["baseline"] is None:
         pipe = recommended_pipeline()
+    else:
+        if not isinstance(cfg["stages"], list) or not cfg["stages"]:
+            raise ConfigError(f"profile.stages must be a non-empty list of stage objects, got {cfg['stages']!r}")
+        if cfg["baseline"] is None:
+            raise ConfigError("profile config with explicit stages needs a baseline stage")
+        stages = tuple(_stage_from_dict(s, f"profile.stages[{i}]") for i, s in enumerate(cfg["stages"]))
+        pipe = PipelineSpec(stages=stages, baseline=_stage_from_dict(cfg["baseline"], "profile.baseline"))
     rate = cfg["rate"]
     report = pipeline_report(pipe, rate)
 

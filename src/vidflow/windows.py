@@ -6,13 +6,16 @@ plane; windows partition the frame axis only.  A shifted block moves the
 window grid by half a window with wrap-around, as a cyclic roll would, but
 attends directly over contiguous runs of original frames: a window that wraps
 past the last frame splits into two runs that never see each other, so no
-roll and no seam mask is needed.  All math runs on
-:class:`~vidflow.autodiff.Tensor` internally so one code path serves
-inference (numpy in / numpy out) and training (gradients flow to the
-projection weights).  The two differ only inside
-:func:`~vidflow.autodiff.attention`: with no gradient needed it records no
-graph and runs over query tiles; otherwise it keeps the probabilities for the
-backward.  RoPE tables are built once per run shape and origin and cached.
+roll and no seam mask is needed.
+
+:func:`window_attention` is one op.  When nothing requires grad it runs on
+plain arrays, attends over query tiles
+(:func:`~vidflow.autodiff.attention_tiled`) and returns an array; otherwise
+it records a single :class:`~vidflow.autodiff.Tensor` node whose closed-form
+backward walks the runs again.  A block's feed-forward is the one
+:func:`~vidflow.autodiff.ffn` op, so an inference block pair is plain numpy
+and a training one adds six nodes per block to the tape.  RoPE tables are
+built once per run shape and origin and cached.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, attention, concat, linear, rope as rotate_pairs
+from .autodiff import Tensor, as_tensor, ffn, layernorm, needs_grad, value
+from .autodiff import attention_grads, attention_probs, attention_tiled
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -93,8 +97,9 @@ def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int,
 def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: RoPEConfig):
     """Read-only RoPE tables for a (t_len, H, W) field whose positions start at
     ``origin``: cos (n, d) and sign * sin (n, d) with sign = [-1, 1, -1, 1, ...],
-    so that :func:`~vidflow.autodiff.rope` turns each adjacent pair
-    (x[2i], x[2i+1]) into (x[2i]·cos − x[2i+1]·sin, x[2i+1]·cos + x[2i]·sin).
+    so that ``x * cos + x[..., swap] * sin`` with ``swap = [1, 0, 3, 2, ...]``
+    turns each adjacent pair (x[2i], x[2i+1]) into
+    (x[2i]·cos − x[2i+1]·sin, x[2i+1]·cos + x[2i]·sin).
     The sub-dimensions d_t, d_h, d_w are even, so no pair straddles two axes."""
     t0, h0, w0 = origin
     tt, hh, ww = np.meshgrid(
@@ -143,35 +148,71 @@ def window_attention(
     moves the windows by half a window with wrap-around and attends within
     each contiguous frame run: the window that wraps past the last frame
     yields two runs, its tail frames and the leading frames it wrapped onto.
-    Accepts a numpy array (returns numpy) or a Tensor (stays on the tape).
+
+    Each run projects its tokens to q, k and v, rotates q and k by RoPE at
+    window-local positions, attends, and writes its output projection into
+    its rows of one preallocated field.  When neither ``x`` nor a weight
+    requires grad, the result is that plain array.  Otherwise it is one
+    Tensor node with parents (x, wq, wk, wv, wo) that keeps each run's
+    probabilities; its backward visits the runs in frame order, adds the q,
+    k and v paths into the run's rows of a zeroed input gradient in that
+    order, and accumulates each weight's per-run products in frame order.
     """
-    t = as_tensor(x)
-    T, H, W, d = t.shape
+    parents = (x, weights.wq, weights.wk, weights.wv, weights.wo)
+    xd, wq, wk, wv, wo = (value(a) for a in parents)
+    T, H, W, d = xd.shape
     if d % heads != 0:
         raise ConfigError(f"embedding dim {d} not divisible by heads {heads}")
     dh = d // heads
     scale = dh**-0.5
-    wq, wk, wv, wo = (as_tensor(w) for w in (weights.wq, weights.wk, weights.wv, weights.wo))
+    train = needs_grad(*parents)
+    swap = np.arange(d) ^ 1  # the RoPE pair swap, its own inverse
 
     plane = H * W
-    tokens = t.reshape(T * plane, d)
-    outs = []
+    tokens = xd.reshape(T * plane, d)
+    out = np.empty_like(tokens)
+    saved = []
     for a, b, t0 in _frame_runs(T, spec, shifted):
         n = (b - a) * plane
-        run = tokens[a * plane : b * plane]
-        q = run @ wq
-        k = run @ wk
-        v = run @ wv
+        rows = slice(a * plane, b * plane)
+        run = tokens[rows]
         cos, sin = _rope_tables(b - a, H, W, (t0, 0, 0), rope)  # window-local positions
-        q = rotate_pairs(q, cos, sin)
-        k = rotate_pairs(k, cos, sin)
-        qh = q.reshape(n, heads, dh).transpose((1, 0, 2))
-        kh = k.reshape(n, heads, dh).transpose((1, 0, 2))
-        vh = v.reshape(n, heads, dh).transpose((1, 0, 2))
-        ctx = attention(qh, kh, vh, scale).transpose((1, 0, 2)).reshape(n, d)
-        outs.append(ctx @ wo)
-    out = concat(outs).reshape(T, H, W, d)
-    return out if isinstance(x, Tensor) else out.data
+        q, k, v = run @ wq, run @ wk, run @ wv
+        q = q * cos + q[..., swap] * sin
+        k = k * cos + k[..., swap] * sin
+        qh, kh, vh = (m.reshape(n, heads, dh).transpose(1, 0, 2) for m in (q, k, v))
+        if train:
+            p = attention_probs(qh, kh, scale)
+            ctx = (p @ vh).transpose(1, 0, 2).reshape(n, d)
+            saved.append((rows, run, cos, sin, qh, kh, vh, p, ctx))
+        else:
+            ctx = attention_tiled(qh, kh, vh, scale).transpose(1, 0, 2).reshape(n, d)
+        np.matmul(ctx, wo, out=out[rows])
+    if not train:
+        return out.reshape(T, H, W, d)
+
+    x, wq_t, wk_t, wv_t, wo_t = (as_tensor(a) for a in parents)
+
+    def backward(g):
+        g = g.reshape(T * plane, d)
+        gx = np.zeros_like(tokens)
+        for rows, run, cos, sin, qh, kh, vh, p, ctx in saved:
+            n = run.shape[0]
+            go = g[rows]
+            gctx = go @ wo.T
+            wo_t.requires_grad and wo_t._accum(ctx.T @ go)
+            gctx = gctx.reshape(n, heads, dh).transpose(1, 0, 2)
+            grads = attention_grads(p, qh, kh, vh, gctx, scale)
+            gq, gk, gv = (gm.transpose(1, 0, 2).reshape(n, d) for gm in grads)
+            gq = gq * cos + (gq * sin)[..., swap]
+            gk = gk * cos + (gk * sin)[..., swap]
+            g_run = gx[rows]
+            for gm, w, w_t in ((gq, wq, wq_t), (gk, wk, wk_t), (gv, wv, wv_t)):
+                g_run += gm @ w.T
+                w_t.requires_grad and w_t._accum(run.T @ gm)
+        x.requires_grad and x._accum(gx.reshape(T, H, W, d))
+
+    return Tensor(out.reshape(T, H, W, d), _parents=(x, wq_t, wk_t, wv_t, wo_t), _backward=backward)
 
 
 @dataclass
@@ -184,13 +225,14 @@ class BlockWeights:
     w2: object
     b2: object
 
+    def arrays(self) -> tuple:
+        a = self.attn
+        return (a.wq, a.wk, a.wv, a.wo, self.w1, self.b1, self.w2, self.b2)
 
-def _block(x: Tensor, bw: BlockWeights, spec, shifted, rope, heads) -> Tensor:
-    h = x + window_attention(x.layernorm(), spec, shifted, rope, bw.attn, heads)
-    T, H, W, d = h.shape
-    flat = h.layernorm().reshape(T * H * W, d)
-    f = linear(linear(flat, bw.w1, bw.b1).gelu(), bw.w2, bw.b2)
-    return h + f.reshape(T, H, W, d)
+
+def _block(x, bw: BlockWeights, spec, shifted, rope, heads):
+    h = x + window_attention(layernorm(x), spec, shifted, rope, bw.attn, heads)
+    return h + ffn(layernorm(h), bw.w1, bw.b1, bw.w2, bw.b2)
 
 
 def swin_block_pair(
@@ -200,8 +242,11 @@ def swin_block_pair(
     rope: RoPEConfig,
     heads: int,
 ):
-    """Unshifted block followed by a shifted block (pre-norm, residual)."""
-    t = as_tensor(x)
-    t = _block(t, block_weights[0], spec, False, rope, heads)
-    t = _block(t, block_weights[1], spec, True, rope, heads)
-    return t if isinstance(x, Tensor) else t.data
+    """Unshifted block followed by a shifted block (pre-norm, residual) over
+    one (T, H, W, d) field.  When ``x`` or a weight requires grad, the pair
+    goes on the tape and a Tensor is returned; otherwise it runs on plain
+    arrays and returns one."""
+    train = needs_grad(x, *block_weights[0].arrays(), *block_weights[1].arrays())
+    x = as_tensor(x) if train else value(x)
+    x = _block(x, block_weights[0], spec, False, rope, heads)
+    return _block(x, block_weights[1], spec, True, rope, heads)

@@ -123,3 +123,13 @@ def laplacian_energy(v: np.ndarray) -> float:
         + v[..., 1:-1, 2:]
     )
     return float(np.var(lap))
+
+
+def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central finite differences of a scalar function of one array."""
+    g = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        xp = x.copy(); xp[i] += eps
+        xm = x.copy(); xm[i] -= eps
+        g[i] = (f(xp) - f(xm)) / (2 * eps)
+    return g

@@ -2,20 +2,9 @@ import numpy as np
 import pytest
 
 from vidflow import autodiff
-from vidflow.autodiff import Tensor, attention, concat, linear, rope
+from vidflow.autodiff import Tensor, attention, ffn, layernorm, linear, value
 
-
-def numeric_grad(f, x, eps=1e-6):
-    """Central finite differences of a scalar function of one array."""
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        xp = x.copy(); xp[i] += eps
-        xm = x.copy(); xm[i] -= eps
-        g[i] = (f(xp) - f(xm)) / (2 * eps)
-        it.iternext()
-    return g
+from oracles import numeric_grad
 
 
 def check_op(build, shape, seed=0, tol=1e-6):
@@ -24,7 +13,7 @@ def check_op(build, shape, seed=0, tol=1e-6):
     x = rng.normal(size=shape)
     t = Tensor(x, requires_grad=True)
     build(t).backward()
-    num = numeric_grad(lambda a: float(build(Tensor(a)).data), x)
+    num = numeric_grad(lambda a: float(value(build(Tensor(a)))), x)
     assert np.abs(t.grad - num).max() <= tol
 
 
@@ -111,59 +100,57 @@ class TestShapeMoves:
     def test_transpose(self):
         check_op(lambda t: (t.transpose((1, 0)) * np.arange(6.0).reshape(3, 2)).sum(), (2, 3))
 
-    def test_getitem(self):
-        check_op(lambda t: (t[1:3] * np.arange(2.0)[:, None]).sum(), (4, 2))
 
-    def test_concat(self):
-        rng = np.random.default_rng(3)
-        a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        w = np.arange(10.0).reshape(5, 2)
-        (concat([a, b]) * w).sum().backward()
-        na = numeric_grad(lambda x: float((np.concatenate([x, b.data]) * w).sum()), a.data)
-        nb = numeric_grad(lambda x: float((np.concatenate([a.data, x]) * w).sum()), b.data)
-        assert np.abs(a.grad - na).max() <= 1e-6
-        assert np.abs(b.grad - nb).max() <= 1e-6
+def gelu(t):
+    """The tanh GELU alone: ``ffn`` with identity weights and zero biases
+    (a product with the identity matrix is exact)."""
+    eye, zero = np.eye(t.shape[-1]), np.zeros(t.shape[-1])
+    return ffn(t, eye, zero, eye, zero)
 
 
 class TestNonlinearities:
     def test_gelu_grad(self):
-        check_op(lambda t: (t.gelu() * t.gelu()).sum(), (3, 3), seed=6)
+        check_op(lambda t: (gelu(t) * gelu(t)).sum(), (3, 3), seed=6)
 
     @pytest.mark.parametrize("requires_grad", [False, True])
     def test_forwards_are_bitwise_the_textbook_expressions(self, requires_grad):
-        x = np.random.default_rng(9).normal(size=(16, 24)) * 3 + 1
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(16, 24)) * 3 + 1
+        w1, b1 = rng.normal(size=(24, 32)), rng.normal(size=32)
+        w2, b2 = rng.normal(size=(32, 8)), rng.normal(size=8)
         before = x.copy()
         c = np.sqrt(2.0 / np.pi)
-        gelu = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+        h = x @ w1 + b1
+        mlp = (0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * (h * h * h))))) @ w2 + b2
         xc = x - x.mean(axis=-1, keepdims=True)
-        layernorm = xc * (1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + 1e-6))
+        ln = xc * (1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + 1e-6))
         t = Tensor(x, requires_grad=requires_grad)
-        assert t.gelu().data.tobytes() == gelu.tobytes()
-        assert t.layernorm().data.tobytes() == layernorm.tobytes()
+        assert value(ffn(t, w1, b1, w2, b2)).tobytes() == mlp.tobytes()
+        assert value(layernorm(t)).tobytes() == ln.tobytes()
         assert x.tobytes() == before.tobytes()  # the input is not a work array
 
     def test_layernorm_output_normalized(self):
-        t = Tensor(np.random.default_rng(7).normal(size=(4, 8)) * 3 + 1)
-        y = t.layernorm().data
+        y = layernorm(np.random.default_rng(7).normal(size=(4, 8)) * 3 + 1)
         assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-9)
         assert np.allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
     def test_layernorm_grad(self):
         w = np.random.default_rng(8).normal(size=(2, 6))
-        check_op(lambda t: (t.layernorm() * w).sum(), (2, 6), seed=8, tol=1e-5)
+        check_op(lambda t: (layernorm(t) * w).sum(), (2, 6), seed=8, tol=1e-5)
 
 
-class TestRope:
-    def test_grad_with_random_tables(self):
-        rng = np.random.default_rng(10)
-        cos, sin, w = rng.normal(size=(3, 5, 6))
-        check_op(lambda t: (rope(t, cos, sin) * w).sum(), (5, 6), seed=10)
+class TestFFN:
+    SHAPES = {"x": (2, 3, 4), "w1": (4, 6), "b1": (6,), "w2": (6, 5), "b2": (5,)}
 
-    def test_rotates_adjacent_pairs(self):
-        x = np.arange(1.0, 5.0)
-        out = rope(Tensor(x), np.full(4, 2.0), np.array([-1.0, 1.0, -1.0, 1.0])).data
-        assert out.tolist() == [2 * 1 - 2, 2 * 2 + 1, 2 * 3 - 4, 2 * 4 + 3]
+    @pytest.mark.parametrize("which", list(SHAPES))
+    def test_grad_of_each_operand(self, which):
+        rng = np.random.default_rng(50)
+        args = {k: rng.normal(size=shape) for k, shape in self.SHAPES.items()}
+        m = rng.normal(size=(2, 3, 5))
+
+        def f(t):
+            return (ffn(**{**args, which: t}) * m).sum()
+        check_op(f, self.SHAPES[which], seed=51)
 
 
 class TestTape:
@@ -187,14 +174,15 @@ class TestTape:
 
     def test_composite_expression(self):
         def f(t):
-            h = (t @ np.random.default_rng(9).normal(size=(4, 4))).gelu()
-            a = h.layernorm()
+            h = gelu(t @ np.random.default_rng(9).normal(size=(4, 4)))
+            a = layernorm(h)
             return (attention(a, h, a, 0.5) * h).sum()
         check_op(f, (3, 4), seed=9, tol=1e-5)
 
     def test_no_graph_without_grads(self):
         a = Tensor(np.ones((2, 2)))
-        out = attention((a @ a).gelu(), a, a.layernorm(), 1.0) + a
+        assert type(gelu(a @ a)) is np.ndarray and type(layernorm(a)) is np.ndarray
+        out = attention(gelu(a @ a), a, layernorm(a), 1.0) + a
         assert out._parents == () and out._backward is None
         b = Tensor(np.ones((2, 2)), requires_grad=True)
         assert (a * b)._parents == (a, b) and (a * b)._backward is not None

@@ -14,6 +14,7 @@ from vidflow import __version__
 from vidflow.cli import main, read_manifest, replay_manifest
 
 
+STAGE = '{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}'
 FAST_TRAIN = [
     "--set", "phase1_iters=3", "--set", "phase2_iters=2",
     "--set", "phase1_frames=3", "--set", "phase2_frames=4",
@@ -369,6 +370,13 @@ class TestExitCodes:
                    *FAST_TRAIN, "--set", "lr=1e200") == 4
         assert not (tmp_path / "ckpt.lgr").exists()
 
+    def test_finite_divergence_is_4(self, tmp_path, dataset, capsys):
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'ckpt.lgr'}",
+                   *FAST_TRAIN, "--set", "lr=1e6") == 4
+        err = capsys.readouterr().err
+        assert "training diverged at iteration 1 (3 frames)" in err and "Traceback" not in err
+        assert list(tmp_path.glob("ckpt.lgr*")) == []
+
     def test_manifest_not_in_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "run.manifest"
         path.write_bytes(b"command profile\nversion 0.1.0\xff\nconfig_json {}\n")
@@ -540,6 +548,28 @@ class TestProfile:
             "stages": [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}],
         }}))
         assert run("profile", "--config", str(cfgfile)) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        ["stages=5"],
+        ["stages=[1]"],
+        ['stages=[{"tokens": "x"}]'],
+        ["stages=[]", f"baseline={STAGE}"],
+        ["baseline=3"],
+        [f"stages=[{STAGE}]", "baseline=[]"],
+        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": true}'],
+        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12.0, "depth": 2, "steps": 8}'],
+        ['stages=[{"name": 1, "tokens": 64, "dim": 12, "depth": 2, "steps": 4}]', f"baseline={STAGE}"],
+        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2}'],
+    ], ids=["int", "list_of_int", "tokens_str", "empty", "baseline_alone", "baseline_list",
+            "steps_bool", "dim_float", "name_int", "missing_steps"])
+    def test_stage_of_the_wrong_type_is_2(self, tmp_path, capsys, overrides):
+        out = tmp_path / "r.csv"
+        argv = ["profile", "--set", f"out={out}"]
+        for o in overrides:
+            argv += ["--set", o]
+        assert run(*argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from vidflow.denoiser import (
 )
 from vidflow.grids import Extent5, Rng
 
-from conftest import RIG_DEG, RIG_TRAIN
+from conftest import RIG_DEG, RIG_SEED, RIG_TRAIN, make_rig_dataset
 from oracles import laplacian_energy
 
 
@@ -115,6 +117,28 @@ class TestForward:
     def test_sizes_below_one_are_rejected_before_dividing(self):
         with pytest.raises(ConfigError, match="heads must be >= 1"):
             DenoiserParams(patch=2, d=6, heads=0, depth=2, w_t=2, channels=4, cond_dim=2)
+
+    def test_one_block_pair_call_per_item_on_a_4d_field(self, monkeypatch):
+        # The benchmark's tracer wraps denoiser.swin_block_pair and unpacks
+        # each call's field as (T, H, W, d); batching items into one call
+        # would break it, so batching has to wait for spans in the program.
+        from vidflow import denoiser
+
+        fields = []
+        original = denoiser.swin_block_pair
+
+        def recording(x, *args, **kwargs):
+            fields.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(denoiser, "swin_block_pair", recording)
+        p = small_params(depth=4)
+        z = vf.sample_gaussian(Extent5(2, 4, 3, 4, 4), Rng(1))
+        forward_velocity(p, z, 0.5, vf.Conditioning.zeros(2))
+        assert fields == [(3, 2, 2, 6)] * 4  # 2 items x 2 block pairs
+        fields.clear()
+        backward(p, z, 0.5, vf.Conditioning.zeros(2), z)
+        assert fields == [(3, 2, 2, 6)] * 4
 
 
 class TestBackward:
@@ -345,6 +369,34 @@ class TestTraining:
         with pytest.raises(ConfigError, match="iteration 5 needs 5 frames, the shortest clip has 4"):
             train_refiner(dataset, ToyCodec(), RIG_DEG, cfg, Rng(0))
         assert calls == []
+
+    def test_tape_size_does_not_grow_with_frames(self, monkeypatch):
+        # One rig iteration at 5 frames and one at 9: the Tensors that
+        # require grad and are reachable from the loss (the 22 parameter
+        # leaves included).  Window attention and the FFN are one node each,
+        # so the count is the same at any frame count; a node per frame run
+        # would make the 9-frame count larger.
+        from vidflow import autodiff
+
+        counts = []
+        original = autodiff.Tensor.backward
+
+        def counting(loss):
+            seen, stack = {}, [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen[id(node)] = node
+                    stack.extend(node._parents)
+            counts.append(sum(node.requires_grad for node in seen.values()))
+            return original(loss)
+
+        monkeypatch.setattr(autodiff.Tensor, "backward", counting)
+        rng = Rng(RIG_SEED)
+        cfg = replace(RIG_TRAIN, phase1_iters=1, phase2_iters=1)
+        train_refiner(make_rig_dataset(rng, n_clips=2), ToyCodec(), RIG_DEG, cfg, rng)
+        assert len(counts) == 2
+        assert counts[0] == counts[1] <= 52
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):

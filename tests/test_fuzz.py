@@ -6,7 +6,7 @@ overwrite, a truncation or an append.  The readers must then either return or
 raise :class:`FormatError` (:class:`ConfigError` too for a manifest), and
 ``vidflow inspect`` must exit 0 or 3.  Each config example sets one key of a
 verb to one JSON value, with the verb's inputs missing: the verb must exit 2
-or 3.  The examples are a fixed function of each test (``derandomize=True``),
+or 3 (``profile``, which reads no input, 0 or 2).  The examples are a fixed function of each test (``derandomize=True``),
 so the suite stays deterministic.
 """
 
@@ -15,6 +15,7 @@ import io
 import json
 import math
 import shutil
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import vidflow as vf
 from vidflow.cli import _SCHEMAS, main, replay_manifest
+from vidflow.costmodel import StageSpec
 from vidflow.denoiser import AdamW, DenoiserParams, TrainConfig, load_checkpoint, save_checkpoint
 from vidflow.errors import ConfigError, FormatError
 
@@ -116,18 +118,25 @@ JSON_VALUES = st.one_of(
 )
 
 
+# Stage objects for ``profile``: StageSpec field names (and one other key)
+# with any JSON value each.
+STAGES = st.dictionaries(st.sampled_from([f.name for f in fields(StageSpec)] + ["x"]), JSON_VALUES, max_size=10)
+
+
 @FUZZ
 @given(st.data())
 def test_config_value_is_refused_before_the_missing_inputs(workdir, data):
-    verb = data.draw(st.sampled_from(["train", "preview", "refine"]))
+    verb = data.draw(st.sampled_from(["train", "preview", "refine", "profile"]))
     key = data.draw(st.sampled_from(sorted(_SCHEMAS[verb])))
     missing = str(workdir / "missing")
     cfg = {"train": {"dataset": missing}, "preview": {"checkpoint": missing},
-           "refine": {"checkpoint": missing, "preview": missing}}[verb]
-    cfg = {**cfg, "out": str(workdir / "out.lgr"), key: data.draw(JSON_VALUES)}
+           "refine": {"checkpoint": missing, "preview": missing}, "profile": {}}[verb]
+    values = {"stages": st.lists(STAGES, max_size=3) | JSON_VALUES, "baseline": STAGES | JSON_VALUES}
+    cfg = {**cfg, "out": str(workdir / "out.lgr"), key: data.draw(values.get(key, JSON_VALUES))}
     argv = [verb] + [arg for k, v in cfg.items() for arg in ("--set", f"{k}={json.dumps(v)}")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (2, 3)
+        # profile reads no input, so a value it accepts runs it to the end
+        assert main(argv) in ((0, 2) if verb == "profile" else (2, 3))
 
 
 @pytest.fixture(scope="module")

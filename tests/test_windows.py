@@ -3,18 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vidflow.autodiff import Tensor
+from vidflow.autodiff import Tensor, value
 from vidflow.errors import ConfigError
 from vidflow.windows import (
     AttentionWeights,
+    BlockWeights,
     RoPEConfig,
     WindowSpec,
     _rope_tables,
+    swin_block_pair,
     window_attention,
     window_bounds,
 )
 
-from oracles import masked_global_attention_oracle, rope_oracle
+from oracles import masked_global_attention_oracle, numeric_grad, rope_oracle
 
 
 def apply_rope3d(field, cfg, window_local_origin=(0, 0, 0)):
@@ -185,3 +187,69 @@ class TestWindowAttention:
         f_minus = window_attention(x, spec, True, cfg, w_minus, 2).sum()
         num = (f_plus - f_minus) / (2 * eps)
         assert wq.grad[i, j] == pytest.approx(num, abs=1e-6)
+
+
+class TestFusedOpGradients:
+    """The closed-form backwards of ``window_attention`` and of the block
+    pair against central finite differences.  w_t = 4 with T = 2, 5, 9 covers
+    a single short window, a ragged tail and, shifted, the seam runs."""
+
+    d, heads = 6, 2
+
+    def case(self, T, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(T, 1, 2, self.d))
+        return rng, x, rng.normal(size=x.shape)
+
+    @pytest.mark.parametrize("which", ["x", "wq", "wk", "wv", "wo"])
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("T", [2, 5, 9])
+    def test_window_attention(self, T, shifted, which):
+        rng, x, m = self.case(T, 100 * T + 10 * shifted + len(which))
+        spec, cfg = WindowSpec(4), RoPEConfig.even_split(self.d)
+        args = {"x": x, **vars(random_weights(self.d, rng))}
+
+        def f(arrays):
+            w = AttentionWeights(arrays["wq"], arrays["wk"], arrays["wv"], arrays["wo"])
+            return window_attention(arrays["x"], spec, shifted, cfg, w, self.heads)
+
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in args.items()}
+        (f(leaves) * m).sum().backward()
+        num = numeric_grad(lambda a: float((f({**args, which: a}) * m).sum()), args[which])
+        assert np.abs(leaves[which].grad - num).max() <= 1e-6
+
+    @pytest.mark.parametrize("which", ["x", "w1", "b1", "w2", "b2"])
+    @pytest.mark.parametrize("T", [2, 5, 9])
+    def test_block_pair_ffn(self, T, which):
+        rng, x, m = self.case(T, 7 * T + len(which))
+        spec, cfg = WindowSpec(4), RoPEConfig.even_split(self.d)
+        shapes = {"w1": (self.d, 4 * self.d), "b1": (4 * self.d,), "w2": (4 * self.d, self.d), "b2": (self.d,)}
+        attn = [random_weights(self.d, rng) for _ in range(2)]
+        args = {"x": x, **{k: 0.5 * rng.normal(size=shape) for k, shape in shapes.items()}}
+
+        def f(arrays):
+            ffn = [arrays[k] for k in shapes]
+            blocks = (BlockWeights(attn[0], *ffn), BlockWeights(attn[1], *ffn))
+            return swin_block_pair(arrays["x"], blocks, spec, cfg, self.heads)
+
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in args.items()}
+        (f(leaves) * m).sum().backward()
+        num = numeric_grad(lambda a: float((f({**args, which: a}) * m).sum()), args[which])
+        assert np.abs(leaves[which].grad - num).max() <= 1e-6
+
+    def test_inference_returns_plain_arrays(self):
+        rng, x, _ = self.case(5, 3)
+        spec, cfg = WindowSpec(4), RoPEConfig.even_split(self.d)
+        weights = random_weights(self.d, rng)
+        no_grad = AttentionWeights(*(Tensor(w) for w in vars(weights).values()))
+        for xin, w in ((x, weights), (Tensor(x), no_grad)):
+            out = window_attention(xin, spec, True, cfg, w, self.heads)
+            assert type(out) is np.ndarray and out.shape == x.shape
+        ffn = [0.5 * rng.normal(size=s) for s in ((6, 24), (24,), (24, 6), (6,))]
+        pair = swin_block_pair(Tensor(x), (BlockWeights(weights, *ffn), BlockWeights(no_grad, *ffn)),
+                               spec, cfg, self.heads)
+        assert type(pair) is np.ndarray and pair.shape == x.shape
+        recorded = window_attention(Tensor(x, requires_grad=True), spec, True, cfg, weights, self.heads)
+        assert isinstance(recorded, Tensor) and len(recorded._parents) == 5
+        plain = window_attention(x, spec, True, cfg, weights, self.heads)
+        assert np.abs(value(recorded) - plain).max() <= 1e-12  # tiled vs whole softmax: rounding only
