@@ -1,19 +1,15 @@
-"""Minimal reverse-mode autodiff over numpy arrays.
+"""The denoiser's layer kernels over numpy arrays, each a forward and a
+closed-form backward.
 
-Just enough tape machinery for the transformer denoiser, and no more:
-broadcasted add, subtract and multiply, division by a scalar, (batched)
-matmul, reshapes, transposes, whole-tensor sum and mean, and four ops with
-closed-form backwards: :func:`layernorm`, :func:`linear`, :func:`ffn` and
-:func:`attention`.  Leaves are created with ``requires_grad=True``; call
-:meth:`Tensor.backward` on a scalar to accumulate ``.grad`` on every leaf.
-
-Only values that some gradient needs record a graph.  A result whose inputs
-all have ``requires_grad=False`` keeps no parents and no backward closure;
-:func:`layernorm` and :func:`ffn` then return plain arrays and run in place on
-their work arrays, and :func:`attention` runs over query tiles in three passes
-over each tile's scores (matmul, exp, matmul) without keeping any of them.
-:func:`~vidflow.windows.window_attention` builds its single tape node from
-:func:`attention_probs` and :func:`attention_grads`.
+A forward given a ``saved`` list appends what its backward needs to it;
+without one it keeps nothing, and :func:`layernorm`, :func:`ffn` and
+:func:`attention_tiled` run in place on their work arrays.  A backward takes
+the output gradient and the saved entry, adds the parameter gradients into
+the caller's buffers with ``+=`` and returns the input gradient.  Buffers
+start at zero and take their terms in the order the caller visits them, so
+a sum of several terms has the bits of that order.  The denoiser's reverse
+pass (:mod:`vidflow.denoiser`) calls these backwards in a fixed order; nothing
+records a graph.
 """
 
 from __future__ import annotations
@@ -22,12 +18,12 @@ import math
 
 import numpy as np
 
-# Score elements per query tile when attention records no graph: 2**17 float64
-# values are 1 MiB, so a tile of scores stays cache-sized.
+# Score elements per query tile of attention_tiled: 2**17 float64 values are
+# 1 MiB, so a tile of scores stays cache-sized.
 _TILE_ELEMS = 1 << 17
 
-# Largest score bound B for which attention without a graph skips the row-max
-# shift.  By Cauchy–Schwarz every score obeys |s_ij| <= scale·‖q_i‖·‖k_j‖, so
+# Largest score bound B for which attention_tiled skips the row-max shift.  By
+# Cauchy–Schwarz every score obeys |s_ij| <= scale·‖q_i‖·‖k_j‖, so
 # B = scale·max‖q_i‖·max‖k_j‖ bounds them before any is computed.  If B <= 64,
 # each exp(s) lies in [e**-64, e**64] = [1.6e-28, 6.2e27]: none overflows or
 # falls to a subnormal, and a row sum over even 2**40 keys stays below 1e40.
@@ -36,169 +32,60 @@ _TILE_ELEMS = 1 << 17
 _EXP_SAFE = 64.0
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A training loss's handle on its reverse pass: :meth:`backward` runs
+    ``reverse()`` once and returns its gradients.
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        # A backward closure is kept only when some parent requires grad, so a
-        # one-parent op's backward accumulates into its parent unconditionally.
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+    It records no graph.  It stays because the benchmark's tracer times and
+    counts reverse passes by wrapping ``autodiff.Tensor.backward``; spans
+    inside the program (ROADMAP item 3) retire it."""
 
-    @property
-    def shape(self):
-        return self.data.shape
+    __slots__ = ("_reverse",)
 
-    def _accum(self, g):
-        g = _unbroadcast(np.asarray(g), self.data.shape)
-        if self.grad is None:
-            self.grad = g + 0.0  # a new array with the bits of zeros + g (-0.0 becomes +0.0)
-        else:
-            self.grad += g
+    def __init__(self, reverse):
+        self._reverse = reverse
 
     def backward(self):
-        if self.data.size != 1:
-            raise ValueError("backward() needs a scalar output")
-        topo, visited = [], set()
-        stack = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
-        self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    # -- elementwise ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-        def bw(g):
-            self.requires_grad and self._accum(g)
-            other.requires_grad and other._accum(g)
-        return Tensor(self.data + other.data, _parents=(self, other), _backward=bw)
-
-    def __neg__(self):
-        def bw(g):
-            self._accum(-g)
-        return Tensor(-self.data, _parents=(self,), _backward=bw)
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-        def bw(g):
-            self.requires_grad and self._accum(g * other.data)
-            other.requires_grad and other._accum(g * self.data)
-        return Tensor(self.data * other.data, _parents=(self, other), _backward=bw)
-
-    def __truediv__(self, other: float):
-        return self * (1.0 / other)
-
-    # -- linear algebra ------------------------------------------------------
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        def bw(g):
-            if self.requires_grad:
-                self._accum(g @ other.data.swapaxes(-1, -2))
-            if other.requires_grad:
-                other._accum(self.data.swapaxes(-1, -2) @ g)
-        return Tensor(self.data @ other.data, _parents=(self, other), _backward=bw)
-
-    # -- shape moves ---------------------------------------------------------
-
-    def reshape(self, *shape):
-        old = self.data.shape
-        def bw(g):
-            self._accum(g.reshape(old))
-        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=bw)
-
-    def transpose(self, axes):
-        inv = np.argsort(axes)
-        def bw(g):
-            self._accum(g.transpose(inv))
-        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=bw)
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self):
-        def bw(g):
-            self._accum(np.broadcast_to(g, self.data.shape))
-        return Tensor(self.data.sum(), _parents=(self,), _backward=bw)
-
-    def mean(self):
-        return self.sum() / self.data.size
+        return self._reverse()
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def value(x) -> np.ndarray:
-    """The array behind a Tensor, or ``x`` itself."""
-    return x.data if isinstance(x, Tensor) else x
-
-
-def needs_grad(*xs) -> bool:
-    """Whether any argument is a Tensor that requires grad."""
-    return any(isinstance(x, Tensor) and x.requires_grad for x in xs)
-
-
-def layernorm(x):
+def layernorm(x: np.ndarray, saved: list | None = None) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine).
 
     The centred input is the one work array; it is scaled in place into the
-    output.  Without grads the output is a plain array; otherwise the node's
-    backward keeps only the output and the row scales."""
-    xd = value(x)
-    y = xd - xd.mean(axis=-1, keepdims=True)
+    output.  ``saved`` gets the output and the row scales."""
+    y = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + 1e-6)
     y *= inv
-    if not needs_grad(x):
-        return y
-    def bw(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        x._accum(inv * (g - gm - y * gym))
-    return Tensor(y, _parents=(x,), _backward=bw)
+    if saved is not None:
+        saved.append((y, inv))
+    return y
 
 
-def linear(x, w, b) -> Tensor:
-    """``x @ w + b`` as one node: the bias is added in place to the product,
-    and the backward forms the same three products as separate ``@`` and
-    ``+`` nodes would: ``g @ wᵀ``, ``xᵀ @ g`` and ``g`` summed to ``b``'s shape."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y = x.data @ w.data
-    y += b.data
-    def bw(g):
-        x.requires_grad and x._accum(g @ w.data.swapaxes(-1, -2))
-        w.requires_grad and w._accum(x.data.swapaxes(-1, -2) @ g)
-        b.requires_grad and b._accum(g)
-    return Tensor(y, _parents=(x, w, b), _backward=bw)
+def layernorm_backward(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of :func:`layernorm` from its output ``y`` and row scales ``inv``."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - y * gym)
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, saved: list | None = None) -> np.ndarray:
+    """``x @ w + b`` over 2-D ``x``, the bias added in place to the product;
+    ``saved`` gets ``x``."""
+    y = x @ w
+    y += b
+    if saved is not None:
+        saved.append(x)
+    return y
+
+
+def linear_backward(g, x, gw, gb, w=None):
+    """Add ``xᵀ @ g`` to ``gw`` and ``g`` summed over rows to ``gb``; return
+    the input gradient ``g @ wᵀ``, or None when ``w`` is not given (an input
+    that needs no gradient)."""
+    gw += x.T @ g
+    gb += g.sum(axis=0)
+    return None if w is None else g @ w.T
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -216,52 +103,52 @@ def _gelu_gate(h: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def ffn(x, w1, b1, w2, b2):
+def ffn(x, w1, b1, w2, b2, saved: list | None = None) -> np.ndarray:
     """The feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` over the last axis of
-    ``x`` as one op, with the tanh-approximate GELU
+    ``x``, with the tanh-approximate GELU
     ``0.5*h*(1 + tanh(c*(h + 0.044715*h**3)))``.
 
     The leading axes are flattened, so each matmul is one 2-D product.
-    Without grads the GELU runs in place on the hidden array and a plain
-    array is returned.  Otherwise one node keeps the hidden array, its tanh
-    and its activation, and its backward forms the same products that
-    separate ``linear``, GELU and ``linear`` nodes would, so the gradients
-    keep their bits."""
-    xd, w1d, b1d, w2d, b2d = (value(a) for a in (x, w1, b1, w2, b2))
-    flat = xd.reshape(-1, xd.shape[-1])
-    h = flat @ w1d
-    h += b1d
+    Without ``saved`` the GELU runs in place on the hidden array; with it the
+    hidden array, its tanh and its activation are kept, with the weights."""
+    flat = x.reshape(-1, x.shape[-1])
+    h = flat @ w1
+    h += b1
     t = _gelu_gate(h)
-    out_shape = xd.shape[:-1] + w2d.shape[-1:]
-    if not needs_grad(x, w1, b1, w2, b2):
+    if saved is None:
         t += 1.0
         h *= 0.5
         h *= t
+        a = h
         del t  # freed before the output product allocates
-        y = h @ w2d
-        y += b2d
-        return y.reshape(out_shape)
-    a = 0.5 * h
-    a *= 1.0 + t
-    y = a @ w2d
-    y += b2d
-    x, w1, b1, w2, b2 = (as_tensor(v) for v in (x, w1, b1, w2, b2))
-    def bw(g):
-        g = g.reshape(y.shape)
-        ga = g @ w2d.T
-        w2.requires_grad and w2._accum(a.T @ g)
-        b2.requires_grad and b2._accum(g)
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * h**2)
-        gh = ga * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t**2) * dinner)
-        x.requires_grad and x._accum((gh @ w1d.T).reshape(xd.shape))
-        w1.requires_grad and w1._accum(flat.T @ gh)
-        b1.requires_grad and b1._accum(gh)
-    return Tensor(y.reshape(out_shape), _parents=(x, w1, b1, w2, b2), _backward=bw)
+    else:
+        a = 0.5 * h
+        a *= 1.0 + t
+        saved.append((x, h, t, a, w1, w2))
+    y = a @ w2
+    y += b2
+    return y.reshape(x.shape[:-1] + w2.shape[-1:])
+
+
+def ffn_backward(g, entry, gw1, gb1, gw2, gb2) -> np.ndarray:
+    """Add the four weight gradients of :func:`ffn` into ``gw1, gb1, gw2,
+    gb2`` and return the input gradient, given the output gradient ``g`` and
+    the saved ``entry``."""
+    x, h, t, a, w1, w2 = entry
+    g = g.reshape(-1, w2.shape[-1])
+    ga = g @ w2.T
+    gw2 += a.T @ g
+    gb2 += g.sum(axis=0)
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * h**2)
+    gh = ga * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t**2) * dinner)
+    gw1 += x.reshape(-1, x.shape[-1]).T @ gh
+    gb1 += gh.sum(axis=0)
+    return (gh @ w1.T).reshape(x.shape)
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     """softmax(q @ kᵀ * scale) over the last axis, computed whole and shifted
-    by the row max: the probabilities a recording attention keeps."""
+    by the row max: the probabilities a saving forward keeps."""
     s = (q @ k.swapaxes(-1, -2)) * scale
     p = np.exp(s - s.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
@@ -278,14 +165,12 @@ def attention_grads(p, q, k, v, g, scale: float):
     return gs @ k, (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), gv
 
 
-def attention(q, k, v, scale: float) -> Tensor:
-    """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands.
+def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands, keeping nothing.
 
-    When any operand requires grad, the scores are computed whole, shifted by
-    their row max and normalised, and only the probabilities are kept for the
-    backward.  Otherwise nothing is kept: softmax rows are independent, so the
-    query rows run in tiles of at most ``_TILE_ELEMS`` scores through one
-    reused buffer, and each tile takes three passes over its scores:
+    Softmax rows are independent, so the query rows run in tiles of at most
+    ``_TILE_ELEMS`` scores through one reused buffer, and each tile takes
+    three passes over its scores:
 
     1. ``s = (q * scale) @ kᵀ`` (q is scaled once, at n·dh cost);
     2. ``exp(s)`` in place, with no shift;
@@ -294,23 +179,9 @@ def attention(q, k, v, scale: float) -> Tensor:
 
     The shift is skipped only when scale·max‖q_i‖·max‖k_j‖ <= ``_EXP_SAFE``,
     which bounds every score so that no exp overflows or underflows; above
-    that bound the row max is subtracted first, as in the recording branch.
-    The two branches agree up to rounding.
+    that bound the row max is subtracted first, as in :func:`attention_probs`.
+    The two agree up to rounding.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if not (q.requires_grad or k.requires_grad or v.requires_grad):
-        return Tensor(attention_tiled(q.data, k.data, v.data, scale))
-    p = attention_probs(q.data, k.data, scale)
-    def bw(g):
-        gq, gk, gv = attention_grads(p, q.data, k.data, v.data, g, scale)
-        v.requires_grad and v._accum(gv)
-        q.requires_grad and q._accum(gq)
-        k.requires_grad and k._accum(gk)
-    return Tensor(p @ v.data, _parents=(q, k, v), _backward=bw)
-
-
-def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    """softmax(q @ kᵀ * scale) @ v without a graph, in query tiles (see :func:`attention`)."""
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n_q, n_k = q.shape[-2], k.shape[-2]
     rows = max(1, _TILE_ELEMS // (n_k * math.prod(lead)))

@@ -37,7 +37,6 @@ from .costmodel import (
     affine_fit,
     recommended_pipeline,
     pipeline_report,
-    stage_flops,
     step_division_curve,
 )
 from .denoiser import (
@@ -490,6 +489,8 @@ def _stage_from_dict(d, where: str) -> StageSpec:
 
 
 def cmd_profile(cfg: dict) -> None:
+    if not cfg["rate"] > 0:
+        raise ConfigError(f"profile.rate must be > 0 seconds per FLOP, got {cfg['rate']}")
     if cfg["stages"] is None and cfg["baseline"] is None:
         pipe = recommended_pipeline()
     else:
@@ -507,9 +508,9 @@ def cmd_profile(cfg: dict) -> None:
         lines.append(f"{name},{flops:.6g},{share:.6f},{flops / report.baseline_flops:.6f},{seconds:.6g}")
     lines.append(f"total,{report.total_flops:.6g},1.000000,{report.flops_ratio:.6f},{report.total_time_s:.6g}")
 
-    b = pipe.baseline
-    r30 = stage_flops(replace(b, steps=int(round(b.steps * 0.3)))) / report.baseline_flops
-    r50 = stage_flops(replace(b, steps=int(round(b.steps * 0.5)))) / report.baseline_flops
+    # FLOPs are linear in steps, so a k-step baseline costs k / steps of it
+    steps = pipe.baseline.steps
+    r30, r50 = round(steps * 0.3) / steps, round(steps * 0.5) / steps
     ref30 = REFERENCE_30PCT[0] / REFERENCE_BASELINE_PFLOPS
     ref50 = REFERENCE_50PCT[0] / REFERENCE_BASELINE_PFLOPS
     foot = [

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .windows import window_bounds
 
 
 @dataclass(frozen=True)
@@ -49,25 +48,25 @@ class StageSpec:
             if self.tokens % self.token_frames:
                 raise ConfigError(f"stage {self.name}: tokens not divisible by token_frames")
 
-    def window_token_counts(self) -> list[int]:
-        """Tokens per attention block (one entry per window; global = one)."""
-        if self.attention == "global":
-            return [self.tokens]
-        per_frame = self.tokens // self.token_frames
-        return [(b - a) * per_frame for a, b in window_bounds(self.token_frames, self.w_t)]
+
+def attention_pair_count(s: StageSpec) -> int:
+    """Evaluated token pairs per attention layer: n² for global attention;
+    windowed, each of the token_frames // w_t full windows of w_t frames
+    gives (w_t·per_frame)² and the unpadded tail of token_frames mod w_t
+    frames gives (tail·per_frame)²."""
+    if s.attention == "global":
+        return s.tokens * s.tokens
+    per_frame = s.tokens // s.token_frames
+    full, tail = divmod(s.token_frames, s.w_t)
+    return full * (s.w_t * per_frame) ** 2 + (tail * per_frame) ** 2
 
 
 def stage_flops(s: StageSpec) -> float:
     """Total FLOPs for the stage (exactly linear in steps and depth)."""
-    pair_term = sum(4.0 * n * n * s.dim for n in s.window_token_counts())
+    pair_term = 4.0 * s.dim * attention_pair_count(s)
     proj_term = 4.0 * s.tokens * s.dim**2
     ffn_term = 16.0 * s.tokens * s.dim**2
     return (pair_term + proj_term + ffn_term) * s.depth * s.steps
-
-
-def attention_pair_count(s: StageSpec) -> int:
-    """Evaluated token pairs per attention layer (for linearity checks)."""
-    return sum(n * n for n in s.window_token_counts())
 
 
 @dataclass(frozen=True)

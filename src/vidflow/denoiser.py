@@ -3,11 +3,10 @@
 One parameter set serves both roles in the pipeline: the "base" model is
 trained with plain flow matching (noise -> data paths) and drives the preview
 stage; the Refiner is trained on degraded/clean latent pairs (low-res ->
-high-res paths) and drives the refine stage.  Gradients come from the
-reverse-mode tape in :mod:`vidflow.autodiff`, on which each block's window
-attention and feed-forward are one node apiece, so a training forward records
-as many nodes at 9 frames as at 5.  An inference forward records nothing and
-runs the block pairs on plain arrays.
+high-res paths) and drives the refine stage.  Training and inference run the
+same plain-numpy forward; in training every layer also saves what its
+backward needs, and one fixed reverse pass calls the layers' closed-form
+backwards (:mod:`vidflow.autodiff`, :mod:`vidflow.windows`) in reverse order.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, layernorm, linear
+from .autodiff import Tensor, layernorm, layernorm_backward, linear, linear_backward
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .grids import (
     Extent5,
@@ -31,7 +30,8 @@ from .grids import (
     write_record,
 )
 from .schedule import Conditioning, build_schedule, sample_ode
-from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec, swin_block_pair
+from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec
+from .windows import swin_block_pair, swin_block_pair_backward
 
 SIGMA_EMBED_DIM = 16
 
@@ -126,16 +126,24 @@ def _patchify(x: np.ndarray, p: int) -> np.ndarray:
     return t.transpose(1, 2, 4, 0, 3, 5).reshape(f, h // p, w // p, c * p * p)
 
 
-def _unpatchify_t(y: Tensor, c: int, p: int, f: int, h: int, w: int) -> Tensor:
+def _unpatchify(y: np.ndarray, c: int, p: int, f: int, h: int, w: int) -> np.ndarray:
+    """(f, h/p, w/p, c*p*p) token field -> (c, f, h, w): the inverse of :func:`_patchify`."""
     t = y.reshape(f, h // p, w // p, c, p, p)
-    return t.transpose((3, 0, 1, 4, 2, 5)).reshape(c, f, h, w)
+    return t.transpose(3, 0, 1, 4, 2, 5).reshape(c, f, h, w)
 
 
-def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning, train: bool):
-    """The forward of every batch item, one item at a time.  With ``train``
-    the parameters are leaves that require grad and the forward records the
-    tape; otherwise nothing is recorded and the block pairs run on plain
-    arrays.  Returns (per-item output tensors, leaf dict)."""
+def _block_weights(tensors: dict, depth: int) -> list[BlockWeights]:
+    """The blocks' entries of a ``{name: array}`` dict (weights or gradient buffers)."""
+    return [BlockWeights(AttentionWeights(*(tensors[f"block{j}.w{m}"] for m in "qkvo")),
+                         *(tensors[f"block{j}.ffn_{m}"] for m in ("w1", "b1", "w2", "b2")))
+            for j in range(depth)]
+
+
+def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning,
+             saved: list | None = None) -> list[np.ndarray]:
+    """The per-item outputs (c, f, h, w) of every batch item, one item at a
+    time.  With a ``saved`` list, each item appends one list of its own, to
+    which every layer appends what its backward needs, in forward order."""
     e = z.extent
     p = params.patch
     if e.c != params.channels:
@@ -145,45 +153,73 @@ def _forward_graph(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Co
     if len(cond.vector) != params.cond_dim:
         raise ConfigError(f"conditioning length {len(cond.vector)} != {params.cond_dim}")
 
-    leaves = {k: Tensor(v, requires_grad=train) for k, v in params.tensors.items()}
-    temb = Tensor(_sigma_embedding(sigma)[None, :]) @ leaves["sigma.w"]
-    cemb = Tensor(cond.as_array()[None, :]) @ leaves["cond.w"]
-    bias = temb + cemb  # (1, d), broadcast over all tokens
-
-    blocks = [BlockWeights(AttentionWeights(*(leaves[f"block{j}.w{m}"] for m in "qkvo")),
-                           *(leaves[f"block{j}.ffn_{m}"] for m in ("w1", "b1", "w2", "b2")))
-              for j in range(params.depth)]
+    tensors = params.tensors
+    # the sigma and conditioning embeddings: one (1, d) bias over all tokens
+    bias = _sigma_embedding(sigma)[None, :] @ tensors["sigma.w"] + cond.as_array()[None, :] @ tensors["cond.w"]
+    blocks = _block_weights(tensors, params.depth)
     spec, rope = params.window, params.rope
     outs = []
     for b in range(e.b):
+        item = None if saved is None else []
         tokens = _patchify(z.values[b], p)
         f, hp, wp, cpp = tokens.shape
-        x = linear(tokens.reshape(-1, cpp), leaves["embed.w"], leaves["embed.b"])
+        x = linear(tokens.reshape(-1, cpp), tensors["embed.w"], tensors["embed.b"], item)
         x = (x + bias).reshape(f, hp, wp, params.d)
         for i in range(0, params.depth, 2):
-            x = swin_block_pair(x, (blocks[i], blocks[i + 1]), spec, rope, params.heads)
-        y = linear(layernorm(x).reshape(-1, params.d), leaves["head.w"], leaves["head.b"])
-        outs.append(_unpatchify_t(y.reshape(f, hp, wp, cpp), e.c, p, e.f, e.h, e.w))
-    return outs, leaves
+            x = swin_block_pair(x, (blocks[i], blocks[i + 1]), spec, rope, params.heads, item)
+        y = linear(layernorm(x, item).reshape(-1, params.d), tensors["head.w"], tensors["head.b"], item)
+        outs.append(_unpatchify(y.reshape(f, hp, wp, cpp), e.c, p, e.f, e.h, e.w))
+        if saved is not None:
+            saved.append(item)
+    return outs
 
 
 def forward_velocity(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning) -> LatentGrid:
     """Predict the velocity field; output extent equals the input extent."""
-    outs, _ = _forward_graph(params, z, sigma, cond, train=False)
-    return LatentGrid(z.extent, np.stack([o.data for o in outs]))
+    return LatentGrid(z.extent, np.stack(_forward(params, z, sigma, cond)))
 
 
-def _tape_grads(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning, term):
-    """Tape the forward, sum ``term(b, out)`` over batch items and backpropagate
-    once; returns (the sum's value, gradient of every parameter tensor)."""
-    outs, leaves = _forward_graph(params, z, sigma, cond, train=True)
-    total = None
-    for b, out in enumerate(outs):
-        item = term(b, out)
-        total = item if total is None else total + item
-    total.backward()
-    grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data)) for k, t in leaves.items()}
-    return float(total.data), grads
+def _reverse(params: DenoiserParams, saved: list, sigma: float, cond: Conditioning) -> dict[str, np.ndarray]:
+    """The fixed reverse pass: the gradient of every parameter tensor from a
+    saving forward's items, each ending in its output gradient.
+
+    Gradients start at zero and take each term in the order a reverse-mode
+    tape over the summed item losses would add it: items 0, 1, ..., and
+    within window attention the runs in frame order.  The sigma/conditioning
+    bias is shared, so its gradient is summed over the items first."""
+    tensors, p, d = params.tensors, params.patch, params.d
+    grads = {k: np.zeros_like(v) for k, v in tensors.items()}
+    blocks = _block_weights(grads, params.depth)
+    g_bias = np.zeros((1, d))
+    for item in saved:
+        g = item.pop()
+        c, f, h, w = g.shape
+        g = g.reshape(c, f, h // p, p, w // p, p).transpose(1, 2, 4, 0, 3, 5).reshape(-1, c * p * p)
+        g = linear_backward(g, item.pop(), grads["head.w"], grads["head.b"], tensors["head.w"])
+        y, inv = item.pop()
+        g = layernorm_backward(g.reshape(y.shape), y, inv)
+        for i in reversed(range(0, params.depth, 2)):
+            g = swin_block_pair_backward(g, item, (blocks[i], blocks[i + 1]))
+        g = g.reshape(-1, d)
+        g_bias += g.sum(axis=0, keepdims=True)
+        linear_backward(g, item.pop(), grads["embed.w"], grads["embed.b"])
+    grads["sigma.w"] += _sigma_embedding(sigma)[:, None] @ g_bias
+    grads["cond.w"] += cond.as_array()[:, None] @ g_bias
+    return grads
+
+
+def _loss_grads(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning, term):
+    """Run the saving forward, then the reverse pass once.  ``term(b, out)``
+    gives item b's share of the loss and the share's gradient with respect to
+    ``out``, which ends the item's entries; returns (the shares summed in
+    item order, every parameter's gradient)."""
+    saved, total = [], 0.0
+    outs = _forward(params, z, sigma, cond, saved)
+    for b, (item, out) in enumerate(zip(saved, outs)):
+        share, g = term(b, out)
+        total += share
+        item.append(g)
+    return total, Tensor(lambda: _reverse(params, saved, sigma, cond)).backward()
 
 
 def backward(
@@ -197,7 +233,7 @@ def backward(
     gradient is ``upstream_grad``."""
     if upstream_grad.extent != z.extent:
         raise ShapeError(f"upstream extent {upstream_grad.extent} != input {z.extent}")
-    return _tape_grads(params, z, sigma, cond, lambda b, out: (out * upstream_grad.values[b]).sum())[1]
+    return _loss_grads(params, z, sigma, cond, lambda b, out: (0.0, upstream_grad.values[b]))[1]
 
 
 class ParamVelocityModel:
@@ -436,10 +472,14 @@ def refiner_loss(
     target = z_src.values - z_clean.values
 
     def term(b, out):
+        # the share is sum(diff²) · (1/size) · (1/B), and its gradient
+        # 2·diff·(1/B)·(1/size), in the roundings a tape over those ops makes
         diff = out - target[b]
-        return (diff * diff).mean() / z_t.extent.b
+        scale = 1.0 / diff.size
+        batch = 1.0 / z_t.extent.b
+        return float((diff * diff).sum()) * scale * batch, 2.0 * (diff * (batch * scale))
 
-    return _tape_grads(params, z_t, t, cond, term)
+    return _loss_grads(params, z_t, t, cond, term)
 
 
 # Training stops when an iteration's loss exceeds this multiple of the mean

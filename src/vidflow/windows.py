@@ -8,14 +8,13 @@ attends directly over contiguous runs of original frames: a window that wraps
 past the last frame splits into two runs that never see each other, so no
 roll and no seam mask is needed.
 
-:func:`window_attention` is one op.  When nothing requires grad it runs on
-plain arrays, attends over query tiles
-(:func:`~vidflow.autodiff.attention_tiled`) and returns an array; otherwise
-it records a single :class:`~vidflow.autodiff.Tensor` node whose closed-form
-backward walks the runs again.  A block's feed-forward is the one
-:func:`~vidflow.autodiff.ffn` op, so an inference block pair is plain numpy
-and a training one adds six nodes per block to the tape.  RoPE tables are
-built once per run shape and origin and cached.
+:func:`window_attention` and :func:`swin_block_pair` run on plain arrays.
+Without a ``saved`` list, attention runs over query tiles
+(:func:`~vidflow.autodiff.attention_tiled`) and keeps nothing; with one,
+every layer of the pair appends what its backward needs, and
+:func:`window_attention_backward` and :func:`swin_block_pair_backward` return
+the input gradient and add the weight gradients into the caller's buffers.
+RoPE tables are built once per run shape and origin and cached.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, ffn, layernorm, needs_grad, value
-from .autodiff import attention_grads, attention_probs, attention_tiled
+from .autodiff import attention_grads, attention_probs, attention_tiled, ffn, ffn_backward
+from .autodiff import layernorm, layernorm_backward
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -128,20 +127,21 @@ def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: 
 class AttentionWeights:
     """Q/K/V/output projections, each (d, d)."""
 
-    wq: object
-    wk: object
-    wv: object
-    wo: object
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
 
 
 def window_attention(
-    x,
+    x: np.ndarray,
     spec: WindowSpec,
     shifted: bool,
     rope: RoPEConfig,
     weights: AttentionWeights,
     heads: int,
-):
+    saved: list | None = None,
+) -> np.ndarray:
     """Per-window multi-head self-attention over a (T, H, W, d) token field.
 
     Unshifted mode attends within each window of the frame axis.  Shifted mode
@@ -151,102 +151,111 @@ def window_attention(
 
     Each run projects its tokens to q, k and v, rotates q and k by RoPE at
     window-local positions, attends, and writes its output projection into
-    its rows of one preallocated field.  When neither ``x`` nor a weight
-    requires grad, the result is that plain array.  Otherwise it is one
-    Tensor node with parents (x, wq, wk, wv, wo) that keeps each run's
-    probabilities; its backward visits the runs in frame order, adds the q,
-    k and v paths into the run's rows of a zeroed input gradient in that
-    order, and accumulates each weight's per-run products in frame order.
+    its rows of one preallocated field.  Without ``saved`` it attends over
+    query tiles and keeps nothing; with it the probabilities are formed whole
+    and every run's activations are kept, with the weights.
     """
-    parents = (x, weights.wq, weights.wk, weights.wv, weights.wo)
-    xd, wq, wk, wv, wo = (value(a) for a in parents)
-    T, H, W, d = xd.shape
+    T, H, W, d = x.shape
     if d % heads != 0:
         raise ConfigError(f"embedding dim {d} not divisible by heads {heads}")
     dh = d // heads
     scale = dh**-0.5
-    train = needs_grad(*parents)
     swap = np.arange(d) ^ 1  # the RoPE pair swap, its own inverse
-
     plane = H * W
-    tokens = xd.reshape(T * plane, d)
+    tokens = x.reshape(T * plane, d)
     out = np.empty_like(tokens)
-    saved = []
+    runs = []
     for a, b, t0 in _frame_runs(T, spec, shifted):
         n = (b - a) * plane
         rows = slice(a * plane, b * plane)
         run = tokens[rows]
         cos, sin = _rope_tables(b - a, H, W, (t0, 0, 0), rope)  # window-local positions
-        q, k, v = run @ wq, run @ wk, run @ wv
+        q, k, v = run @ weights.wq, run @ weights.wk, run @ weights.wv
         q = q * cos + q[..., swap] * sin
         k = k * cos + k[..., swap] * sin
         qh, kh, vh = (m.reshape(n, heads, dh).transpose(1, 0, 2) for m in (q, k, v))
-        if train:
+        if saved is None:
+            ctx = attention_tiled(qh, kh, vh, scale).transpose(1, 0, 2).reshape(n, d)
+        else:
             p = attention_probs(qh, kh, scale)
             ctx = (p @ vh).transpose(1, 0, 2).reshape(n, d)
-            saved.append((rows, run, cos, sin, qh, kh, vh, p, ctx))
-        else:
-            ctx = attention_tiled(qh, kh, vh, scale).transpose(1, 0, 2).reshape(n, d)
-        np.matmul(ctx, wo, out=out[rows])
-    if not train:
-        return out.reshape(T, H, W, d)
+            runs.append((rows, run, cos, sin, qh, kh, vh, p, ctx))
+        np.matmul(ctx, weights.wo, out=out[rows])
+    if saved is not None:
+        saved.append((runs, weights, heads, scale))
+    return out.reshape(T, H, W, d)
 
-    x, wq_t, wk_t, wv_t, wo_t = (as_tensor(a) for a in parents)
 
-    def backward(g):
-        g = g.reshape(T * plane, d)
-        gx = np.zeros_like(tokens)
-        for rows, run, cos, sin, qh, kh, vh, p, ctx in saved:
-            n = run.shape[0]
-            go = g[rows]
-            gctx = go @ wo.T
-            wo_t.requires_grad and wo_t._accum(ctx.T @ go)
-            gctx = gctx.reshape(n, heads, dh).transpose(1, 0, 2)
-            grads = attention_grads(p, qh, kh, vh, gctx, scale)
-            gq, gk, gv = (gm.transpose(1, 0, 2).reshape(n, d) for gm in grads)
-            gq = gq * cos + (gq * sin)[..., swap]
-            gk = gk * cos + (gk * sin)[..., swap]
-            g_run = gx[rows]
-            for gm, w, w_t in ((gq, wq, wq_t), (gk, wk, wk_t), (gv, wv, wv_t)):
-                g_run += gm @ w.T
-                w_t.requires_grad and w_t._accum(run.T @ gm)
-        x.requires_grad and x._accum(gx.reshape(T, H, W, d))
+def window_attention_backward(g: np.ndarray, entry, grads: AttentionWeights) -> np.ndarray:
+    """Add the projection gradients of :func:`window_attention` into the
+    buffers ``grads`` and return the input gradient, given the output
+    gradient ``g`` and the saved ``entry``.
 
-    return Tensor(out.reshape(T, H, W, d), _parents=(x, wq_t, wk_t, wv_t, wo_t), _backward=backward)
+    The runs are visited in frame order: each adds its q, k and v paths, in
+    that order, into its rows of a zeroed input gradient, and its terms to
+    every weight's buffer."""
+    runs, w, heads, scale = entry
+    shape, d = g.shape, g.shape[-1]
+    dh = d // heads
+    swap = np.arange(d) ^ 1
+    g = g.reshape(-1, d)
+    gx = np.zeros_like(g)
+    for rows, run, cos, sin, qh, kh, vh, p, ctx in runs:
+        n = run.shape[0]
+        go = g[rows]
+        gctx = go @ w.wo.T
+        grads.wo += ctx.T @ go
+        gctx = gctx.reshape(n, heads, dh).transpose(1, 0, 2)
+        gq, gk, gv = (gm.transpose(1, 0, 2).reshape(n, d) for gm in attention_grads(p, qh, kh, vh, gctx, scale))
+        gq = gq * cos + (gq * sin)[..., swap]
+        gk = gk * cos + (gk * sin)[..., swap]
+        g_run = gx[rows]
+        for gm, wm, gw in ((gq, w.wq, grads.wq), (gk, w.wk, grads.wk), (gv, w.wv, grads.wv)):
+            g_run += gm @ wm.T
+            gw += run.T @ gm
+    return gx.reshape(shape)
 
 
 @dataclass
 class BlockWeights:
-    """One transformer block: attention projections plus a 2-layer GELU FFN."""
+    """One transformer block: attention projections plus a 2-layer GELU FFN.
+    The reverse pass holds the blocks' gradient buffers in the same form."""
 
     attn: AttentionWeights
-    w1: object
-    b1: object
-    w2: object
-    b2: object
-
-    def arrays(self) -> tuple:
-        a = self.attn
-        return (a.wq, a.wk, a.wv, a.wo, self.w1, self.b1, self.w2, self.b2)
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
 
 
-def _block(x, bw: BlockWeights, spec, shifted, rope, heads):
-    h = x + window_attention(layernorm(x), spec, shifted, rope, bw.attn, heads)
-    return h + ffn(layernorm(h), bw.w1, bw.b1, bw.w2, bw.b2)
+def _block(x, bw: BlockWeights, spec, shifted, rope, heads, saved):
+    h = x + window_attention(layernorm(x, saved), spec, shifted, rope, bw.attn, heads, saved)
+    return h + ffn(layernorm(h, saved), bw.w1, bw.b1, bw.w2, bw.b2, saved)
 
 
 def swin_block_pair(
-    x,
+    x: np.ndarray,
     block_weights: tuple[BlockWeights, BlockWeights],
     spec: WindowSpec,
     rope: RoPEConfig,
     heads: int,
-):
+    saved: list | None = None,
+) -> np.ndarray:
     """Unshifted block followed by a shifted block (pre-norm, residual) over
-    one (T, H, W, d) field.  When ``x`` or a weight requires grad, the pair
-    goes on the tape and a Tensor is returned; otherwise it runs on plain
-    arrays and returns one."""
-    train = needs_grad(x, *block_weights[0].arrays(), *block_weights[1].arrays())
-    x = as_tensor(x) if train else value(x)
-    x = _block(x, block_weights[0], spec, False, rope, heads)
-    return _block(x, block_weights[1], spec, True, rope, heads)
+    one (T, H, W, d) field.  With ``saved``, each of the pair's eight layers
+    appends its entry, in forward order."""
+    x = _block(x, block_weights[0], spec, False, rope, heads, saved)
+    return _block(x, block_weights[1], spec, True, rope, heads, saved)
+
+
+def swin_block_pair_backward(g: np.ndarray, saved: list, grads: tuple[BlockWeights, BlockWeights]) -> np.ndarray:
+    """The input gradient of :func:`swin_block_pair` from its output gradient
+    ``g``, popping the pair's entries off the end of ``saved`` and adding the
+    weight gradients into the buffers ``grads``.  A residual's gradient is
+    the output gradient plus its layer path's."""
+    for gb in reversed(grads):
+        f = ffn_backward(g, saved.pop(), gb.w1, gb.b1, gb.w2, gb.b2)
+        g = g + layernorm_backward(f, *saved.pop())
+        a = window_attention_backward(g, saved.pop(), gb.attn)
+        g = g + layernorm_backward(a, *saved.pop())
+    return g

@@ -2,19 +2,35 @@ import numpy as np
 import pytest
 
 from vidflow import autodiff
-from vidflow.autodiff import Tensor, attention, ffn, layernorm, linear, value
+from vidflow.autodiff import (
+    attention_grads,
+    attention_probs,
+    attention_tiled,
+    ffn,
+    ffn_backward,
+    layernorm,
+    layernorm_backward,
+    linear,
+    linear_backward,
+)
 
 from oracles import numeric_grad
 
 
-def check_op(build, shape, seed=0, tol=1e-6):
-    """Compare tape gradients against finite differences for one op."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=shape)
-    t = Tensor(x, requires_grad=True)
-    build(t).backward()
-    num = numeric_grad(lambda a: float(value(build(Tensor(a)))), x)
-    assert np.abs(t.grad - num).max() <= tol
+def check_grad(f, grad, shape, seed=0, tol=1e-6):
+    """Compare ``grad(x)``, a closed-form gradient of the scalar ``f``,
+    against central finite differences at a random ``x``."""
+    x = np.random.default_rng(seed).normal(size=shape)
+    assert np.abs(grad(x) - numeric_grad(f, x)).max() <= tol
+
+
+def ffn_grads(args: dict, g) -> dict:
+    """Every gradient of ``ffn(**args)`` for the output gradient ``g``, by name."""
+    saved = []
+    ffn(**args, saved=saved)
+    grads = {k: np.zeros_like(args[k]) for k in ("w1", "b1", "w2", "b2")}
+    grads["x"] = ffn_backward(g, saved[0], grads["w1"], grads["b1"], grads["w2"], grads["b2"])
+    return grads
 
 
 def longdouble_attention(q, k, v, scale):
@@ -33,87 +49,46 @@ needs_longdouble = pytest.mark.skipif(
 )
 
 
-class TestElementwise:
-    def test_add_broadcast(self):
-        check_op(lambda t: (t + np.ones((1, 3))).sum(), (2, 3))
-
-    def test_mul(self):
-        check_op(lambda t: (t * t).sum(), (2, 3))
-
-    def test_sub_neg(self):
-        check_op(lambda t: (-t - t - 3.0).sum(), (4,))
-
-    def test_grad_accumulates_on_reuse(self):
-        t = Tensor(np.array([2.0]), requires_grad=True)
-        (t + t + t).sum().backward()
-        assert t.grad[0] == 3.0
-
-
-class TestLinalg:
-    def test_matmul_both_sides(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        (a @ b).sum().backward()
-        na = numeric_grad(lambda x: float((Tensor(x) @ b.data).data.sum()), a.data)
-        nb = numeric_grad(lambda x: float((Tensor(a.data) @ x).data.sum()), b.data)
-        assert np.abs(a.grad - na).max() <= 1e-6
-        assert np.abs(b.grad - nb).max() <= 1e-6
-
-    def test_batched_matmul_broadcast(self):
-        rng = np.random.default_rng(2)
-        w = rng.normal(size=(4, 4))
-        check_op(lambda t: ((t @ w) * (t @ w)).sum(), (2, 3, 4), seed=2)
-
-
 class TestLinear:
-    X = np.random.default_rng(40).normal(size=(2, 3, 4))
+    X = np.random.default_rng(40).normal(size=(2, 3, 4)).reshape(6, 4)
     W = np.random.default_rng(41).normal(size=(4, 5))
-    B = np.random.default_rng(42).normal(size=5)  # broadcast over both leading axes
-    M = np.random.default_rng(43).normal(size=(2, 3, 5))
+    B = np.random.default_rng(42).normal(size=5)  # broadcast over the rows
+    M = np.random.default_rng(43).normal(size=(2, 3, 5)).reshape(6, 5)
+
+    def grads(self, x, w, b) -> dict:
+        gw, gb = np.zeros_like(w), np.zeros_like(b)
+        gx = linear_backward(self.M, x, gw, gb, w)
+        return {"x": gx, "w": gw, "b": gb}
 
     def test_grad_of_x(self):
-        check_op(lambda t: (linear(t, self.W, self.B) * self.M).sum(), self.X.shape, seed=4)
+        check_grad(lambda t: (linear(t, self.W, self.B) * self.M).sum(),
+                   lambda t: self.grads(t, self.W, self.B)["x"], self.X.shape, seed=4)
 
     def test_grad_of_w(self):
-        check_op(lambda t: (linear(self.X, t, self.B) * self.M).sum(), self.W.shape, seed=5)
+        check_grad(lambda t: (linear(self.X, t, self.B) * self.M).sum(),
+                   lambda t: self.grads(self.X, t, self.B)["w"], self.W.shape, seed=5)
 
     def test_grad_of_broadcast_bias(self):
-        check_op(lambda t: (linear(self.X, self.W, t) * self.M).sum(), self.B.shape, seed=6)
-
-    def test_bitwise_the_matmul_and_add_it_replaces(self):
-        leaves = [Tensor(a, requires_grad=True) for a in (self.X, self.W, self.B)]
-        fused = [Tensor(a, requires_grad=True) for a in (self.X, self.W, self.B)]
-        y = leaves[0] @ leaves[1] + leaves[2]
-        (y * self.M).sum().backward()
-        z = linear(*fused)
-        (z * self.M).sum().backward()
-        assert z.data.tobytes() == y.data.tobytes()
-        for a, b in zip(leaves, fused):
-            assert a.grad.tobytes() == b.grad.tobytes()
+        check_grad(lambda t: (linear(self.X, self.W, t) * self.M).sum(),
+                   lambda t: self.grads(self.X, self.W, t)["b"], self.B.shape, seed=6)
 
 
-class TestShapeMoves:
-    def test_reshape(self):
-        check_op(lambda t: (t.reshape(6) * np.arange(6.0)).sum(), (2, 3))
-
-    def test_transpose(self):
-        check_op(lambda t: (t.transpose((1, 0)) * np.arange(6.0).reshape(3, 2)).sum(), (2, 3))
-
-
-def gelu(t):
-    """The tanh GELU alone: ``ffn`` with identity weights and zero biases
-    (a product with the identity matrix is exact)."""
+def gelu_args(t) -> dict:
+    """The tanh GELU alone as ``ffn`` arguments: identity weights and zero
+    biases (a product with the identity matrix is exact)."""
     eye, zero = np.eye(t.shape[-1]), np.zeros(t.shape[-1])
-    return ffn(t, eye, zero, eye, zero)
+    return {"x": t, "w1": eye, "b1": zero, "w2": eye, "b2": zero}
 
 
 class TestNonlinearities:
     def test_gelu_grad(self):
-        check_op(lambda t: (gelu(t) * gelu(t)).sum(), (3, 3), seed=6)
+        def f(t):
+            y = ffn(**gelu_args(t))
+            return (y * y).sum()
+        check_grad(f, lambda t: ffn_grads(gelu_args(t), 2 * ffn(**gelu_args(t)))["x"], (3, 3), seed=6)
 
-    @pytest.mark.parametrize("requires_grad", [False, True])
-    def test_forwards_are_bitwise_the_textbook_expressions(self, requires_grad):
+    @pytest.mark.parametrize("save", [False, True])
+    def test_forwards_are_bitwise_the_textbook_expressions(self, save):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(16, 24)) * 3 + 1
         w1, b1 = rng.normal(size=(24, 32)), rng.normal(size=32)
@@ -124,10 +99,11 @@ class TestNonlinearities:
         mlp = (0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * (h * h * h))))) @ w2 + b2
         xc = x - x.mean(axis=-1, keepdims=True)
         ln = xc * (1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + 1e-6))
-        t = Tensor(x, requires_grad=requires_grad)
-        assert value(ffn(t, w1, b1, w2, b2)).tobytes() == mlp.tobytes()
-        assert value(layernorm(t)).tobytes() == ln.tobytes()
+        saved = [] if save else None
+        assert ffn(x, w1, b1, w2, b2, saved).tobytes() == mlp.tobytes()
+        assert layernorm(x, saved).tobytes() == ln.tobytes()
         assert x.tobytes() == before.tobytes()  # the input is not a work array
+        assert len(saved or ()) == 2 * save
 
     def test_layernorm_output_normalized(self):
         y = layernorm(np.random.default_rng(7).normal(size=(4, 8)) * 3 + 1)
@@ -136,7 +112,12 @@ class TestNonlinearities:
 
     def test_layernorm_grad(self):
         w = np.random.default_rng(8).normal(size=(2, 6))
-        check_op(lambda t: (layernorm(t) * w).sum(), (2, 6), seed=8, tol=1e-5)
+
+        def grad(t):
+            saved = []
+            layernorm(t, saved)
+            return layernorm_backward(w, *saved[0])
+        check_grad(lambda t: (layernorm(t) * w).sum(), grad, (2, 6), seed=8, tol=1e-5)
 
 
 class TestFFN:
@@ -147,45 +128,8 @@ class TestFFN:
         rng = np.random.default_rng(50)
         args = {k: rng.normal(size=shape) for k, shape in self.SHAPES.items()}
         m = rng.normal(size=(2, 3, 5))
-
-        def f(t):
-            return (ffn(**{**args, which: t}) * m).sum()
-        check_op(f, self.SHAPES[which], seed=51)
-
-
-class TestTape:
-    def test_backward_requires_scalar(self):
-        t = Tensor(np.ones((2, 2)), requires_grad=True)
-        with pytest.raises(ValueError):
-            (t * 2).backward()
-
-    def test_diamond_graph(self):
-        # y = (x*x) + (x*x): each branch contributes 2x.
-        t = Tensor(np.array([3.0]), requires_grad=True)
-        sq = t * t
-        (sq + sq).sum().backward()
-        assert t.grad[0] == pytest.approx(12.0)
-
-    def test_no_grad_leaves_untouched(self):
-        a = Tensor(np.ones(3))
-        b = Tensor(np.ones(3), requires_grad=True)
-        (a * b).sum().backward()
-        assert a.grad is None and np.allclose(b.grad, 1.0)
-
-    def test_composite_expression(self):
-        def f(t):
-            h = gelu(t @ np.random.default_rng(9).normal(size=(4, 4)))
-            a = layernorm(h)
-            return (attention(a, h, a, 0.5) * h).sum()
-        check_op(f, (3, 4), seed=9, tol=1e-5)
-
-    def test_no_graph_without_grads(self):
-        a = Tensor(np.ones((2, 2)))
-        assert type(gelu(a @ a)) is np.ndarray and type(layernorm(a)) is np.ndarray
-        out = attention(gelu(a @ a), a, layernorm(a), 1.0) + a
-        assert out._parents == () and out._backward is None
-        b = Tensor(np.ones((2, 2)), requires_grad=True)
-        assert (a * b)._parents == (a, b) and (a * b)._backward is not None
+        check_grad(lambda t: (ffn(**{**args, which: t}) * m).sum(),
+                   lambda t: ffn_grads({**args, which: t}, m)[which], self.SHAPES[which], seed=51)
 
 
 class TestAttention:
@@ -195,11 +139,19 @@ class TestAttention:
         ops = [rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))]
         w = rng.normal(size=(2, 5, 3))
 
-        def f(t):
+        def with_t(t):
             args = list(ops)
             args[which] = t
-            return (attention(*args, 0.7) * w).sum()
-        check_op(f, ops[which].shape, seed=11 + which)
+            return args
+
+        def f(t):
+            q, k, v = with_t(t)
+            return (attention_probs(q, k, 0.7) @ v * w).sum()
+
+        def grad(t):
+            q, k, v = with_t(t)
+            return attention_grads(attention_probs(q, k, 0.7), q, k, v, w, 0.7)[which]
+        check_grad(f, grad, ops[which].shape, seed=11 + which)
 
     def test_tiled_branch_matches_recording_branch(self):
         heads, n, dh = 2, 1000, 4
@@ -207,11 +159,10 @@ class TestAttention:
         assert n // rows >= 3 and n % rows != 0  # >= 3 query tiles, ragged last tile
         rng = np.random.default_rng(12)
         q, k, v = (rng.normal(size=(heads, n, dh)) for _ in range(3))
-        tiled = attention(q, k, v, 0.5)
-        taped = attention(Tensor(q, requires_grad=True), k, v, 0.5)
-        assert tiled._parents == () and taped._parents != ()
-        rms = np.sqrt(np.mean(taped.data**2))
-        assert np.abs(tiled.data - taped.data).max() <= 1e-14 * rms
+        tiled = attention_tiled(q, k, v, 0.5)
+        recorded = attention_probs(q, k, 0.5) @ v
+        rms = np.sqrt(np.mean(recorded**2))
+        assert np.abs(tiled - recorded).max() <= 1e-14 * rms
 
     @needs_longdouble
     def test_both_branches_match_extended_precision_oracle(self):
@@ -223,8 +174,8 @@ class TestAttention:
         k, v = rng.normal(size=(2, heads, n_k, dh))
         ref, weight = longdouble_attention(q, k, v, 0.5)
         tol = 8 * np.finfo(np.float64).eps * weight
-        assert np.all(np.abs(attention(q, k, v, 0.5).data - ref) <= tol)
-        assert np.all(np.abs(attention(Tensor(q, requires_grad=True), k, v, 0.5).data - ref) <= tol)
+        assert np.all(np.abs(attention_tiled(q, k, v, 0.5) - ref) <= tol)
+        assert np.all(np.abs(attention_probs(q, k, 0.5) @ v - ref) <= tol)
 
     @needs_longdouble
     @pytest.mark.parametrize("case", ["just_below_exp_safe", "scores_near_800"])
@@ -250,10 +201,10 @@ class TestAttention:
             assert top > 750 and bound > autodiff._EXP_SAFE
         ref, weight = longdouble_attention(q, k, v, scale)
         with np.errstate(over="raise", under="raise"):
-            tiled = attention(q, k, v, scale).data
-            taped = attention(Tensor(q, requires_grad=True), k, v, scale).data
+            tiled = attention_tiled(q, k, v, scale)
+            recorded = attention_probs(q, k, scale) @ v
         # a score of size `bound` is off by a few eps * bound, which exp turns
         # into a relative error of the probabilities
         tol = 8 * np.finfo(np.float64).eps * (1 + bound) * weight
         assert np.all(np.isfinite(tiled))
-        assert np.all(np.abs(tiled - ref) <= tol) and np.all(np.abs(taped - ref) <= tol)
+        assert np.all(np.abs(tiled - ref) <= tol) and np.all(np.abs(recorded - ref) <= tol)

@@ -541,6 +541,25 @@ class TestProfile:
         text = (tmp_path / "r.csv").read_text()
         assert "total" in text and "0.500000" in text
 
+    def test_one_step_baseline(self, tmp_path):
+        # the 30% and 50% variants of a 1-step baseline have 0 steps
+        cfgfile = tmp_path / "p.json"
+        cfgfile.write_text(json.dumps({"profile": {
+            "out": str(tmp_path / "r.csv"),
+            "stages": [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 1}],
+            "baseline": {"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 1},
+        }}))
+        assert run("profile", "--config", str(cfgfile)) == 0
+        text = (tmp_path / "r.csv").read_text()
+        assert "# 30%step flops ratio 0.0000" in text and "# 50%step flops ratio 0.0000" in text
+
+    @pytest.mark.parametrize("rate", ["-1", "0", "-1e-15"])
+    def test_rate_not_positive_is_2(self, tmp_path, capsys, rate):
+        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}", "--set", f"rate={rate}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "profile.rate must be > 0" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stages_without_baseline_is_2(self, tmp_path):
         cfgfile = tmp_path / "p.json"
         cfgfile.write_text(json.dumps({"profile": {

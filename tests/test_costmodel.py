@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,17 @@ class TestStageFlops:
     def test_window_tail_unpadded(self):
         s = simple_stage(tokens=70, attention="windowed", w_t=4, token_frames=7)
         # windows of 4+3 frames at 10 tokens/frame
-        assert s.window_token_counts() == [40, 30]
+        assert attention_pair_count(s) == 40**2 + 30**2
+
+    def test_a_billion_windows_are_priced_in_closed_form(self):
+        # one window per frame: a list entry per window would need ~130 GB
+        s = StageSpec("huge", tokens=10**9, dim=8, depth=1, steps=1,
+                      attention="windowed", w_t=1, token_frames=10**9)
+        t0 = time.perf_counter()
+        pairs, flops = attention_pair_count(s), stage_flops(s)
+        assert time.perf_counter() - t0 < 0.1
+        assert pairs == 10**9
+        assert flops == 4.0 * 8 * 10**9 + 20.0 * 10**9 * 8**2
 
     def test_validation(self):
         with pytest.raises(ConfigError):
