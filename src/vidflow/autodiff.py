@@ -3,18 +3,20 @@ closed-form backward.
 
 A forward given a ``saved`` list appends what its backward needs to it;
 without one it keeps nothing, and :func:`layernorm`, :func:`ffn` and
-:func:`attention_tiled` run in place on their work arrays.  A backward takes
-the output gradient and the saved entry, adds the parameter gradients into
-the caller's buffers with ``+=`` and returns the input gradient.  Buffers
-start at zero and take their terms in the order the caller visits them, so
-a sum of several terms has the bits of that order.  The denoiser's reverse
-pass (:mod:`vidflow.denoiser`) calls these backwards in a fixed order; nothing
-records a graph.
+:func:`attention_tiled` run in place on their work arrays, the largest two
+(the FFN's hidden array, attention's score tile) in one grow-only scratch
+array per thread.  A backward takes the output gradient and the saved entry,
+adds the parameter gradients into the caller's buffers with ``+=`` and
+returns the input gradient.  Buffers start at zero and take their terms in
+the order the caller visits them, so a sum of several terms has the bits of
+that order.  The denoiser's reverse pass (:mod:`vidflow.denoiser`) calls
+these backwards in a fixed order; nothing records a graph.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -30,6 +32,19 @@ _TILE_ELEMS = 1 << 17
 # softmax(s) = softmax(s - max s), so the unshifted terms give the same
 # probabilities up to rounding; above the bound the row max is subtracted.
 _EXP_SAFE = 64.0
+
+
+_SCRATCH = threading.local()  # .array: this thread's grow-only work array
+
+
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """A view of ``shape`` into this thread's scratch array, contents undefined.
+    Each caller drops its view before the next call, and returns none of it."""
+    n = math.prod(shape)
+    array = getattr(_SCRATCH, "array", None)
+    if array is None or array.size < n:
+        array = _SCRATCH.array = np.empty(n)
+    return array[:n].reshape(shape)
 
 
 class Tensor:
@@ -109,10 +124,10 @@ def ffn(x, w1, b1, w2, b2, saved: list | None = None) -> np.ndarray:
     ``0.5*h*(1 + tanh(c*(h + 0.044715*h**3)))``.
 
     The leading axes are flattened, so each matmul is one 2-D product.
-    Without ``saved`` the GELU runs in place on the hidden array; with it the
-    hidden array, its tanh and its activation are kept, with the weights."""
+    Without ``saved`` the GELU runs in place on the hidden array, in scratch;
+    with it the hidden array, its tanh and its activation are kept, with the weights."""
     flat = x.reshape(-1, x.shape[-1])
-    h = flat @ w1
+    h = np.matmul(flat, w1, out=_scratch((len(flat), w1.shape[-1])) if saved is None else None)
     h += b1
     t = _gelu_gate(h)
     if saved is None:
@@ -169,7 +184,7 @@ def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -
     """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands, keeping nothing.
 
     Softmax rows are independent, so the query rows run in tiles of at most
-    ``_TILE_ELEMS`` scores through one reused buffer, and each tile takes
+    ``_TILE_ELEMS`` scores through one scratch buffer, and each tile takes
     three passes over its scores:
 
     1. ``s = (q * scale) @ kᵀ`` (q is scaled once, at n·dh cost);
@@ -190,7 +205,7 @@ def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -
     bound_sq = np.max((q * q).sum(-1), initial=0.0) * np.max((k * k).sum(-1), initial=0.0)
     shift = bound_sq > _EXP_SAFE**2
     out = np.empty(lead + (n_q, v.shape[-1]))
-    buf = np.empty(lead + (min(rows, n_q), n_k))
+    buf = _scratch(lead + (min(rows, n_q), n_k))
     for i in range(0, n_q, rows):
         qi = q[..., i : i + rows, :]
         s = buf[..., : qi.shape[-2], :]

@@ -12,8 +12,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import json
 import math
 import os
@@ -418,6 +416,8 @@ def _numbered(path, i: int) -> str:
 def cmd_refine(cfg: dict) -> None:
     _require_positive("refine", cfg, ("n_steps", "upscale"))
     params, _, _ = load_checkpoint(cfg["checkpoint"])
+    frames_dir = cfg["frames_dir"]
+    planes = _rgb_planes(params.channels) if frames_dir else None
     preview_lo = read_lgr1(cfg["preview"])
     cond = Conditioning.zeros(params.cond_dim)
     up = cfg["upscale"]
@@ -426,12 +426,7 @@ def cmd_refine(cfg: dict) -> None:
     t0 = time.time()
     refined = refine(params, preview_lo, target_hw, n_steps, cond)
     _write_grid(cfg["out"], refined)
-    frames_dir = cfg["frames_dir"]
-    n_frames = 0
-    if frames_dir:
-        os.makedirs(frames_dir, exist_ok=True)
-        pixels = ToyCodec().decode(refined)
-        n_frames = _dump_ppm_frames(pixels, frames_dir)
+    n_frames = _dump_ppm_frames(ToyCodec().decode(refined), planes, frames_dir) if frames_dir else 0
     _write_manifest(
         str(cfg["out"]) + ".manifest", "refine", cfg,
         {"n_steps": n_steps, "nfe": n_steps, "target_h": target_hw[0],
@@ -441,16 +436,24 @@ def cmd_refine(cfg: dict) -> None:
     print(f"refine: {n_steps} steps -> {cfg['out']} ({n_frames} PPM frames)")
 
 
-def _dump_ppm_frames(pixels: LatentGrid, frames_dir) -> int:
-    """Write each frame of batch item 0 as binary PPM (P6), 8-bit."""
+def _rgb_planes(latent_channels: int) -> list[int]:
+    """The decoded channels PPM frames show as red, green and blue: one
+    channel thrice, or the first three."""
+    try:
+        c = ToyCodec.pixel_channels(latent_channels)
+    except ConfigError as exc:
+        raise ConfigError(f"refine.frames_dir: {exc}") from None
+    if c == 2:
+        raise ConfigError(f"refine.frames_dir: {latent_channels} latent channels decode to 2, "
+                          "which PPM frames cannot show as RGB")
+    return [0, 0, 0] if c == 1 else [0, 1, 2]
+
+
+def _dump_ppm_frames(pixels: LatentGrid, planes: list[int], frames_dir) -> int:
+    """Write each frame of batch item 0 as binary PPM (P6), 8-bit, ``planes`` as RGB."""
     e = pixels.extent
-    if e.c == 1:
-        rgb = np.repeat(pixels.values[0], 3, axis=0)
-    elif e.c >= 3:
-        rgb = pixels.values[0, :3]
-    else:
-        raise ContractError(f"cannot map {e.c} channels to RGB")
-    quant = np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
+    quant = np.clip(np.round(pixels.values[0, planes] * 255.0), 0, 255).astype(np.uint8)
+    os.makedirs(frames_dir, exist_ok=True)
     for fi in range(e.f):
         frame = quant[:, fi].transpose(1, 2, 0)  # (h, w, 3)
         header = f"P6\n{e.w} {e.h}\n255\n".encode()
@@ -500,7 +503,14 @@ def cmd_profile(cfg: dict) -> None:
             raise ConfigError("profile config with explicit stages needs a baseline stage")
         stages = tuple(_stage_from_dict(s, f"profile.stages[{i}]") for i, s in enumerate(cfg["stages"]))
         pipe = PipelineSpec(stages=stages, baseline=_stage_from_dict(cfg["baseline"], "profile.baseline"))
-    rate = cfg["rate"]
+    rate, curve = cfg["rate"], None
+    if len(pipe.stages) >= 2:
+        hi, lo, *rest = pipe.stages
+        try:
+            curve = step_division_curve(cfg["k_values"], hi, lo, rest[0] if rest else None, rate)
+        except ConfigError as exc:
+            raise ConfigError(f"profile.k_values: {exc}, the step budget of stages "
+                              f"{hi.name!r} ({hi.steps}) and {lo.name!r} ({lo.steps})") from None
     report = pipeline_report(pipe, rate)
 
     lines = ["stage,flops,share,ratio_vs_baseline,predicted_s"]
@@ -525,10 +535,7 @@ def cmd_profile(cfg: dict) -> None:
         "# times model DiT forward passes only (decoder excluded)",
     ]
 
-    if len(pipe.stages) >= 2:
-        hi, lo = pipe.stages[0], pipe.stages[1]
-        ref_stage = pipe.stages[2] if len(pipe.stages) > 2 else None
-        curve = step_division_curve(cfg["k_values"], hi, lo, ref_stage, rate)
+    if curve is not None:
         foot.append("# step_division k,predicted_s: " + "; ".join(f"{k},{t:.6g}" for k, t in curve))
     slope, intercept, r2 = affine_fit(REFERENCE_STEP_DIVISION)
     foot.append(
@@ -570,35 +577,7 @@ _DISPATCH = {
 }
 
 
-# glibc's mallopt parameter numbers (malloc.h).  32 MiB is the largest mmap
-# threshold glibc accepts on 64-bit hosts; at 1 GiB the heap is never trimmed
-# at this program's sizes.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-_TRIM_THRESHOLD = 1 << 30
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Keep freed memory in this process's heap, where the C library has
-    glibc's ``mallopt``.  With glibc's default thresholds the 0.2-3 MB numpy
-    temporaries of each forward were mmapped or trimmed away after it, so a
-    base forward (batch 4, 8x16x16 latent, d=48; x86-64) took 7424 minor page
-    faults every time; with these, the forwards after the first took none.
-    Only the CLI sets this: importing vidflow leaves its host's allocator alone.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = argparse.ArgumentParser(prog="vidflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _DISPATCH:

@@ -192,9 +192,7 @@ def _reverse(params: DenoiserParams, saved: list, sigma: float, cond: Conditioni
     blocks = _block_weights(grads, params.depth)
     g_bias = np.zeros((1, d))
     for item in saved:
-        g = item.pop()
-        c, f, h, w = g.shape
-        g = g.reshape(c, f, h // p, p, w // p, p).transpose(1, 2, 4, 0, 3, 5).reshape(-1, c * p * p)
+        g = _patchify(item.pop(), p).reshape(-1, params.channels * p * p)
         g = linear_backward(g, item.pop(), grads["head.w"], grads["head.b"], tensors["head.w"])
         y, inv = item.pop()
         g = layernorm_backward(g.reshape(y.shape), y, inv)
@@ -269,12 +267,18 @@ class ToyCodec:
         v = v.transpose(0, 1, 4, 6, 2, 3, 5).reshape(e.b, 4 * e.c, e.f, e.h // 2, e.w // 2)
         return LatentGrid.from_array(v)
 
+    @staticmethod
+    def pixel_channels(latent_channels: int) -> int:
+        """The channels :meth:`decode` makes of ``latent_channels``, a multiple of 4."""
+        if latent_channels % 4:
+            raise ConfigError(f"latent channels must be divisible by 4, got {latent_channels}")
+        return latent_channels // 4
+
     def decode(self, latent: LatentGrid) -> LatentGrid:
         e = latent.extent
-        if e.c % 4:
-            raise ConfigError(f"latent channels must be divisible by 4, got {e.c}")
-        v = latent.values.reshape(e.b, e.c // 4, 2, 2, e.f, e.h, e.w)
-        v = v.transpose(0, 1, 4, 5, 2, 6, 3).reshape(e.b, e.c // 4, e.f, 2 * e.h, 2 * e.w)
+        c = self.pixel_channels(e.c)
+        v = latent.values.reshape(e.b, c, 2, 2, e.f, e.h, e.w)
+        v = v.transpose(0, 1, 4, 5, 2, 6, 3).reshape(e.b, c, e.f, 2 * e.h, 2 * e.w)
         return LatentGrid.from_array(v)
 
 

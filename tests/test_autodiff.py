@@ -1,6 +1,14 @@
+import ast
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import vidflow as vf
 from vidflow import autodiff
 from vidflow.autodiff import (
     attention_grads,
@@ -208,3 +216,116 @@ class TestAttention:
         tol = 8 * np.finfo(np.float64).eps * (1 + bound) * weight
         assert np.all(np.isfinite(tiled))
         assert np.all(np.abs(tiled - ref) <= tol) and np.all(np.abs(recorded - ref) <= tol)
+
+
+# A base forward (12 latent channels, 8 frames, d=48, 6 heads) at one of the
+# benchmark's hi shapes in a fresh interpreter with one BLAS thread: one
+# warm-up, then the median minor page faults of 5 forwards.
+FAULTS_SCRIPT = """
+import resource, statistics
+import vidflow as vf
+params = vf.DenoiserParams.init(patch=2, d=48, heads=6, depth=2, w_t=4, channels=12,
+                                cond_dim=4, rng=vf.Rng(0))
+z = vf.sample_gaussian(vf.Extent5({batch}, 12, 8, {hw}, {hw}), vf.Rng(1))
+cond = vf.Conditioning.zeros(4)
+vf.forward_velocity(params, z, 0.5, cond)
+counts = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    vf.forward_velocity(params, z, 0.5, cond)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(counts))
+"""
+
+
+def small_model(d: int, heads: int, seed: int):
+    params = vf.DenoiserParams.init(patch=2, d=d, heads=heads, depth=2, w_t=4, channels=4,
+                                    cond_dim=2, rng=vf.Rng(seed))
+    params.tensors["head.w"] = np.random.default_rng(seed).normal(size=params.tensors["head.w"].shape)
+    return params
+
+
+def velocity(params, batch: int, hw: int, seed: int) -> np.ndarray:
+    z = vf.sample_gaussian(vf.Extent5(batch, 4, 4, hw, hw), vf.Rng(seed))
+    return vf.forward_velocity(params, z, 0.5, vf.Conditioning.zeros(2)).values
+
+
+class TestScratch:
+    """Inference reuses one work array per thread for the FFN's hidden array
+    and attention's score tiles."""
+
+    @pytest.mark.parametrize("batch,hw,budget", [(4, 16, 1024), (1, 32, 256)],
+                             ids=["gen_small_hi", "gen_large_hi"])
+    def test_library_forward_takes_few_page_faults(self, batch, hw, budget):
+        """Without the scratch gen_large's median was 3008 faults.  gen_small's
+        was 500-3800, by heap layout (the environment's size moves it), so its
+        budget bounds the scratch's remaining faults (0-416) but does not
+        always separate the two."""
+        src = os.path.dirname(os.path.dirname(vf.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT.format(batch=batch, hw=hw)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert float(run.stdout) <= budget
+
+    def test_results_do_not_alias_the_scratch(self):
+        with ThreadPoolExecutor(1) as pool:  # a new thread, with no scratch yet
+            pool.submit(self._results_do_not_alias_the_scratch).result()
+
+    @staticmethod
+    def _results_do_not_alias_the_scratch():
+        rng = np.random.default_rng(3)
+        params = small_model(12, 2, seed=4)
+        w1, b1, w2, b2 = (rng.normal(size=s) for s in ((4, 16), (16,), (16, 4), (4,)))
+        q, k, v = rng.normal(size=(3, 2, 9, 4))
+        results = []
+        for make in (lambda: ffn(rng.normal(size=(5, 7, 4)), w1, b1, w2, b2),
+                     lambda: attention_tiled(q, k, v, 0.5),
+                     lambda: velocity(params, 1, 4, seed=5)):
+            results.append(make())
+            assert not np.shares_memory(results[-1], autodiff._SCRATCH.array)
+        kept, size = [r.copy() for r in results], autodiff._SCRATCH.array.size
+        velocity(params, 2, 8, seed=6)
+        assert autodiff._SCRATCH.array.size > size  # the scratch grew: a new array
+        for result, copy in zip(results, kept):
+            assert np.array_equal(result, copy)
+
+    def test_forwards_in_threads_match_serial_ones(self):
+        """Four threads run forwards of two shapes, three each, while the
+        interpreter switches threads often."""
+        jobs = [(small_model(12, 2, seed=7), 2, 16, 8), (small_model(18, 3, seed=9), 1, 20, 10)]
+        serial = [velocity(*job) for job in jobs]
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait()
+            results[i] = [velocity(*jobs[i % 2]) for _ in range(3)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, got in enumerate(results):
+            assert len(got) == 3 and all(np.array_equal(g, serial[i % 2]) for g in got)
+
+
+def test_no_module_imports_ctypes():
+    """The package leaves its host's C allocator alone."""
+    package = os.path.dirname(vf.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, ast.Import) for alias in node.names}
+            imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)}
+            assert "ctypes" not in imported, name

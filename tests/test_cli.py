@@ -1,9 +1,7 @@
-import ctypes
 import json
 import math
 import os
 import re
-import resource
 import struct
 
 import numpy as np
@@ -79,13 +77,6 @@ def counted_forwards(monkeypatch):
 
     monkeypatch.setattr(denoiser, "forward_velocity", counting)
     return calls
-
-
-def _has_mallopt() -> bool:
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except (OSError, TypeError):
-        return False
 
 
 @pytest.fixture()
@@ -259,6 +250,22 @@ class TestExitCodes:
                    "--set", f"out={tmp_path / 'prev.lgr'}", "--set", "n_total=6", "--set", "k=2",
                    "--set", "hi=[8,8]", "--set", "lo=[5,5]", "--set", "frames=4") == 2
         assert counted_forwards == []
+
+    @pytest.mark.parametrize("channels,reason", [
+        (6, "latent channels must be divisible by 4, got 6"),
+        (8, "8 latent channels decode to 2, which PPM frames cannot show as RGB"),
+    ])
+    def test_frames_dir_without_rgb_is_2_before_any_forward(self, tmp_path, counted_forwards, capsys,
+                                                            channels, reason):
+        ckpt, prev = tmp_path / "ckpt.lgr", tmp_path / "prev.lgr"
+        vf.save_checkpoint(ckpt, vf.DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=4,
+                                                        channels=channels, cond_dim=4, rng=vf.Rng(0)))
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, channels, 4, 4, 4)), prev)
+        out, frames = tmp_path / "refined.lgr", tmp_path / "frames"
+        assert run("refine", "--set", f"checkpoint={ckpt}", "--set", f"preview={prev}", "--set", f"out={out}",
+                   "--set", f"frames_dir={frames}", "--set", "n_steps=2") == 2
+        assert capsys.readouterr().err == f"config error: refine.frames_dir: {reason}\n"
+        assert counted_forwards == [] and not out.exists() and not frames.exists()
 
     @pytest.mark.parametrize("override", ["hi=8", "count=1O", "shift=true", "lo=[8,8.5]"])
     def test_value_of_the_wrong_type_is_2(self, tmp_path, override):
@@ -560,6 +567,19 @@ class TestProfile:
         assert captured.out == "" and "profile.rate must be > 0" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_k_values_beyond_the_step_budget_is_2(self, tmp_path, capsys):
+        """Two 1-step preview stages hold 2 steps; the default k_values reach 40."""
+        one_step = lambda name: json.dumps(  # noqa: E731
+            {"name": name, "tokens": 64, "dim": 12, "depth": 2, "steps": 1})
+        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}",
+                   "--set", f"stages=[{one_step('hi')}, {one_step('lo')}]",
+                   "--set", f"baseline={one_step('base')}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: profile.k_values: k=5 outside (0, 2], "
+            "the step budget of stages 'hi' (1) and 'lo' (1)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_stages_without_baseline_is_2(self, tmp_path):
         cfgfile = tmp_path / "p.json"
         cfgfile.write_text(json.dumps({"profile": {
@@ -589,23 +609,6 @@ class TestProfile:
         assert run(*argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-class TestAllocatorPolicy:
-    def test_forward_after_main_reuses_its_heap(self, tmp_path):
-        """Once main has run, a base forward at gen_small's hi shape (batch 4,
-        8x16x16 latent, d=48) finds its temporaries in the heap: with the
-        C library's default thresholds it took over 7000 minor faults."""
-        assert run("profile", "--set", f"out={tmp_path / 'profile.csv'}") == 0
-        params = vf.DenoiserParams.init(patch=2, d=48, heads=6, depth=2, w_t=4, channels=12,
-                                        cond_dim=4, rng=vf.Rng(0))
-        z = vf.sample_gaussian(vf.Extent5(4, 12, 8, 16, 16), vf.Rng(1))
-        cond = vf.Conditioning.zeros(4)
-        vf.forward_velocity(params, z, 0.5, cond)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        vf.forward_velocity(params, z, 0.5, cond)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
 
 
 class TestInspect:
