@@ -8,7 +8,6 @@ import numpy as np
 
 import vidflow as vf
 from vidflow.preview import PreviewConfig, generate_preview
-from vidflow.schedule import CountingModel, FnModel
 
 # --- 1. the schedule -------------------------------------------------------
 # sigma_i = shift * u / (1 + (shift - 1) * u) with u = 1 - i/n: larger shift
@@ -24,7 +23,7 @@ ext = vf.Extent5(1, 2, 4, 8, 8)
 rng = vf.Rng(0)
 z0 = vf.sample_gaussian(ext, rng)
 eps = vf.sample_gaussian(ext, rng)
-line = FnModel(lambda z, s, c: vf.LatentGrid(ext, eps.values - z0.values))
+line = lambda z, s, c: vf.LatentGrid(ext, eps.values - z0.values)
 out = vf.sample_ode(line, eps, vf.build_schedule(12, 3.0), vf.Conditioning.zeros(1))
 print(f"\nlinear-path recovery error: {np.abs(out.values - z0.values).max():.2e}")
 
@@ -33,9 +32,17 @@ print(f"\nlinear-path recovery error: {np.abs(out.values - z0.values).max():.2e}
 # bilinear downscale -> noise reinjected at sigma_k -> remaining steps on the
 # small grid, resuming the same schedule at sigma_k.
 cfg = PreviewConfig(n_total=40, k=10, hi=(16, 16), lo=(8, 8), shift=5.0, seed=7)
-counter = CountingModel(FnModel(lambda z, s, c: vf.LatentGrid.zeros(z.extent)))
-res = generate_preview(counter, vf.Conditioning.zeros(1), cfg, vf.Extent5(1, 2, 4, 16, 16))
+calls = []
+
+
+def zero_velocity(z, sigma, cond):
+    calls.append(z.extent)
+    return vf.LatentGrid.zeros(z.extent)
+
+
+hi_extent = vf.Extent5(1, 2, 4, 16, 16)
+res = generate_preview(zero_velocity, vf.Conditioning.zeros(1), cfg, hi_extent)
 print(f"\npreview: {res.nfe_hi} hi-res evals (k + 1 clean estimate) "
-      f"+ {res.nfe_lo} lo-res evals = {res.nfe} total (model saw {counter.nfe})")
+      f"+ {res.nfe_lo} lo-res evals = {res.nfe_hi + res.nfe_lo} total (model saw {len(calls)})")
 print(f"switch at sigma_k = {res.sigma_switch:.4f}; "
-      f"output extent {res.lo_extent.as_tuple()} from hi {res.hi_extent.as_tuple()}")
+      f"output extent {res.latent.extent.as_tuple()} from hi {hi_extent.as_tuple()}")

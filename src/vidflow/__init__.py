@@ -21,7 +21,6 @@ from .denoiser import (
     AdamW,
     DegradationConfig,
     DenoiserParams,
-    ParamVelocityModel,
     ToyCodec,
     TrainConfig,
     backward,
@@ -50,8 +49,6 @@ from .grids import (
 from .preview import PreviewConfig, PreviewResult, generate_preview, reshift_noise
 from .schedule import (
     Conditioning,
-    CountingModel,
-    FnModel,
     SigmaSchedule,
     build_schedule,
     estimate_clean,

@@ -35,7 +35,6 @@ class StageSpec:
     attention: str = "global"  # "global" | "windowed"
     w_t: int = 0  # temporal window (windowed mode)
     token_frames: int = 1  # frame count the tokens are spread over
-    step_overhead_s: float = 0.0
 
     def __post_init__(self):
         if min(self.tokens, self.dim, self.depth, self.steps) < 1:
@@ -99,7 +98,7 @@ class CostReport:
 
 
 def predict_time(s: StageSpec, rate_s_per_flop: float) -> float:
-    return rate_s_per_flop * stage_flops(s) + s.step_overhead_s * s.steps
+    return rate_s_per_flop * stage_flops(s)
 
 
 def pipeline_report(p: PipelineSpec, rate_s_per_flop: float = 1e-15) -> CostReport:

@@ -12,6 +12,7 @@ backwards (:mod:`vidflow.autodiff`, :mod:`vidflow.windows`) in reverse order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -232,16 +233,6 @@ def backward(
     if upstream_grad.extent != z.extent:
         raise ShapeError(f"upstream extent {upstream_grad.extent} != input {z.extent}")
     return _loss_grads(params, z, sigma, cond, lambda b, out: (0.0, upstream_grad.values[b]))[1]
-
-
-class ParamVelocityModel:
-    """Adapt a parameter set to the sampler's VelocityModel interface."""
-
-    def __init__(self, params: DenoiserParams):
-        self.params = params
-
-    def evaluate(self, z, sigma, cond):
-        return forward_velocity(self.params, z, sigma, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +589,7 @@ def refine(
     on a linear schedule (NFE = n_steps)."""
     sched = build_schedule(n_steps)
     z = resize_spatial(preview_lo, target_hw[0], target_hw[1])
-    return sample_ode(ParamVelocityModel(params), z, sched, cond)
+    return sample_ode(lambda x, s, c: forward_velocity(params, x, s, c), z, sched, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +612,17 @@ def save_checkpoint(
     if optimizer is not None:
         header["opt_t"] = optimizer.t
         groups += [optimizer.m, optimizer.v]
-    with open(path, "wb") as fh:
+    # both files go to temporary names first and the index is renamed last,
+    # so a write that fails leaves the previous checkpoint whole
+    blob, index = str(path), f"{path}.index"
+    with open(blob + ".tmp", "wb") as fh:
         for group in groups:
             for name in params.tensor_shapes():
                 write_record(fh, group[name])
-    with open(str(path) + ".index", "w") as fh:
+    with open(index + ".tmp", "w") as fh:
         fh.write("".join(f"meta {k} {v}\n" for k, v in {**header, **(meta or {})}.items()))
+    os.replace(blob + ".tmp", blob)
+    os.replace(index + ".tmp", index)
 
 
 def load_checkpoint(path, train_cfg: TrainConfig | None = None):

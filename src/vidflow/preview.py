@@ -14,7 +14,6 @@ from .errors import ConfigError
 from .grids import Extent5, LatentGrid, Rng, axpy, resize_spatial, sample_gaussian
 from .schedule import (
     Conditioning,
-    SigmaSchedule,
     VelocityModel,
     _check_shift,
     _checked_eval,
@@ -48,17 +47,13 @@ class PreviewConfig:
 
 @dataclass(frozen=True)
 class PreviewResult:
+    """The sigma=0 low-resolution latent, the noise level of the turning
+    point, and the model calls made at high and at low resolution."""
+
     latent: LatentGrid
-    schedule: SigmaSchedule
     sigma_switch: float
     nfe_hi: int
     nfe_lo: int
-    hi_extent: Extent5
-    lo_extent: Extent5
-
-    @property
-    def nfe(self) -> int:
-        return self.nfe_hi + self.nfe_lo
 
 
 def reshift_noise(clean_lo: LatentGrid, sigma_k: float, rng: Rng) -> LatentGrid:
@@ -77,13 +72,14 @@ def generate_preview(
     z1: LatentGrid | None = None,
     reshift_rng: Rng | None = None,
 ) -> PreviewResult:
-    """Run the full preview stage and return the sigma=0 low-resolution latent.
+    """Run the full preview stage with the velocity model ``model`` and return
+    the sigma=0 low-resolution latent.
 
     ``extent_template`` supplies (b, c, f); its (h, w) are overridden by
     ``cfg.hi``.  ``z1`` and ``reshift_rng`` default to streams derived from
     ``cfg.seed`` and exist so tests can pin or stub the noise.
 
-    Model evaluations: k steps + 1 clean estimate at high resolution, then
+    Model calls: k steps + 1 clean estimate at high resolution, then
     n_total - k steps at low resolution (n_total + 1 in all).
     """
     master = Rng(cfg.seed)
@@ -96,8 +92,7 @@ def generate_preview(
     if reshift_rng is None:
         reshift_rng = master.split(1)
 
-    sched = build_schedule(cfg.n_total, cfg.shift)
-    sig = sched.sigmas
+    sig = build_schedule(cfg.n_total, cfg.shift).sigmas
 
     # Pre-k steps at the optimal resolution.
     z = z1
@@ -117,12 +112,4 @@ def generate_preview(
         u = _checked_eval(model, z, sig[i], cond)
         z = euler_step(z, u, sig[i], sig[i + 1])
 
-    return PreviewResult(
-        latent=z,
-        schedule=sched,
-        sigma_switch=sigma_k,
-        nfe_hi=cfg.k + 1,
-        nfe_lo=cfg.n_total - cfg.k,
-        hi_extent=hi_extent,
-        lo_extent=z.extent,
-    )
+    return PreviewResult(latent=z, sigma_switch=sigma_k, nfe_hi=cfg.k + 1, nfe_lo=cfg.n_total - cfg.k)

@@ -1,14 +1,15 @@
 """Noise schedules and the Euler ODE sampler.
 
 Convention used everywhere in the package: a noisy latent at level sigma is
-``z_sigma = (1 - sigma) * z0 + sigma * eps`` and the model predicts the path
-velocity ``u = dz/dsigma``, so the clean estimate is ``z - sigma * u``.
+``z_sigma = (1 - sigma) * z0 + sigma * eps``, and a velocity model, any
+function ``model(z, sigma, cond)`` that returns a grid of z's extent, predicts
+the path velocity ``u = dz/dsigma``, so the clean estimate is ``z - sigma * u``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,32 +36,7 @@ class Conditioning:
         return np.asarray(self.vector, dtype=np.float64)
 
 
-class VelocityModel(Protocol):
-    """Anything that predicts a velocity field for a latent at a noise level."""
-
-    def evaluate(self, z: LatentGrid, sigma: float, cond: Conditioning) -> LatentGrid: ...
-
-
-class FnModel:
-    """Wrap a plain function as a :class:`VelocityModel` (test/oracle helper)."""
-
-    def __init__(self, fn: Callable[[LatentGrid, float, Conditioning], LatentGrid]):
-        self._fn = fn
-
-    def evaluate(self, z, sigma, cond):
-        return self._fn(z, sigma, cond)
-
-
-class CountingModel:
-    """Decorator that counts model evaluations (NFE) for the profiler."""
-
-    def __init__(self, inner: VelocityModel):
-        self.inner = inner
-        self.nfe = 0
-
-    def evaluate(self, z, sigma, cond):
-        self.nfe += 1
-        return self.inner.evaluate(z, sigma, cond)
+VelocityModel = Callable[[LatentGrid, float, Conditioning], LatentGrid]
 
 
 @dataclass(frozen=True)
@@ -68,7 +44,6 @@ class SigmaSchedule:
     """Strictly decreasing noise levels from 1 to 0 over n steps."""
 
     sigmas: tuple[float, ...]
-    shift: float
 
     def __post_init__(self):
         s = np.asarray(self.sigmas)
@@ -98,7 +73,7 @@ def build_schedule(n: int, shift: float = 1.0) -> SigmaSchedule:
     u = 1.0 - np.arange(n + 1) / n
     sig = shift * u / (1.0 + (shift - 1.0) * u)
     sig[0], sig[-1] = 1.0, 0.0
-    return SigmaSchedule(tuple(float(x) for x in sig), float(shift))
+    return SigmaSchedule(tuple(float(x) for x in sig))
 
 
 def euler_step(
@@ -122,7 +97,7 @@ def estimate_clean(z: LatentGrid, u: LatentGrid, sigma: float) -> LatentGrid:
 def _checked_eval(
     model: VelocityModel, z: LatentGrid, sigma: float, cond: Conditioning
 ) -> LatentGrid:
-    u = model.evaluate(z, sigma, cond)
+    u = model(z, sigma, cond)
     if u.extent != z.extent:
         raise ContractError(
             f"velocity model returned extent {u.extent}, expected {z.extent}"
@@ -138,8 +113,7 @@ def sample_ode(
 ) -> LatentGrid:
     """Integrate the flow ODE from noise (sigma=1) to data (sigma=0).
 
-    The model is evaluated exactly ``sched.n`` times; wrap it in
-    :class:`CountingModel` to observe the NFE.
+    The model is called exactly ``sched.n`` times.
     """
     z = z1
     for i in range(sched.n):

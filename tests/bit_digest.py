@@ -1,0 +1,121 @@
+"""Print a sha256 prefix of every output whose bits a refactor must keep.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python tests/bit_digest.py
+
+and compare its output between two trees: identical lines mean identical
+bits.  It digests
+
+- forwards of the base model (d=48, 6 heads) and the Refiner (d=12, 2 heads),
+  drawn as the benchmark draws them (seed 42, output head at unit scale), at
+  the hi, lo and refine shapes of the gen_small and gen_large workloads (both
+  refine at 2 * lo, which is their hi, so those lines repeat the hi lines);
+- the latents ``vidflow preview`` and ``vidflow refine`` write with these
+  models at the gen_small shape;
+- ``refiner_loss``'s loss and gradients at batch 3 and 9 frames;
+- the losses and final parameters of 20 iterations of the acceptance rig
+  (10 at 5 frames, then 10 at 9).
+
+Only long-standing public APIs are used, so the script runs unchanged on
+earlier trees.  pytest does not collect it: it asserts nothing by itself.
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import tempfile
+from dataclasses import replace
+
+import numpy as np
+
+import vidflow as vf
+from vidflow import cli
+from vidflow.denoiser import (
+    DenoiserParams,
+    ToyCodec,
+    forward_velocity,
+    refiner_loss,
+    save_checkpoint,
+    train_refiner,
+)
+
+from conftest import RIG_DEG, RIG_SEED, RIG_TRAIN, make_rig_dataset
+
+SEED = 42
+CHANNELS = 12
+# (batch, hi, lo, frames) of the gen workloads; refine runs at 2 * lo
+GEN_SHAPES = {"gen_small": (4, 16, 8, 8), "gen_large": (1, 32, 16, 8)}
+
+
+def sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype="<f8")
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def model(d: int, heads: int, rng: vf.Rng) -> DenoiserParams:
+    params = DenoiserParams.init(patch=2, d=d, heads=heads, depth=2, w_t=4,
+                                 channels=CHANNELS, cond_dim=4, rng=rng.split(0))
+    shape = params.tensors["head.w"].shape
+    params.tensors["head.w"] = rng.split(1).normal(shape[0] * shape[1]).reshape(shape) / math.sqrt(d)
+    return params
+
+
+def forwards(models, cond):
+    for workload, (batch, hi, lo, frames) in GEN_SHAPES.items():
+        for stage, hw in (("hi", hi), ("lo", lo), ("refine", 2 * lo)):
+            z = vf.sample_gaussian(vf.Extent5(batch, CHANNELS, frames, hw, hw), vf.Rng(hw))
+            for name, params in models.items():
+                u = forward_velocity(params, z, 0.6, cond)
+                yield f"forward {name} {workload} {stage}", sha(u.values)
+    refiner = models["refiner"]
+    ext = vf.Extent5(3, CHANNELS, 9, 8, 8)
+    src, clean = vf.sample_gaussian(ext, vf.Rng(1)), vf.sample_gaussian(ext, vf.Rng(2))
+    loss, grads = refiner_loss(refiner, src, clean, 0.37, cond)
+    yield "refiner_loss loss", sha(np.array([loss]))
+    yield "refiner_loss grads", sha(*(grads[k] for k in refiner.tensor_shapes()))
+
+
+def pipeline(models):
+    batch, hi, lo, frames = GEN_SHAPES["gen_small"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = {k: os.path.join(tmp, k) for k in ("base", "refiner", "preview", "refined")}
+        for name in ("base", "refiner"):
+            save_checkpoint(path[name], models[name])
+        for argv in (["preview", "--set", f"checkpoint={path['base']}", "--set", f"out={path['preview']}",
+                      "--set", "n_total=20", "--set", "k=5", "--set", f"hi=[{hi},{hi}]",
+                      "--set", f"lo=[{lo},{lo}]", "--set", f"batch={batch}",
+                      "--set", f"frames={frames}", "--set", "seed=7"],
+                     ["refine", "--set", f"checkpoint={path['refiner']}", "--set", f"preview={path['preview']}",
+                      "--set", f"out={path['refined']}", "--set", "n_steps=10"]):
+            if cli.main(argv) != 0:
+                raise SystemExit(f"vidflow {argv[0]} failed")
+        latents = {name: vf.read_lgr1(path[name]).values for name in ("preview", "refined")}
+    for name, values in latents.items():
+        yield f"cli {name} gen_small", sha(values)
+
+
+def rig():
+    rng = vf.Rng(RIG_SEED)
+    cfg = replace(RIG_TRAIN, phase1_iters=10, phase2_iters=10)
+    params, _, losses = train_refiner(make_rig_dataset(rng), ToyCodec(), RIG_DEG, cfg, rng)
+    yield "rig losses", sha(np.array(losses))
+    yield "rig params", sha(*(params.tensors[k] for k in params.tensor_shapes()))
+
+
+def main() -> None:
+    rng = vf.Rng(SEED)
+    models = {"base": model(48, 6, rng.split(1)), "refiner": model(12, 2, rng.split(2))}
+    cond = vf.Conditioning((0.3, -0.2, 0.1, 0.5))
+    for label, digest in (*forwards(models, cond), *pipeline(models), *rig()):
+        print(f"{label:<34} {digest}")
+
+
+if __name__ == "__main__":
+    main()

@@ -30,7 +30,6 @@ from vidflow.costmodel import (
 from vidflow.denoiser import DenoiserParams, backward, forward_velocity, refine
 from vidflow.grids import Extent5, Rng
 from vidflow.preview import PreviewConfig, generate_preview, reshift_noise
-from vidflow.schedule import FnModel
 from vidflow.windows import (
     AttentionWeights,
     BlockWeights,
@@ -143,7 +142,7 @@ class TestAcceptance:
         rng = Rng(2)
         z0 = vf.sample_gaussian(ext, rng)
         eps = vf.sample_gaussian(ext, rng)
-        lin = FnModel(lambda z, s, c: vf.LatentGrid(ext, eps.values - z0.values))
+        lin = lambda z, s, c: vf.LatentGrid(ext, eps.values - z0.values)
         cond = vf.Conditioning.zeros(1)
         exact_err = max(
             float(np.abs(vf.sample_ode(lin, eps, vf.build_schedule(n, 1.0), cond).values - z0.values).max())
@@ -151,7 +150,7 @@ class TestAcceptance:
         )
 
         z1 = vf.sample_gaussian(ext, Rng(3))
-        curved = FnModel(lambda z, s, c: z)  # dz/dsigma = z -> z1 * e^{-1}
+        curved = lambda z, s, c: z  # dz/dsigma = z -> z1 * e^{-1}
         errs = {}
         for n in (125, 250, 500, 1000):
             out = vf.sample_ode(curved, z1, vf.build_schedule(n, 1.0), cond)
@@ -187,7 +186,7 @@ class TestAcceptance:
         z0 = vf.sample_gaussian(ext, Rng(7))
         e2 = vf.sample_gaussian(ext, Rng(8))
         u_const = vf.LatentGrid(ext, e2.values - z0.values)
-        model = FnModel(lambda z, s, c: u_const)
+        model = lambda z, s, c: u_const
 
         class ReplayRng:
             def normal(self, *shape):

@@ -402,6 +402,56 @@ class TestExitCodes:
                    "--set", "force=true", *FAST_TRAIN) == 0
 
 
+class TestOutputPath:
+    """An output whose directory is missing, or that is a directory itself, is
+    exit 3 naming it before any input is read: no forward, no training
+    iteration and no file written."""
+
+    @pytest.fixture(params=["missing_directory", "directory"])
+    def bad_out(self, request, tmp_path):
+        """(the output path, the error line that names it)"""
+        if request.param == "directory":
+            out = tmp_path / "outdir"
+            out.mkdir()
+            return out, f"i/o error: output {out} is a directory\n"
+        out = tmp_path / "nodir" / "out.lgr"
+        return out, f"i/o error: output {out}: {tmp_path / 'nodir'} is not a directory\n"
+
+    @staticmethod
+    def _refused(tmp_path, capsys, bad_out, *argv):
+        out, err = bad_out
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*argv, "--set", f"out={out}") == 3
+        assert capsys.readouterr() == ("", err)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_train(self, tmp_path, dataset, monkeypatch, capsys, bad_out):
+        from vidflow import denoiser
+
+        iterations = []
+        loss = denoiser.refiner_loss
+        monkeypatch.setattr(denoiser, "refiner_loss", lambda *args: iterations.append(1) or loss(*args))
+        self._refused(tmp_path, capsys, bad_out, "train", "--set", f"dataset={dataset}", *FAST_TRAIN)
+        assert iterations == []
+
+    def test_preview(self, tmp_path, checkpoint, counted_forwards, capsys, bad_out):
+        self._refused(tmp_path, capsys, bad_out, "preview", "--set", f"checkpoint={checkpoint}",
+                      "--set", "n_total=4", "--set", "k=1", "--set", "hi=[4,4]", "--set", "lo=[2,2]",
+                      "--set", "frames=2")
+        assert counted_forwards == []
+
+    def test_refine(self, tmp_path, checkpoint, counted_forwards, capsys, bad_out):
+        prev = tmp_path / "prev.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        self._refused(tmp_path, capsys, bad_out, "refine", "--set", f"checkpoint={checkpoint}",
+                      "--set", f"preview={prev}", "--set", "n_steps=1")
+        assert counted_forwards == []
+
+    def test_profile(self, tmp_path, capsys, bad_out):
+        self._refused(tmp_path, capsys, bad_out, "profile")
+
+
 class TestTrain:
     def test_checkpoint_losses_manifest(self, tmp_path, checkpoint):
         assert checkpoint.exists()
@@ -599,8 +649,10 @@ class TestProfile:
         [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12.0, "depth": 2, "steps": 8}'],
         ['stages=[{"name": 1, "tokens": 64, "dim": 12, "depth": 2, "steps": 4}]', f"baseline={STAGE}"],
         [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2}'],
+        ['stages=[{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4, "step_overhead_s": -5.0}]',
+         f"baseline={STAGE}"],
     ], ids=["int", "list_of_int", "tokens_str", "empty", "baseline_alone", "baseline_list",
-            "steps_bool", "dim_float", "name_int", "missing_steps"])
+            "steps_bool", "dim_float", "name_int", "missing_steps", "step_overhead_s"])
     def test_stage_of_the_wrong_type_is_2(self, tmp_path, capsys, overrides):
         out = tmp_path / "r.csv"
         argv = ["profile", "--set", f"out={out}"]

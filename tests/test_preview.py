@@ -5,14 +5,13 @@ import vidflow as vf
 from vidflow.errors import ConfigError
 from vidflow.grids import Extent5, Rng
 from vidflow.preview import PreviewConfig, generate_preview, reshift_noise
-from vidflow.schedule import CountingModel, FnModel
 
 
 TEMPLATE = Extent5(1, 2, 3, 8, 8)
 
 
 def zero_model():
-    return FnModel(lambda z, s, c: vf.LatentGrid.zeros(z.extent))
+    return lambda z, s, c: vf.LatentGrid.zeros(z.extent)
 
 
 class TestConfig:
@@ -54,19 +53,23 @@ class TestGeneratePreview:
         cfg = PreviewConfig(n_total=8, k=3, hi=(8, 8), lo=(4, 4), shift=5.0, seed=1)
         res = generate_preview(zero_model(), vf.Conditioning.zeros(1), cfg, TEMPLATE)
         assert res.latent.extent == Extent5(1, 2, 3, 4, 4)
-        assert res.hi_extent == Extent5(1, 2, 3, 8, 8)
-        assert res.sigma_switch == res.schedule.sigmas[cfg.k]
+        assert res.sigma_switch == vf.build_schedule(cfg.n_total, cfg.shift).sigmas[cfg.k]
 
     def test_nfe_split(self):
         cfg = PreviewConfig(n_total=8, k=3, hi=(8, 8), lo=(4, 4), seed=1)
-        counter = CountingModel(zero_model())
-        res = generate_preview(counter, vf.Conditioning.zeros(1), cfg, TEMPLATE)
+        extents = []
+
+        def model(z, s, c):
+            extents.append((z.extent.h, z.extent.w))
+            return vf.LatentGrid.zeros(z.extent)
+
+        res = generate_preview(model, vf.Conditioning.zeros(1), cfg, TEMPLATE)
         assert (res.nfe_hi, res.nfe_lo) == (4, 5)
-        assert counter.nfe == res.nfe == cfg.n_total + 1
+        assert extents == [(8, 8)] * 4 + [(4, 4)] * 5
 
     def test_deterministic_given_seed(self):
         cfg = PreviewConfig(n_total=6, k=2, hi=(8, 8), lo=(4, 4), seed=7)
-        model = FnModel(lambda z, s, c: vf.LatentGrid(z.extent, 0.1 * z.values))
+        model = lambda z, s, c: vf.LatentGrid(z.extent, 0.1 * z.values)
         a = generate_preview(model, vf.Conditioning.zeros(1), cfg, TEMPLATE)
         b = generate_preview(model, vf.Conditioning.zeros(1), cfg, TEMPLATE)
         assert np.array_equal(a.latent.values, b.latent.values)
@@ -91,7 +94,7 @@ class TestGeneratePreview:
         z0 = vf.sample_gaussian(TEMPLATE, rng)
         eps_dir = vf.sample_gaussian(TEMPLATE, rng)
         u_const = vf.LatentGrid(TEMPLATE, eps_dir.values - z0.values)
-        model = FnModel(lambda z, s, c: u_const)
+        model = lambda z, s, c: u_const
         cfg = PreviewConfig(n_total=7, k=3, hi=(8, 8), lo=(8, 8), shift=2.0, seed=5)
         z1 = vf.sample_gaussian(TEMPLATE, Rng(99))
 

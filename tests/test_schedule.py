@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 import vidflow as vf
 from vidflow.errors import ConfigError, ContractError
 from vidflow.grids import Extent5, Rng
-from vidflow.schedule import CountingModel, FnModel
 
 
 EXT = Extent5(1, 1, 2, 3, 3)
 
 
 def const_model(value):
-    return FnModel(lambda z, s, c: vf.LatentGrid.full(z.extent, value))
+    return lambda z, s, c: vf.LatentGrid.full(z.extent, value)
 
 
 class TestBuildSchedule:
@@ -98,7 +97,7 @@ class TestSampleOde:
         rng = Rng(8)
         z0 = vf.sample_gaussian(EXT, rng)
         eps = vf.sample_gaussian(EXT, rng)
-        model = FnModel(lambda z, s, c: vf.LatentGrid(EXT, eps.values - z0.values))
+        model = lambda z, s, c: vf.LatentGrid(EXT, eps.values - z0.values)
         out = vf.sample_ode(model, eps, vf.build_schedule(n, 1.0), vf.Conditioning.zeros(1))
         assert np.abs(out.values - z0.values).max() <= 1e-10
 
@@ -106,7 +105,7 @@ class TestSampleOde:
         # dz/dsigma = z integrated 1 -> 0 has exact solution z1 * e^{-1}
         z1 = vf.sample_gaussian(EXT, Rng(2))
         cond = vf.Conditioning.zeros(1)
-        model = FnModel(lambda z, s, c: z)
+        model = lambda z, s, c: z
         errors = {}
         for n in (125, 250, 500, 1000):
             out = vf.sample_ode(model, z1, vf.build_schedule(n, 1.0), cond)
@@ -118,11 +117,17 @@ class TestSampleOde:
 
     def test_nfe_equals_schedule_length(self):
         for n in (1, 5, 23):
-            counter = CountingModel(const_model(0.0))
-            vf.sample_ode(counter, vf.LatentGrid.zeros(EXT), vf.build_schedule(n, 3.0), vf.Conditioning.zeros(1))
-            assert counter.nfe == n
+            sched = vf.build_schedule(n, 3.0)
+            sigmas = []
+
+            def model(z, s, c):
+                sigmas.append(s)
+                return vf.LatentGrid.zeros(z.extent)
+
+            vf.sample_ode(model, vf.LatentGrid.zeros(EXT), sched, vf.Conditioning.zeros(1))
+            assert sigmas == list(sched.sigmas[:-1])
 
     def test_model_extent_violation(self):
-        bad = FnModel(lambda z, s, c: vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 2)))
+        bad = lambda z, s, c: vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 2))
         with pytest.raises(ContractError):
             vf.sample_ode(bad, vf.LatentGrid.zeros(EXT), vf.build_schedule(2, 1.0), vf.Conditioning.zeros(1))
