@@ -64,13 +64,19 @@ class Tensor:
         return self._reverse()
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit (``np.mean`` is this
+    sum divided by the count), without its Python-level wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layernorm(x: np.ndarray, saved: list | None = None) -> np.ndarray:
     """Normalize the last axis to zero mean / unit variance (eps 1e-6, no affine).
 
     The centred input is the one work array; it is scaled in place into the
     output.  ``saved`` gets the output and the row scales."""
-    y = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(y).mean(axis=-1, keepdims=True) + 1e-6)
+    y = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(np.square(y)) + 1e-6)
     y *= inv
     if saved is not None:
         saved.append((y, inv))
@@ -79,9 +85,7 @@ def layernorm(x: np.ndarray, saved: list | None = None) -> np.ndarray:
 
 def layernorm_backward(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """The input gradient of :func:`layernorm` from its output ``y`` and row scales ``inv``."""
-    gm = g.mean(axis=-1, keepdims=True)
-    gym = (g * y).mean(axis=-1, keepdims=True)
-    return inv * (g - gm - y * gym)
+    return inv * (g - _row_mean(g) - y * _row_mean(g * y))
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, saved: list | None = None) -> np.ndarray:

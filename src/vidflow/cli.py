@@ -52,7 +52,7 @@ from .denoiser import (
     train_refiner,
 )
 from .errors import ConfigError, FormatError, VidflowError
-from .grids import Extent5, LatentGrid, Rng, read_lgr1, write_lgr1
+from .grids import Extent5, LatentGrid, Rng, read_lgr1, removed_on_error, write_lgr1
 from .preview import PreviewConfig, generate_preview
 from .schedule import Conditioning
 
@@ -116,9 +116,10 @@ _SCHEMAS = {
 
 def _atomic_write_bytes(path, data: bytes) -> None:
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    with removed_on_error(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -127,8 +128,9 @@ def _atomic_write_text(path, text: str) -> None:
 
 def _write_grid(path, grid: LatentGrid) -> None:
     tmp = str(path) + ".tmp"
-    write_lgr1(grid, tmp)
-    os.replace(tmp, path)
+    with removed_on_error(tmp):
+        write_lgr1(grid, tmp)
+        os.replace(tmp, path)
 
 
 def _check_out(out) -> None:

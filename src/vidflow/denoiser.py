@@ -26,6 +26,7 @@ from .grids import (
     axpy,
     read_record,
     record_axes,
+    removed_on_error,
     resize_spatial,
     sample_gaussian,
     write_record,
@@ -69,6 +70,12 @@ class DenoiserParams:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         self.window = WindowSpec(self.w_t)
         self.rope = RoPEConfig.even_split(self.d)
+        # each tensor's (name, slice, shape) in a flat buffer of every value
+        self._layout, self.size = [], 0
+        for name, shape in self.tensor_shapes().items():
+            n = math.prod(shape)
+            self._layout.append((name, slice(self.size, self.size + n), shape))
+            self.size += n
 
     @property
     def token_dim(self) -> int:
@@ -102,6 +109,11 @@ class DenoiserParams:
                 n = int(np.prod(shape))
                 p.tensors[name] = 0.02 * rng.normal(n).reshape(shape)
         return p
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """A ``{name: array}`` dict of views into ``flat`` (:attr:`size`
+        values), one per tensor, laid end to end in :meth:`tensor_shapes` order."""
+        return {name: flat[at].reshape(shape) for name, at, shape in self._layout}
 
     def copy(self) -> "DenoiserParams":
         return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
@@ -184,12 +196,13 @@ def _reverse(params: DenoiserParams, saved: list, sigma: float, cond: Conditioni
     """The fixed reverse pass: the gradient of every parameter tensor from a
     saving forward's items, each ending in its output gradient.
 
-    Gradients start at zero and take each term in the order a reverse-mode
-    tape over the summed item losses would add it: items 0, 1, ..., and
-    within window attention the runs in frame order.  The sigma/conditioning
+    The gradients are views of one fresh zeroed flat buffer
+    (:meth:`DenoiserParams.views`).  Each takes its terms in the order a
+    reverse-mode tape over the summed item losses would add them: items 0,
+    1, ..., and within window attention the runs in frame order.  The sigma/conditioning
     bias is shared, so its gradient is summed over the items first."""
     tensors, p, d = params.tensors, params.patch, params.d
-    grads = {k: np.zeros_like(v) for k, v in tensors.items()}
+    grads = params.views(np.zeros(params.size))
     blocks = _block_weights(grads, params.depth)
     g_bias = np.zeros((1, d))
     for item in saved:
@@ -289,11 +302,18 @@ class DegradationConfig:
 
 
 def _box_blur(v: np.ndarray, radius: int) -> np.ndarray:
-    """Edge-clamped (2r+1)^2 box filter over the last two axes."""
+    """Edge-clamped (2r+1)^2 box filter over the last two axes.  The clamped
+    border is copied in by slices: the edge rows, then the edge columns of
+    the row-padded array, which carry the corners."""
     r = radius
-    padded = np.pad(v, [(0, 0)] * (v.ndim - 2) + [(r, r), (r, r)], mode="edge")
-    acc = np.zeros_like(v)
     h, w = v.shape[-2:]
+    padded = np.empty(v.shape[:-2] + (h + 2 * r, w + 2 * r))
+    padded[..., r : r + h, r : r + w] = v
+    padded[..., :r, r : r + w] = v[..., :1, :]
+    padded[..., r + h :, r : r + w] = v[..., -1:, :]
+    padded[..., :r] = padded[..., r : r + 1]
+    padded[..., r + w :] = padded[..., r + w - 1 : r + w]
+    acc = np.zeros_like(v)
     for dy in range(2 * r + 1):
         for dx in range(2 * r + 1):
             acc += padded[..., dy : dy + h, dx : dx + w]
@@ -408,8 +428,10 @@ class TrainConfig:
     phase2_iters: int = 100
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be a finite number >= 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
         if not 1 <= self.phase1_frames <= self.phase2_frames:
             raise ConfigError(f"need 1 <= phase1_frames <= phase2_frames, "
                               f"got {self.phase1_frames}, {self.phase2_frames}")
@@ -425,27 +447,64 @@ class TrainConfig:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict."""
+    """Decoupled-weight-decay Adam over a named parameter dict.
+
+    The parameters and both moments are held in flat float64 buffers, in
+    :meth:`DenoiserParams.tensor_shapes` order: ``params.tensors``, :attr:`m`
+    and :attr:`v` map each name to its view.  :meth:`step` first copies into
+    the buffers any entry that is no longer its view (a tensor the caller
+    reassigned) and binds the view in its place, gathers the gradients into
+    a flat buffer, then runs each operation once over the whole buffer.  Per
+    element these are the operations of a per-tensor update, in its order,
+    so they give its bits."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: DenoiserParams, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self._p, self._m, self._v = (np.zeros(params.size) for _ in range(3))
+        self._g, self._u, self._w = (np.empty(params.size) for _ in range(3))
+        self._views = [params.views(flat) for flat in (self._p, self._m, self._v)]
+        self.m, self.v = dict(self._views[1]), dict(self._views[2])
         self.t = 0
+        _bind(params.tensors, self._views[0])
 
     def step(self, params: DenoiserParams, grads: dict[str, np.ndarray]) -> None:
         c, b1, b2 = self.cfg, self.BETA1, self.BETA2
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for k, p in params.tensors.items():
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.EPS)
-            params.tensors[k] = p - c.lr * (update + c.weight_decay * p)
+        for tensors, views in zip((params.tensors, self.m, self.v), self._views):
+            _bind(tensors, views)
+        g = np.concatenate([grads[k] for k in self._views[0]], axis=None, out=self._g)
+        p, m, v, u, w = self._p, self._m, self._v, self._u, self._w
+        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=u)
+        v *= b2
+        np.multiply(g, 1 - b2, out=u)
+        u *= g
+        v += u
+        # p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
+        np.divide(m, bc1, out=u)
+        np.sqrt(np.divide(v, bc2, out=w), out=w)
+        w += self.EPS
+        u /= w
+        u += np.multiply(p, c.weight_decay, out=w)
+        u *= c.lr
+        p -= u
+
+
+def _bind(tensors: dict[str, np.ndarray], views: dict[str, np.ndarray]) -> None:
+    """Make every ``tensors[name]`` the view ``views[name]``, copying in the
+    values of any entry that is another array."""
+    for name, view in views.items():
+        arr = tensors[name]
+        if arr is not view:
+            if np.shape(arr) != view.shape:
+                raise ShapeError(f"tensor {name} has shape {np.shape(arr)}, the architecture needs {view.shape}")
+            view[...] = arr
+            tensors[name] = view
 
 
 def refiner_loss(
@@ -615,14 +674,15 @@ def save_checkpoint(
     # both files go to temporary names first and the index is renamed last,
     # so a write that fails leaves the previous checkpoint whole
     blob, index = str(path), f"{path}.index"
-    with open(blob + ".tmp", "wb") as fh:
-        for group in groups:
-            for name in params.tensor_shapes():
-                write_record(fh, group[name])
-    with open(index + ".tmp", "w") as fh:
-        fh.write("".join(f"meta {k} {v}\n" for k, v in {**header, **(meta or {})}.items()))
-    os.replace(blob + ".tmp", blob)
-    os.replace(index + ".tmp", index)
+    with removed_on_error(blob + ".tmp", index + ".tmp"):
+        with open(blob + ".tmp", "wb") as fh:
+            for group in groups:
+                for name in params.tensor_shapes():
+                    write_record(fh, group[name])
+        with open(index + ".tmp", "w") as fh:
+            fh.write("".join(f"meta {k} {v}\n" for k, v in {**header, **(meta or {})}.items()))
+        os.replace(blob + ".tmp", blob)
+        os.replace(index + ".tmp", index)
 
 
 def load_checkpoint(path, train_cfg: TrainConfig | None = None):
@@ -683,5 +743,8 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     optimizer = None
     if opt_t is not None and train_cfg is not None:
         optimizer = AdamW(params, train_cfg)
-        optimizer.t, optimizer.m, optimizer.v = opt_t, groups[1], groups[2]
+        optimizer.t = opt_t
+        for name in shapes:
+            optimizer.m[name][...] = groups[1][name]
+            optimizer.v[name][...] = groups[2][name]
     return params, optimizer, meta

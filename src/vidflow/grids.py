@@ -8,7 +8,10 @@ width). Grids are immutable values; operations return new grids.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -148,12 +151,35 @@ def _sample_positions(n_in: int, n_out: int) -> np.ndarray:
     return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_plan(h: int, w: int, h_out: int, w_out: int):
+    """The bilinear resize (h, w) -> (h_out, w_out), planned once: the four
+    corners' flat indices into the h*w plane, each (h_out, w_out), and the
+    weights wy, 1 - wy (h_out, 1) and wx, 1 - wx (1, w_out).  Read-only."""
+    ys = _sample_positions(h, h_out)
+    xs = _sample_positions(w, w_out)
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    corners = [(ya * w)[:, None] + xa[None, :] for ya in (y0, y1) for xa in (x0, x1)]
+    plan = (*corners, wy, 1 - wy, wx, 1 - wx)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def resize_spatial(z: LatentGrid, h_out: int, w_out: int) -> LatentGrid:
     """Per-frame bilinear resize of the (h, w) axes.
 
     Align-corners sampling with edge clamping; exact on constants and an exact
     identity when the target matches the source size.  The frame axis is never
-    resampled.
+    resampled.  Each corner is one ``take`` from the flattened h*w plane, with
+    the indices and weights planned once per size pair; the output is
+    ``v00*(1-wy)*(1-wx) + v01*(1-wy)*wx + v10*wy*(1-wx) + v11*wy*wx``,
+    multiplied and summed left to right.
     """
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"target dimensions must be >= 1, got ({h_out}, {w_out})")
@@ -161,22 +187,16 @@ def resize_spatial(z: LatentGrid, h_out: int, w_out: int) -> LatentGrid:
     if h_out == e.h and w_out == e.w:
         return LatentGrid(e, z.values.copy())
 
-    ys = _sample_positions(e.h, h_out)
-    xs = _sample_positions(e.w, w_out)
-    y0 = np.clip(np.floor(ys).astype(int), 0, e.h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, e.w - 1)
-    y1 = np.minimum(y0 + 1, e.h - 1)
-    x1 = np.minimum(x0 + 1, e.w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-
-    v = z.values
-    out = (
-        v[..., y0[:, None], x0[None, :]] * (1 - wy) * (1 - wx)
-        + v[..., y0[:, None], x1[None, :]] * (1 - wy) * wx
-        + v[..., y1[:, None], x0[None, :]] * wy * (1 - wx)
-        + v[..., y1[:, None], x1[None, :]] * wy * wx
-    )
+    i00, i01, i10, i11, wy, wy1, wx, wx1 = _resize_plan(e.h, e.w, h_out, w_out)
+    plane = z.values.reshape(e.b, e.c, e.f, e.h * e.w)
+    out = plane.take(i00, axis=-1)
+    out *= wy1
+    out *= wx1
+    for idx, a, b in ((i01, wy1, wx), (i10, wy, wx1), (i11, wy, wx)):
+        term = plane.take(idx, axis=-1)
+        term *= a
+        term *= b
+        out += term
     return LatentGrid(Extent5(e.b, e.c, e.f, h_out, w_out), out)
 
 
@@ -229,6 +249,19 @@ def read_record(data: bytes, offset: int, where) -> tuple[tuple[int, ...], np.nd
         i = int(np.argmin(finite))
         raise FormatError(f"{where}: non-finite value {values[i]} at byte {start + 8 * i}")
     return axes, values.astype(np.float64), end
+
+
+@contextlib.contextmanager
+def removed_on_error(*paths):
+    """On an exception in the block, remove whichever of ``paths`` exist (the
+    temporary files a failed write leaves), then re-raise."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def write_lgr1(grid: LatentGrid, path) -> None:

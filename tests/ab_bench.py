@@ -1,0 +1,160 @@
+"""Compare the benchmark's end-to-end metrics between a parent revision and
+this checkout, in alternating pairs of runs.
+
+Run from anywhere inside a checkout:
+
+    python tests/ab_bench.py PARENT_REV [--workload W] [--pairs N] [--seconds S] [--seed K]
+
+``PARENT_REV`` is unpacked with ``git archive`` into a temporary directory.
+Each pair runs ``bench/run.py --workload W --seconds S`` once in the parent
+tree and once in this checkout's working tree, each in its own process; the
+side that goes first alternates from pair to pair, so a drift of the machine
+over the session lands on both sides alike.  Each run's final JSON line gives
+its metrics.
+
+For every end-to-end metric of ``BENCHMARK.json`` it prints the medians and
+quartiles of both sides, how many pairs the change wins, and a two-sided sign
+test p.  A verdict column says
+
+- ``WORSE``: the change's median is worse than the parent's by more than the
+  metric's bound (a fraction of the parent's median);
+- ``met``: the change wins at least 9 in 10 of the pairs and the gap between
+  the medians exceeds the parent's interquartile range, the bar a claimed
+  gain must clear;
+- ``wide``: the parent's interquartile range exceeds the bound, so the runs
+  spread too widely to tell;
+- ``-``: none of these.
+
+Failed requests are counted per side.  The script changes nothing under
+``bench/``.  pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def unpack(rev: str, dest: str) -> str:
+    """Extract the tree of ``rev`` into ``dest``; return its full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    blob = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def bench_once(tree: str, args) -> dict:
+    """One ``bench/run.py`` process in ``tree``; its final JSON line."""
+    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
+    if args.seed is not None:
+        cmd += ["--seed", str(args.seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"bench/run.py in {tree} exited {proc.returncode} without a result:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}") from None
+    return result
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided exact sign test over the pairs that are not ties."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(max(wins, losses), n + 1)) / 2.0**n
+    return min(1.0, 2.0 * tail)
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return float(med), float(q1), float(q3)
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str, int]:
+    """(verdict, pairs the change wins) of one metric; see the module docstring."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    pm, pq1, pq3 = quartiles(parent)
+    cm, _, _ = quartiles(change)
+    iqr = pq3 - pq1
+    if sign * (pm - cm) > metric["bound"] * abs(pm):
+        return "WORSE", wins
+    if wins >= math.ceil(0.9 * len(parent)) and sign * (cm - pm) > iqr:
+        return "met", wins
+    if iqr > metric["bound"] * abs(pm):
+        return "wide", wins
+    return "-", wins
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", metavar="PARENT_REV", help="the revision to compare against")
+    parser.add_argument("--workload", default="train_rig", help="a workload of BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating (parent, change) pairs")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="timed loop of each run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--seed", type=int, default=None, help="input seed (default: the bench's)")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    if args.workload not in [w["name"] for w in bench["workloads"]]:
+        parser.error(f"unknown workload {args.workload!r}")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    if args.seconds is None:
+        args.seconds = float(bench["run_seconds"])
+
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        commit = unpack(args.parent, tmp)
+        trees = {"parent": tmp, "change": ROOT}
+        runs = {"parent": [], "change": []}
+        print(f"ab_bench: {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, seed "
+              f"{'default' if args.seed is None else args.seed}; parent {commit[:12]}, change {ROOT}",
+              flush=True)
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench_once(trees[side], args))
+            got = {s: runs[s][-1]["metrics"]["items_per_s_max"]["value"] for s in order}
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): items_per_s_max parent "
+                  f"{got['parent']:.4g}, change {got['change']:.4g}", file=sys.stderr, flush=True)
+
+    head = (f"{'metric':<16} {'better':<6} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
+            f"{'change':>8} {'wins':>6} {'sign p':>7}  verdict")
+    print(head)
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
+        (pm, pq1, pq3), (cm, cq1, cq3) = (quartiles(values[s]) for s in ("parent", "change"))
+        word, wins = verdict(metric, values["parent"], values["change"])
+        losses = sum(c != p for p, c in zip(values["parent"], values["change"])) - wins
+        cell = lambda m, a, b: f"{m:.4g} [{a:.4g}, {b:.4g}]"  # noqa: E731
+        print(f"{name:<16} {metric['better']:<6} {cell(pm, pq1, pq3):>30} {cell(cm, cq1, cq3):>30} "
+              f"{(cm - pm) / abs(pm) if pm else float('nan'):>+8.1%} {wins:>3}/{args.pairs:<2} "
+              f"{sign_test_p(wins, losses):>7.3f}  {word}")
+    for side in runs:
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        wrong = sum(not r["correct"] for r in runs[side])
+        print(f"{side}: {failed} of {attempted} requests failed; {wrong} of {len(runs[side])} runs incorrect")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

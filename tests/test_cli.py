@@ -301,6 +301,14 @@ class TestExitCodes:
         assert run(verb, *inputs, "--set", f"out={out}", "--set", override) == 2
         assert not out.exists()  # not even synth's index.txt
 
+    @pytest.mark.parametrize("override", ["weight_decay=-1", "weight_decay=-0.001"])
+    def test_negative_weight_decay_is_2_before_the_dataset_is_read(self, tmp_path, capsys, override):
+        out = tmp_path / "out.lgr"
+        assert run("train", "--set", f"dataset={tmp_path / 'none'}", "--set", f"out={out}",
+                   "--set", override) == 2
+        assert "weight_decay must be a finite number >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_cond_dim_is_2(self, tmp_path, dataset, capsys):
         ckpt = tmp_path / "ckpt.lgr"
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}",
@@ -450,6 +458,48 @@ class TestOutputPath:
 
     def test_profile(self, tmp_path, capsys, bad_out):
         self._refused(tmp_path, capsys, bad_out, "profile")
+
+
+class TestFailedWrite:
+    """A write that raises part way removes its temporary file and re-raises,
+    leaving the directory as it was."""
+
+    def test_atomic_write_bytes(self, tmp_path, monkeypatch):
+        import builtins
+
+        from vidflow import cli
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: HalfWritten(builtins.open(path, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            cli._atomic_write_bytes(tmp_path / "out.txt", b"0123456789")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_grid(self, tmp_path, monkeypatch):
+        from vidflow import cli, grids
+
+        def half_record(fh, arr):
+            fh.write(grids.LGR1_MAGIC)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(grids, "write_record", half_record)
+        with pytest.raises(OSError, match="No space left"):
+            cli._write_grid(tmp_path / "clip.lgr", vf.LatentGrid.zeros(vf.Extent5(1, 1, 1, 2, 2)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:

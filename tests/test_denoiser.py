@@ -273,6 +273,23 @@ class TestDegradation:
         b, _ = degrade_pair(px, codec, RIG_DEG, rng=Rng(19))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("shape", [(1, 3, 9, 16, 16), (1, 3, 5, 16, 16), (2, 1, 3, 5, 7), (1, 1, 1, 1, 2)])
+    def test_blur_bits_of_the_padded_formula(self, shape, radius):
+        """The slice-copied border gives the bits of an ``np.pad`` edge border."""
+        from vidflow.denoiser import _box_blur
+
+        v = Rng(radius).normal(int(np.prod(shape))).reshape(shape)
+        v[..., 0, :] = -0.0  # signed zeros keep their sign through the border
+        r = radius
+        padded = np.pad(v, [(0, 0)] * (v.ndim - 2) + [(r, r), (r, r)], mode="edge")
+        acc = np.zeros_like(v)
+        h, w = v.shape[-2:]
+        for dy in range(2 * r + 1):
+            for dx in range(2 * r + 1):
+                acc += padded[..., dy : dy + h, dx : dx + w]
+        assert _box_blur(v, r).tobytes() == (acc / (2 * r + 1) ** 2).tobytes()
+
 
 class TestSynthVideo:
     def test_range_and_determinism(self):
@@ -344,6 +361,58 @@ class TestAdamW:
         opt.step(p, grads)
         assert np.allclose(p.tensors["block0.wq"], w0 * (1 - cfg.lr * cfg.weight_decay))
 
+    @staticmethod
+    def reference_step(cfg, t, tensors, m, v, grads):
+        """One step of the per-tensor update, written out."""
+        b1, b2 = AdamW.BETA1, AdamW.BETA2
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for k, p in tensors.items():
+            g = grads[k]
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + AdamW.EPS)
+            tensors[k] = p - cfg.lr * (update + cfg.weight_decay * p)
+
+    @pytest.mark.parametrize("reassign", [False, True])
+    def test_bits_of_the_per_tensor_update(self, reassign):
+        """Five steps with weight decay over plain gradient dicts give the
+        per-tensor update's bits; so do steps after a tensor is reassigned."""
+        p = small_params(seed=27)
+        cfg = TrainConfig(lr=3e-2, weight_decay=0.1)
+        ref = {k: v.copy() for k, v in p.tensors.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        opt = AdamW(p, cfg)
+        rng = Rng(28)
+        for t in range(1, 6):
+            if reassign and t == 3:
+                new = rng.normal(ref["block1.wk"].size).reshape(ref["block1.wk"].shape)
+                ref["block1.wk"], p.tensors["block1.wk"] = new, new.copy()
+            grads = {k: rng.normal(a.size).reshape(a.shape) for k, a in ref.items()}
+            self.reference_step(cfg, t, ref, m, v, grads)
+            opt.step(p, grads)
+            for want, got in ((ref, p.tensors), (m, opt.m), (v, opt.v)):
+                for k in want:
+                    assert np.array_equal(want[k], got[k]) and want[k].tobytes() == got[k].tobytes(), (t, k)
+
+    def test_gradients_of_two_losses_share_no_memory(self):
+        p = small_params(seed=29)
+        src, clean = vf.sample_gaussian(EXT, Rng(1)), vf.sample_gaussian(EXT, Rng(2))
+        cond = vf.Conditioning.zeros(p.cond_dim)
+        _, first = refiner_loss(p, src, clean, 0.3, cond)
+        _, second = refiner_loss(p, src, clean, 0.6, cond)
+        assert not any(np.shares_memory(a, b) for a in first.values() for b in second.values())
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("inf")), ("lr", float("nan")), ("lr", -1e-3),
+        ("weight_decay", -3.0), ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+    ])
+    def test_meaningless_optimizer_setting_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number >= 0"):
+            TrainConfig(**{key: value})
+
 
 class TestTraining:
     def test_loss_decreases_on_rig(self, trained_rig):
@@ -371,6 +440,24 @@ class TestTraining:
         )
         for k in straight.tensors:
             assert np.array_equal(straight.tensors[k], resumed.tensors[k]), k
+
+    def test_resumed_checkpoint_is_byte_identical(self, tmp_path):
+        """Save, load and resume gives the checkpoint of a straight run, the
+        optimizer's moments included, byte for byte."""
+        dataset = [synth_video("bouncing_rect", Extent5(1, 1, 6, 8, 8), Rng(200 + i)) for i in range(3)]
+        cfg = TrainConfig(lr=1e-2, weight_decay=0.05, phase1_frames=3, phase1_iters=3,
+                          phase2_frames=5, phase2_iters=3)
+        codec = ToyCodec()
+        params, opt, _ = train_refiner(dataset, codec, RIG_DEG, cfg, Rng(32))
+        save_checkpoint(tmp_path / "straight.lgr", params, opt)
+        params, opt, _ = train_refiner(dataset, codec, RIG_DEG, cfg, Rng(32), n_iters=4)
+        save_checkpoint(tmp_path / "part.lgr", params, opt)
+        params, opt, _ = load_checkpoint(tmp_path / "part.lgr", cfg)
+        params, opt, _ = train_refiner(dataset, codec, RIG_DEG, cfg, Rng(32), params=params,
+                                       optimizer=opt, start_iter=4)
+        save_checkpoint(tmp_path / "resumed.lgr", params, opt)
+        for suffix in ("lgr", "lgr.index"):
+            assert (tmp_path / f"straight.{suffix}").read_bytes() == (tmp_path / f"resumed.{suffix}").read_bytes()
 
     def test_progressive_frame_schedule(self):
         cfg = TrainConfig(phase1_frames=5, phase1_iters=10, phase2_frames=9, phase2_iters=10)
@@ -556,6 +643,23 @@ class TestCheckpoint:
         assert meta["iteration"] == "1"
         for k in p.tensors:
             assert np.array_equal(back.tensors[k], p.tensors[k]), k
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        from vidflow import denoiser
+
+        written = []
+
+        def failing_write_record(fh, arr):
+            if len(written) == 2:
+                fh.write(b"LGRID")  # part of a record, then the disk is full
+                raise OSError(28, "No space left on device")
+            write_record(fh, arr)
+            written.append(arr.shape)
+
+        monkeypatch.setattr(denoiser, "write_record", failing_write_record)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(tmp_path / "model.lgr", small_params(seed=42))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_index_is_format_error(self, tmp_path):
         p = small_params()

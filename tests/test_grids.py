@@ -45,6 +45,34 @@ class TestResize:
                     expect = bilinear_resize_oracle(g.values[b, c, f], h_out, w_out)
                     assert np.allclose(out.values[b, c, f], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("shape,hw_out", [
+        ((1, 3, 9, 16, 16), (8, 8)), ((1, 3, 5, 8, 8), (16, 16)),    # the rig's pixel down-up
+        ((1, 12, 9, 8, 8), (4, 4)), ((1, 12, 9, 4, 4), (8, 8)),      # and its latent down-up
+        ((4, 12, 8, 16, 16), (8, 8)), ((4, 12, 8, 8, 8), (16, 16)),  # gen_small
+        ((1, 12, 8, 32, 32), (16, 16)), ((1, 12, 8, 16, 16), (32, 32)),  # gen_large
+        ((2, 1, 3, 5, 7), (3, 11)),
+    ])
+    def test_bits_of_the_broadcast_formula(self, shape, hw_out):
+        """The planned corner gathers give the bits of the four-corner
+        formula over fancy-indexed corners, multiplied and summed in order."""
+        g = vf.sample_gaussian(Extent5(*shape), Rng(sum(shape)))
+        h_out, w_out = hw_out
+        ys = np.arange(h_out) * ((shape[3] - 1) / (h_out - 1))
+        xs = np.arange(w_out) * ((shape[4] - 1) / (w_out - 1))
+        y0 = np.clip(np.floor(ys).astype(int), 0, shape[3] - 1)
+        x0 = np.clip(np.floor(xs).astype(int), 0, shape[4] - 1)
+        y1, x1 = np.minimum(y0 + 1, shape[3] - 1), np.minimum(x0 + 1, shape[4] - 1)
+        wy, wx = (ys - y0)[:, None], (xs - x0)[None, :]
+        v = g.values
+        expect = (
+            v[..., y0[:, None], x0[None, :]] * (1 - wy) * (1 - wx)
+            + v[..., y0[:, None], x1[None, :]] * (1 - wy) * wx
+            + v[..., y1[:, None], x0[None, :]] * wy * (1 - wx)
+            + v[..., y1[:, None], x1[None, :]] * wy * wx
+        )
+        for _ in range(2):  # the plan is built, then reused
+            assert vf.resize_spatial(g, h_out, w_out).values.tobytes() == expect.tobytes()
+
     def test_down_then_up_constant(self):
         g = vf.LatentGrid.full(Extent5(1, 1, 1, 8, 8), -2.25)
         down = vf.resize_spatial(g, 3, 3)
