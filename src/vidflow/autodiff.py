@@ -5,17 +5,22 @@ A forward given a ``saved`` list appends what its backward needs to it;
 without one it keeps nothing, and :func:`layernorm`, :func:`ffn` and
 :func:`attention_tiled` run in place on their work arrays, the largest two
 (the FFN's hidden array, attention's score tile) in one grow-only scratch
-array per thread.  A backward takes the output gradient and the saved entry,
-adds the parameter gradients into the caller's buffers with ``+=`` and
-returns the input gradient.  Buffers start at zero and take their terms in
-the order the caller visits them, so a sum of several terms has the bits of
-that order.  The denoiser's reverse pass (:mod:`vidflow.denoiser`) calls
-these backwards in a fixed order; nothing records a graph.
+array per thread.  A large :func:`attention_tiled` call shares its query
+tiles with helper threads, one per further CPU the process may run on; the
+tiles and their arithmetic do not depend on which thread runs them, so the
+output has the serial path's bits.  A backward takes the output gradient and
+the saved entry, adds the parameter gradients into the caller's buffers with
+``+=`` and returns the input gradient.  Buffers start at zero and take their
+terms in the order the caller visits them, so a sum of several terms has the
+bits of that order.  The denoiser's reverse pass (:mod:`vidflow.denoiser`)
+calls these backwards in a fixed order; nothing records a graph.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
 import threading
 
 import numpy as np
@@ -103,7 +108,7 @@ def linear_backward(g, x, gw, gb, w=None):
     the input gradient ``g @ wᵀ``, or None when ``w`` is not given (an input
     that needs no gradient)."""
     gw += x.T @ g
-    gb += g.sum(axis=0)
+    gb += np.add.reduce(g, axis=0)
     return None if w is None else g @ w.T
 
 
@@ -157,11 +162,11 @@ def ffn_backward(g, entry, gw1, gb1, gw2, gb2) -> np.ndarray:
     g = g.reshape(-1, w2.shape[-1])
     ga = g @ w2.T
     gw2 += a.T @ g
-    gb2 += g.sum(axis=0)
+    gb2 += np.add.reduce(g, axis=0)
     dinner = _GELU_C * (1.0 + 3 * 0.044715 * h**2)
     gh = ga * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t**2) * dinner)
     gw1 += x.reshape(-1, x.shape[-1]).T @ gh
-    gb1 += gh.sum(axis=0)
+    gb1 += np.add.reduce(gh, axis=0)
     return (gh @ w1.T).reshape(x.shape)
 
 
@@ -169,8 +174,8 @@ def attention_probs(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     """softmax(q @ kᵀ * scale) over the last axis, computed whole and shifted
     by the row max: the probabilities a saving forward keeps."""
     s = (q @ k.swapaxes(-1, -2)) * scale
-    p = np.exp(s - s.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
+    p = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
@@ -180,21 +185,105 @@ def attention_grads(p, q, k, v, g, scale: float):
     gS = P·(gP − Σ gP·P)·scale, gQ = gS·k, gK = (qᵀ·gS)ᵀ."""
     gv = p.swapaxes(-1, -2) @ g
     gp = g @ v.swapaxes(-1, -2)
-    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    gs = p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * scale
     return gs @ k, (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), gv
+
+
+# Scores (heads·n_q·n_k) from which attention_tiled shares its query tiles
+# with the helper threads: below it, waking a helper costs more than it saves.
+# Single calls, median ms serial -> shared (one BLAS thread, 2-core AVX-512
+# Xeon): 6 heads × 384² (0.88 M scores) 2.99 -> 3.12, 2 × 768² (1.18 M) 3.72
+# -> 3.62, 6 × 512² (1.57 M) 5.25 -> 3.13, 6 × 1024² 21.4 -> 12.2.  gen_large
+# hi base forward at a floor of 2**20 / 2**21 / 2**22: 67.8 / 71.1 / 71.0 ms
+# (99.8 serial); 32×32 refiner forward 21.4 / 21.7 / 29.5 (29.3 serial).
+# Every gen_small call (6·256² scores at most) stays serial.
+_SHARE_SCORES = 1 << 20
+
+_JOBS = queue.SimpleQueue()  # callables the helper threads run in turn
+_HELPERS_LOCK = threading.Lock()
+_helpers: int | None = None  # helper threads started, None before the first shared call
+
+
+def _helper_count() -> int:
+    """Start the helper threads on first use, one per CPU this process may
+    run on beyond the caller's, and return their number."""
+    global _helpers
+    with _HELPERS_LOCK:
+        if _helpers is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            _helpers = max(0, (cpus or 1) - 1)
+            for _ in range(_helpers):
+                threading.Thread(target=_serve, name="vidflow-attention", daemon=True).start()
+    return _helpers
+
+
+def _serve() -> None:
+    while True:
+        _JOBS.get()()
+
+
+class _Tiles:
+    """One call's tiles ``0 .. n-1``; every thread in :meth:`work` takes the
+    next unclaimed tile until none is left.  A tile that raises stops the
+    hand-out; the error is kept for the caller."""
+
+    def __init__(self, tile, n: int):
+        self.tile, self.n = tile, n
+        self.claimed = self.finished = 0
+        self.error: BaseException | None = None
+        self.lock = threading.Lock()
+        self.done = threading.Event()  # set once every claimed tile has finished
+
+    def work(self) -> None:
+        while True:
+            with self.lock:
+                if self.claimed == self.n:
+                    return
+                i = self.claimed
+                self.claimed += 1
+            try:
+                self.tile(i)
+            except BaseException as e:  # re-raised in the caller
+                with self.lock:
+                    if self.error is None:
+                        self.error = e
+                    self.n = self.claimed
+            with self.lock:
+                self.finished += 1
+                if self.finished == self.n:
+                    self.tile = None  # a late helper finds no tile, and no arrays stay alive
+                    self.done.set()
+
+
+def _share(tile, n: int, helpers: int) -> None:
+    """Run ``tile(0) .. tile(n-1)`` on this thread and up to ``helpers``
+    helper threads; return once all have finished, or raise the first error."""
+    tiles = _Tiles(tile, n)
+    for _ in range(min(helpers, n - 1)):
+        _JOBS.put(tiles.work)
+    tiles.work()
+    tiles.done.wait()
+    if tiles.error is not None:
+        raise tiles.error
 
 
 def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands, keeping nothing.
 
     Softmax rows are independent, so the query rows run in tiles of at most
-    ``_TILE_ELEMS`` scores through one scratch buffer, and each tile takes
-    three passes over its scores:
+    ``_TILE_ELEMS`` scores, each through its thread's scratch array, and each
+    tile takes three passes over its scores:
 
-    1. ``s = (q * scale) @ kᵀ`` (q is scaled once, at n·dh cost);
+    1. ``s = (q * scale) @ kᵀ`` (q is scaled once, at n·dh cost, and kᵀ is
+       made contiguous once);
     2. ``exp(s)`` in place, with no shift;
     3. ``(s @ v) / s.sum(-1)``: the row sums divide the (rows, dv) result,
        not the (rows, n_k) tile.
+
+    A call of at least ``_SHARE_SCORES`` scores shares its tiles with the
+    helper threads: each thread, the caller too, takes the next unclaimed
+    tile until none is left.  The tile bounds do not depend on the thread
+    count, so the output is the serial path's, bit for bit.
 
     The shift is skipped only when scale·max‖q_i‖·max‖k_j‖ <= ``_EXP_SAFE``,
     which bounds every score so that no exp overflows or underflows; above
@@ -203,21 +292,32 @@ def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -
     """
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     n_q, n_k = q.shape[-2], k.shape[-2]
-    rows = max(1, _TILE_ELEMS // (n_k * math.prod(lead)))
+    heads = math.prod(lead)
+    rows = max(1, _TILE_ELEMS // (n_k * heads))
     q = q * scale
-    kt = k.swapaxes(-1, -2)
-    bound_sq = np.max((q * q).sum(-1), initial=0.0) * np.max((k * k).sum(-1), initial=0.0)
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    bound_sq = (np.max(np.add.reduce(q * q, axis=-1), initial=0.0)
+                * np.max(np.add.reduce(k * k, axis=-1), initial=0.0))
     shift = bound_sq > _EXP_SAFE**2
     out = np.empty(lead + (n_q, v.shape[-1]))
-    buf = _scratch(lead + (min(rows, n_q), n_k))
-    for i in range(0, n_q, rows):
-        qi = q[..., i : i + rows, :]
-        s = buf[..., : qi.shape[-2], :]
+    tile_shape = lead + (min(rows, n_q), n_k)
+
+    def tile(t: int) -> None:
+        qi = q[..., t * rows : (t + 1) * rows, :]
+        s = _scratch(tile_shape)[..., : qi.shape[-2], :]
         np.matmul(qi, kt, out=s)
         if shift:
-            s -= s.max(axis=-1, keepdims=True)
+            s -= np.maximum.reduce(s, axis=-1, keepdims=True)
         np.exp(s, out=s)
-        o = out[..., i : i + rows, :]
+        o = out[..., t * rows : (t + 1) * rows, :]
         np.matmul(s, v, out=o)
-        o /= s.sum(axis=-1, keepdims=True)
+        o /= np.add.reduce(s, axis=-1, keepdims=True)
+
+    n_tiles = -(-n_q // rows)
+    helpers = _helper_count() if n_tiles > 1 and heads * n_q * n_k >= _SHARE_SCORES else 0
+    if helpers:
+        _share(tile, n_tiles, helpers)
+    else:
+        for t in range(n_tiles):
+            tile(t)
     return out

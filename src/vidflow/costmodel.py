@@ -3,8 +3,11 @@
 Conventions (documented constants): one multiply-add counts as 2 FLOPs;
 softmax and normalization are not counted.  They are not negligible: at this
 package's head width dh=8 one exp costs more than one q·kᵀ score (1.32 vs
-1.01 ns per score, float64 numpy with one BLAS thread on a 2-core box).  The
-acceptance-level claims are all ratios, which these conventions cancel out of.
+1.01 ns per score, float64 numpy with one BLAS thread on a 2-core box; these
+per-score figures are for one thread, while a large inference attention call
+shares its query tiles across the CPUs, see
+:func:`vidflow.autodiff.attention_tiled`).  The acceptance-level claims are
+all ratios, which these conventions cancel out of.
 
 Per transformer block and step, for n tokens of width d (d_ff = 4d):
   attention pairs  sum over windows of 4 * n_win^2 * d

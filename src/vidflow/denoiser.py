@@ -213,7 +213,7 @@ def _reverse(params: DenoiserParams, saved: list, sigma: float, cond: Conditioni
         for i in reversed(range(0, params.depth, 2)):
             g = swin_block_pair_backward(g, item, (blocks[i], blocks[i + 1]))
         g = g.reshape(-1, d)
-        g_bias += g.sum(axis=0, keepdims=True)
+        g_bias += np.add.reduce(g, axis=0, keepdims=True)
         linear_backward(g, item.pop(), grads["embed.w"], grads["embed.b"])
     grads["sigma.w"] += _sigma_embedding(sigma)[:, None] @ g_bias
     grads["cond.w"] += cond.as_array()[:, None] @ g_bias
@@ -531,7 +531,7 @@ def refiner_loss(
         diff = out - target[b]
         scale = 1.0 / diff.size
         batch = 1.0 / z_t.extent.b
-        return float((diff * diff).sum()) * scale * batch, 2.0 * (diff * (batch * scale))
+        return float(np.add.reduce(diff * diff, axis=None)) * scale * batch, 2.0 * (diff * (batch * scale))
 
     return _loss_grads(params, z_t, t, cond, term)
 

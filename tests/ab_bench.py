@@ -25,6 +25,11 @@ test p.  A verdict column says
   spread too widely to tell;
 - ``-``: none of these.
 
+Each pair's line also gives each run's steal share: the share of the
+machine's CPU time that the hypervisor gave to other guests while the run
+ran, from the ``cpu`` line of ``/proc/stat`` before and after it (left out
+where that file is absent).  A pair run under heavy steal is contended.
+
 Failed requests are counted per side.  The script changes nothing under
 ``bench/``.  pytest does not collect it.
 """
@@ -57,18 +62,41 @@ def unpack(rev: str, dest: str) -> str:
     return commit
 
 
+def cpu_times() -> list[int] | None:
+    """The machine-wide CPU times of ``/proc/stat`` (user, nice, system,
+    idle, iowait, irq, softirq, steal), or None where they cannot be read."""
+    try:
+        with open("/proc/stat") as fh:
+            times = [int(x) for x in fh.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return times if len(times) == 8 else None
+
+
+def steal_share(before, after) -> float | None:
+    """The steal share of the CPU time between two :func:`cpu_times` reads."""
+    if before is None or after is None:
+        return None
+    delta = [a - b for a, b in zip(after, before)]
+    return delta[7] / sum(delta) if sum(delta) > 0 else None
+
+
 def bench_once(tree: str, args) -> dict:
-    """One ``bench/run.py`` process in ``tree``; its final JSON line."""
+    """One ``bench/run.py`` process in ``tree``; its final JSON line, with
+    the run's steal share under ``"steal"``."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
+    before = cpu_times()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    steal = steal_share(before, cpu_times())
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(f"bench/run.py in {tree} exited {proc.returncode} without a result:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}") from None
+    result["steal"] = steal
     return result
 
 
@@ -132,8 +160,11 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(bench_once(trees[side], args))
             got = {s: runs[s][-1]["metrics"]["items_per_s_max"]["value"] for s in order}
+            steal = {s: runs[s][-1]["steal"] for s in order}
+            stolen = ("" if None in steal.values() else
+                      f"; steal parent {steal['parent']:.1%}, change {steal['change']:.1%}")
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): items_per_s_max parent "
-                  f"{got['parent']:.4g}, change {got['change']:.4g}", file=sys.stderr, flush=True)
+                  f"{got['parent']:.4g}, change {got['change']:.4g}{stolen}", file=sys.stderr, flush=True)
 
     head = (f"{'metric':<16} {'better':<6} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
             f"{'change':>8} {'wins':>6} {'sign p':>7}  verdict")
@@ -153,6 +184,9 @@ def main(argv=None) -> int:
         attempted = sum(r["attempted"] for r in runs[side])
         wrong = sum(not r["correct"] for r in runs[side])
         print(f"{side}: {failed} of {attempted} requests failed; {wrong} of {len(runs[side])} runs incorrect")
+        if all(r["steal"] is not None for r in runs[side]):
+            shares = ", ".join(f"{r['steal']:.1%}" for r in runs[side])
+            print(f"{side}: steal share per run: {shares}")
     return 0
 
 

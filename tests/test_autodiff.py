@@ -317,6 +317,168 @@ class TestScratch:
             assert len(got) == 3 and all(np.array_equal(g, serial[i % 2]) for g in got)
 
 
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: attention_tiled starts no helper threads")
+
+# (heads, query tokens, key tokens, dh): gen_large's hi windows, a shifted
+# 512-token run, the 32×32 refiner's windows, a 4096-token refiner run, a
+# gen_small window (1-row tail tile) and a cross-attention shape
+SHARED_SHAPES = [(6, 1024, 1024, 8), (6, 512, 512, 8), (2, 1024, 1024, 6), (2, 4096, 4096, 6),
+                 (6, 256, 256, 8), (2, 200, 1000, 4)]
+
+# In a fresh interpreter: gen_small's forwards (the base model at its hi and
+# lo shapes, the Refiner at its refine shape) and a rig iteration at 5 and at
+# 9 frames, then a gen_large hi forward; the thread names after each part.
+THREADS_SCRIPT = """
+import threading
+from vidflow.denoiser import ToyCodec, train_refiner
+import vidflow as vf
+from bit_digest import model
+from conftest import RIG_DEG, RIG_TRAIN, make_rig_dataset
+rng = vf.Rng(42)
+base, refiner = model(48, 6, rng.split(1)), model(12, 2, rng.split(2))
+cond = vf.Conditioning.zeros(4)
+for params, hw in ((base, 16), (base, 8), (refiner, 16)):
+    vf.forward_velocity(params, vf.sample_gaussian(vf.Extent5(4, 12, 8, hw, hw), vf.Rng(hw)), 0.6, cond)
+dataset = make_rig_dataset(vf.Rng(7), n_clips=4)
+params, opt, _ = train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), n_iters=1)
+train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), params, opt, start_iter=150, n_iters=1)
+print(sorted(t.name for t in threading.enumerate()))
+vf.forward_velocity(base, vf.sample_gaussian(vf.Extent5(1, 12, 8, 32, 32), vf.Rng(32)), 0.6, cond)
+print(sorted(t.name for t in threading.enumerate()))
+"""
+
+
+def qkv(heads, n_q, n_k, dh, seed=0):
+    """Operands laid out as the window attention lays them out: head-major
+    views of token-major projections."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n_q, heads, dh)).transpose(1, 0, 2)
+    k, v = (rng.normal(size=(n_k, heads, dh)).transpose(1, 0, 2) for _ in range(2))
+    return q, k, v
+
+
+def run_with_timeout(fn, timeout=60.0):
+    """``fn()`` on a new thread: (finished in time, its result or exception)."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as e:
+            box["value"] = e
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive(), box.get("value")
+
+
+class TestSharedTiles:
+    """A large attention_tiled call shares its query tiles with helper
+    threads and returns the serial path's bytes."""
+
+    @staticmethod
+    def serial(monkeypatch, q, k, v, scale):
+        with monkeypatch.context() as m:
+            m.setattr(autodiff, "_SHARE_SCORES", 1 << 62)
+            return attention_tiled(q, k, v, scale)
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("scale", [0.35, 60.0], ids=["unshifted", "shifted"])
+    @pytest.mark.parametrize("shape", SHARED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_shared_output_is_the_serial_one(self, monkeypatch, shape, scale):
+        q, k, v = qkv(*shape)
+        want = self.serial(monkeypatch, q, k, v, scale)
+        caller, helped = threading.current_thread(), threading.Event()
+        scratch = autodiff._scratch
+
+        def spy(tile_shape):  # the caller's tiles wait until a helper has taken one
+            if threading.current_thread() is caller:
+                helped.wait(10)
+            else:
+                helped.set()
+            return scratch(tile_shape)
+
+        monkeypatch.setattr(autodiff, "_SHARE_SCORES", 0)
+        monkeypatch.setattr(autodiff, "_scratch", spy)
+        got = attention_tiled(q, k, v, scale)
+        assert helped.is_set()
+        assert got.tobytes() == want.tobytes()
+
+    @needs_two_cpus
+    def test_a_tile_that_raises_in_a_helper_reaches_the_caller(self, monkeypatch):
+        q, k, v = qkv(6, 1024, 1024, 8)
+        want = self.serial(monkeypatch, q, k, v, 0.35)
+        raised = threading.Event()
+        scratch = autodiff._scratch
+
+        def failing(tile_shape):
+            if threading.current_thread().name == "vidflow-attention":
+                raised.set()
+                raise ValueError("tile failed")
+            raised.wait(10)  # the caller's first tile waits for the helper's error
+            return scratch(tile_shape)
+
+        monkeypatch.setattr(autodiff, "_scratch", failing)
+        finished, error = run_with_timeout(lambda: attention_tiled(q, k, v, 0.35))
+        assert finished and raised.is_set()
+        assert isinstance(error, ValueError) and str(error) == "tile failed"
+        monkeypatch.undo()
+        finished, got = run_with_timeout(lambda: attention_tiled(q, k, v, 0.35))  # the helpers still serve
+        assert finished and got.tobytes() == want.tobytes()
+
+    @needs_two_cpus
+    def test_a_blocked_helper_does_not_hold_up_the_call(self, monkeypatch):
+        q, k, v = qkv(6, 1024, 1024, 8)
+        want = self.serial(monkeypatch, q, k, v, 0.35)
+        blocked = threading.Event()
+        for _ in range(autodiff._helper_count()):
+            autodiff._JOBS.put(blocked.wait)  # each helper takes one and waits on it
+        try:
+            finished, got = run_with_timeout(lambda: attention_tiled(q, k, v, 0.35))
+        finally:
+            blocked.set()
+        assert finished and got.tobytes() == want.tobytes()
+
+    @needs_two_cpus
+    def test_concurrent_callers_match_serial_calls(self, monkeypatch):
+        """Four threads share their calls' tiles with the same helpers while
+        the interpreter switches threads often; a lost update in the hand-out
+        would skip or repeat a tile, or leave a call waiting."""
+        jobs = [qkv(6, 512, 512, 8, seed=1), qkv(2, 1024, 1024, 6, seed=2)]
+        serial = [self.serial(monkeypatch, *job, 0.35).tobytes() for job in jobs]
+        results = [None] * 4
+
+        def work(i):
+            results[i] = [attention_tiled(*jobs[i % 2], 0.35).tobytes() for _ in range(3)]
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, got in enumerate(results):
+            assert got == [serial[i % 2]] * 3
+
+    def test_small_forwards_and_training_start_no_thread(self):
+        src = os.path.dirname(os.path.dirname(vf.__file__))
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        small, large = (ast.literal_eval(line) for line in run.stdout.splitlines())
+        assert small == ["MainThread"]
+        assert large == ["MainThread"] + ["vidflow-attention"] * (CPUS - 1)
+
+
 def test_no_module_imports_ctypes():
     """The package leaves its host's C allocator alone."""
     package = os.path.dirname(vf.__file__)
