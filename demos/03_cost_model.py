@@ -15,12 +15,15 @@ from vidflow.costmodel import (
 
 # --- 1. per-stage arithmetic ------------------------------------------------
 # Windowed attention replaces one n^2 pair count with a sum of small squares.
+# Blocks alternate unshifted and shifted windows; a shifted layer splits the
+# window that wraps past the last frame in two, so the windowed count is the
+# mean of the two layers (vidflow.windows.frame_pairs).
 g = StageSpec("global", tokens=1024, dim=128, depth=4, steps=1)
 w = StageSpec("windowed", tokens=1024, dim=128, depth=4, steps=1,
               attention="windowed", w_t=4, token_frames=16)
-print(f"attention pairs per layer: global {attention_pair_count(g):,} "
-      f"vs windowed {attention_pair_count(w):,} "
-      f"({attention_pair_count(g) / attention_pair_count(w):.0f}x fewer)")
+print(f"attention pairs per layer (mean of unshifted and shifted): "
+      f"global {attention_pair_count(g):,} vs windowed {attention_pair_count(w):,} "
+      f"({attention_pair_count(g) / attention_pair_count(w):.2f}x fewer)")
 
 # --- 2. the recommended two-stage shape ------------------------------------
 # 10 steps at the preview's optimal resolution, 30 steps at a 2x spatial
@@ -39,7 +42,7 @@ print(f"speedup: {report.speedup:.2f}x (FLOPs ratio {report.flops_ratio:.4f})")
 # Each step moved from the small grid to the big grid adds a fixed time
 # increment, so predicted wall time is affine in k.
 curve = step_division_curve([5, 10, 20, 30, 40], pipe.stages[0], pipe.stages[1],
-                            pipe.stages[2], rate_s_per_flop=1.4e-13, fixed_overhead_s=75.0)
+                            pipe.stages[2], rate_s_per_flop=1.4e-13)
 print("\nk (hi-res steps) -> predicted seconds:")
 for k, t in curve:
     print(f"  {k:>2} -> {t:7.1f}")

@@ -1,19 +1,20 @@
 """Analytical FLOPs and latency model for multi-stage denoising pipelines.
 
 Conventions (documented constants): one multiply-add counts as 2 FLOPs;
-softmax and normalization are not counted.  They are not negligible: at this
-package's head width dh=8 one exp costs more than one q·kᵀ score (1.32 vs
-1.01 ns per score, float64 numpy with one BLAS thread on a 2-core box; these
-per-score figures are for one thread, while a large inference attention call
-shares its query tiles across the CPUs, see
+softmax and normalization are not counted, though at this package's head
+width dh=8 one exp costs more than one q·kᵀ score (1.32 vs 1.01 ns per score
+on one thread, float64 numpy, one BLAS thread, a 2-core box; a large inference
+attention call shares its query tiles across the CPUs, see
 :func:`vidflow.autodiff.attention_tiled`).  The acceptance-level claims are
 all ratios, which these conventions cancel out of.
 
 Per transformer block and step, for n tokens of width d (d_ff = 4d):
-  attention pairs  sum over windows of 4 * n_win^2 * d
-  projections      4 * n * d^2
+  attention pairs  4 * pairs * d   (q·kᵀ and P·v)
+  projections      8 * n * d^2     (q, k, v and output, each d x d)
   feed-forward     16 * n * d^2
-multiplied by depth and by the stage's step count.
+multiplied by depth and steps; embedding, head, sigma and conditioning products
+are outside the model.  Windowed pairs come from :func:`vidflow.windows.frame_pairs`:
+the mean over the unshifted/shifted alternation, exact for even depth.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
+from .windows import frame_pairs
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,8 @@ class StageSpec:
     token_frames: int = 1  # frame count the tokens are spread over
 
     def __post_init__(self):
-        if min(self.tokens, self.dim, self.depth, self.steps) < 1:
-            raise ConfigError(f"stage {self.name}: all sizes must be >= 1")
+        if min(self.tokens, self.dim, self.depth, self.steps, self.heads) < 1:
+            raise ConfigError(f"stage {self.name}: tokens, dim, depth, steps and heads must be >= 1")
         if self.attention not in ("global", "windowed"):
             raise ConfigError(f"stage {self.name}: unknown attention mode {self.attention!r}")
         if self.attention == "windowed":
@@ -52,21 +54,18 @@ class StageSpec:
 
 
 def attention_pair_count(s: StageSpec) -> int:
-    """Evaluated token pairs per attention layer: n² for global attention;
-    windowed, each of the token_frames // w_t full windows of w_t frames
-    gives (w_t·per_frame)² and the unpadded tail of token_frames mod w_t
-    frames gives (tail·per_frame)²."""
+    """Evaluated query–key token pairs per attention layer: n² for global
+    attention; windowed, per_frame² times :func:`~vidflow.windows.frame_pairs`
+    (the mean over an unshifted and a shifted layer)."""
     if s.attention == "global":
         return s.tokens * s.tokens
-    per_frame = s.tokens // s.token_frames
-    full, tail = divmod(s.token_frames, s.w_t)
-    return full * (s.w_t * per_frame) ** 2 + (tail * per_frame) ** 2
+    return frame_pairs(s.token_frames, s.w_t) * (s.tokens // s.token_frames) ** 2
 
 
 def stage_flops(s: StageSpec) -> float:
     """Total FLOPs for the stage (exactly linear in steps and depth)."""
     pair_term = 4.0 * s.dim * attention_pair_count(s)
-    proj_term = 4.0 * s.tokens * s.dim**2
+    proj_term = 8.0 * s.tokens * s.dim**2
     ffn_term = 16.0 * s.tokens * s.dim**2
     return (pair_term + proj_term + ffn_term) * s.depth * s.steps
 
@@ -90,7 +89,6 @@ class CostReport:
     speedup: float  # baseline / total
     stage_times: dict[str, float]
     total_time_s: float
-    baseline_time_s: float
 
     def rows(self) -> list[tuple[str, float, float, float]]:
         """(stage, flops, share, predicted seconds) per stage."""
@@ -118,7 +116,6 @@ def pipeline_report(p: PipelineSpec, rate_s_per_flop: float = 1e-15) -> CostRepo
         speedup=base / total,
         stage_times=times,
         total_time_s=sum(times.values()),
-        baseline_time_s=predict_time(p.baseline, rate_s_per_flop),
     )
 
 
@@ -128,7 +125,6 @@ def step_division_curve(
     lo_stage: StageSpec,
     refine_stage: StageSpec | None = None,
     rate_s_per_flop: float = 1e-15,
-    fixed_overhead_s: float = 0.0,
 ) -> list[tuple[int, float]]:
     """Predicted wall time as the turning point k moves steps from the
     low-resolution phase to the high-resolution phase.
@@ -145,7 +141,7 @@ def step_division_curve(
     for k in k_values:
         if not (0 < k <= n_total):
             raise ConfigError(f"k={k} outside (0, {n_total}]")
-        out.append((k, k * c_hi + (n_total - k) * c_lo + c_ref + fixed_overhead_s))
+        out.append((k, k * c_hi + (n_total - k) * c_lo + c_ref))
     return out
 
 
@@ -172,12 +168,6 @@ REFERENCE_BASELINE_TIME_S = 3497.0
 REFERENCE_30PCT = (197.5, 1049.0)
 REFERENCE_50PCT = (329.2, 1748.0)
 REFERENCE_STEP_DIVISION = ((5, 201.0), (10, 252.0), (20, 369.0), (30, 481.0), (40, 610.0))
-
-
-def reference_speedup() -> float:
-    """Published full-pipeline FLOPs reduction (not bit-reproducible here
-    because the baseline's full architecture is not public)."""
-    return REFERENCE_BASELINE_PFLOPS / REFERENCE_PIPELINE_PFLOPS
 
 
 def recommended_pipeline(

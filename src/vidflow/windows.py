@@ -92,6 +92,16 @@ def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int,
     return sorted(r for r in runs if r[0] < r[1])
 
 
+def frame_pairs(T: int, w_t: int) -> int:
+    """Query–key frame pairs per attention layer, the mean of an unshifted and a
+    shifted :func:`_frame_runs` layer: ``full·w_t² + tail² − x·(L − x)``, as the
+    shifted layer splits the window (length L) holding frame T - s_t at
+    x = (T - s_t) mod w_t.  Plain ints: any w_t >= 1."""
+    full, tail = divmod(T, w_t)
+    a, x = divmod(T - (w_t // 2 if T > w_t else 0), w_t)
+    return full * w_t**2 + tail**2 - x * (min(w_t, T - a * w_t) - x)
+
+
 @lru_cache(maxsize=64)
 def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: RoPEConfig):
     """Read-only RoPE tables for a (t_len, H, W) field whose positions start at

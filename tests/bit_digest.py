@@ -17,6 +17,10 @@ bits.  It digests
 - the losses and final parameters of 20 iterations of the acceptance rig
   (10 at 5 frames, then 10 at 9).
 
+A last line prints the cost model's numbers themselves, not a digest: the
+exact ``repr`` of the recommended pipeline's per-stage FLOPs and speedup, and
+``attention_pair_count`` over a small sweep of windowed stages.
+
 Only long-standing public APIs are used, so the script runs unchanged on
 earlier trees.  pytest does not collect it: it asserts nothing by itself.
 """
@@ -33,6 +37,7 @@ import numpy as np
 
 import vidflow as vf
 from vidflow import cli
+from vidflow.costmodel import StageSpec, attention_pair_count, pipeline_report, recommended_pipeline
 from vidflow.denoiser import (
     DenoiserParams,
     ToyCodec,
@@ -109,11 +114,18 @@ def rig():
     yield "rig params", sha(*(params.tensors[k] for k in params.tensor_shapes()))
 
 
+def costmodel():
+    report = pipeline_report(recommended_pipeline())
+    pairs = [attention_pair_count(StageSpec("s", 4 * T, 6, 2, 1, attention="windowed", w_t=w_t, token_frames=T))
+             for T in (1, 3, 7, 8, 9, 16) for w_t in (2, 4, 6)]
+    yield "costmodel", repr((report.stage_flops, report.speedup, pairs))
+
+
 def main() -> None:
     rng = vf.Rng(SEED)
     models = {"base": model(48, 6, rng.split(1)), "refiner": model(12, 2, rng.split(2))}
     cond = vf.Conditioning((0.3, -0.2, 0.1, 0.5))
-    for label, digest in (*forwards(models, cond), *pipeline(models), *rig()):
+    for label, digest in (*forwards(models, cond), *pipeline(models), *rig(), *costmodel()):
         print(f"{label:<34} {digest}")
 
 

@@ -680,6 +680,15 @@ class TestProfile:
             "the step budget of stages 'hi' (1) and 'lo' (1)\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("heads", [0, -5])
+    def test_stage_without_heads_is_2(self, tmp_path, capsys, heads):
+        stage = json.dumps({"name": "few", "tokens": 64, "dim": 12, "depth": 2, "steps": 4, "heads": heads})
+        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}",
+                   "--set", f"stages=[{stage}]", "--set", f"baseline={STAGE}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "stage few: " in captured.err and "heads" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stages_without_baseline_is_2(self, tmp_path):
         cfgfile = tmp_path / "p.json"
         cfgfile.write_text(json.dumps({"profile": {

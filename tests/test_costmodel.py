@@ -3,6 +3,9 @@ import time
 import numpy as np
 import pytest
 
+import vidflow as vf
+from vidflow import windows
+from vidflow.autodiff import attention_tiled
 from vidflow.costmodel import (
     REFERENCE_30PCT,
     REFERENCE_50PCT,
@@ -16,10 +19,10 @@ from vidflow.costmodel import (
     recommended_pipeline,
     pipeline_report,
     predict_time,
-    reference_speedup,
     stage_flops,
     step_division_curve,
 )
+from vidflow.denoiser import DenoiserParams, forward_velocity
 from vidflow.errors import ConfigError
 
 
@@ -32,9 +35,9 @@ def simple_stage(**over):
 class TestStageFlops:
     def test_global_hand_arithmetic(self):
         # n=8, d=2, depth=1, steps=1:
-        # pairs 4*64*2=512, proj 4*8*4=128, ffn 16*8*4=512 -> 1152
+        # pairs 4*64*2=512, proj 8*8*2^2=256, ffn 16*8*4=512 -> 1280
         s = StageSpec("x", tokens=8, dim=2, depth=1, steps=1)
-        assert stage_flops(s) == 1152.0
+        assert stage_flops(s) == 1280.0
 
     def test_linear_in_steps_and_depth(self):
         s1 = simple_stage(steps=1, depth=1)
@@ -45,14 +48,20 @@ class TestStageFlops:
         g = simple_stage(tokens=64, attention="global")
         w = simple_stage(tokens=64, attention="windowed", w_t=2, token_frames=8)
         assert attention_pair_count(w) < attention_pair_count(g)
-        # 8 frames of 8 tokens in 4 windows of 2 frames: 4 * 16^2 = 1024
-        assert attention_pair_count(w) == 1024
+        # 8 frames of 8 tokens at w_t=2: unshifted 4 windows of 2 frames,
+        # 4 * 2^2 = 16 frames^2; shifted by s_t=1, the window [6, 8) holding
+        # frame T - s_t = 7 splits 1 + 1, so the mean is 16 - 1*1 = 15
+        # frames^2, times 8^2 token pairs per frame pair
+        assert attention_pair_count(w) == 15 * 8**2 == 960
         assert attention_pair_count(g) == 64 * 64
 
     def test_window_tail_unpadded(self):
         s = simple_stage(tokens=70, attention="windowed", w_t=4, token_frames=7)
-        # windows of 4+3 frames at 10 tokens/frame
-        assert attention_pair_count(s) == 40**2 + 30**2
+        # windows of 4+3 frames at 10 tokens/frame: unshifted 4^2 + 3^2 = 25
+        # frames^2; shifted by s_t=2, the tail [4, 7) holding frame
+        # T - s_t = 5 splits 1 + 2, so the mean is 25 - 1*2 = 23 frames^2,
+        # times 10^2
+        assert attention_pair_count(s) == 23 * 10**2 == 2300
 
     def test_a_billion_windows_are_priced_in_closed_form(self):
         # one window per frame: a list entry per window would need ~130 GB
@@ -61,16 +70,62 @@ class TestStageFlops:
         t0 = time.perf_counter()
         pairs, flops = attention_pair_count(s), stage_flops(s)
         assert time.perf_counter() - t0 < 0.1
+        # w_t=1 never splits a window: 10^9 one-frame windows of one token
         assert pairs == 10**9
-        assert flops == 4.0 * 8 * 10**9 + 20.0 * 10**9 * 8**2
+        # pairs 4*10^9*8, proj 8*10^9*8^2 plus ffn 16*10^9*8^2
+        assert flops == 4.0 * 8 * 10**9 + 24.0 * 10**9 * 8**2
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             StageSpec("x", tokens=0, dim=2, depth=1, steps=1)
+        for heads in (0, -5):
+            with pytest.raises(ConfigError, match="stage x: .*heads"):
+                StageSpec("x", tokens=8, dim=2, depth=1, steps=1, heads=heads)
         with pytest.raises(ConfigError):
             simple_stage(attention="windowed")  # missing w_t
         with pytest.raises(ConfigError):
             simple_stage(attention="windowed", w_t=2, token_frames=7)  # 64 % 7
+
+
+class CountedWeight(np.ndarray):
+    """A weight view that appends 2·m·k·n to its ``flops`` list for each
+    matmul it is an operand of, and returns plain arrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, CountedWeight) else a for a in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            self.flops.append(2 * result.size * plain[0].shape[-1])
+        return result
+
+
+class TestCountedFlops:
+    @pytest.mark.parametrize("w_t", [2, 4, 6])
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 8, 9, 12, 16])
+    def test_stage_flops_equal_a_forwards_block_matmuls(self, monkeypatch, T, w_t):
+        """Every block product of one forward, counted as it runs, sums to
+        stage_flops exactly: the projections and FFN through the weights, the
+        attention scores and context per attention_tiled call.  The embed,
+        head, sigma and conditioning products are outside the model."""
+        d, heads, depth = 12, 2, 2
+        params = DenoiserParams.init(patch=2, d=d, heads=heads, depth=depth, w_t=w_t,
+                                     channels=2, cond_dim=2, rng=vf.Rng(0))
+        flops = []
+        for name, w in params.tensors.items():
+            if name.startswith("block"):
+                params.tensors[name] = w.view(CountedWeight)
+                params.tensors[name].flops = flops
+
+        def counting(q, k, v, scale):
+            h, n_q, dh = q.shape
+            flops.append(2 * h * n_q * k.shape[-2] * (dh + v.shape[-1]))
+            return attention_tiled(q, k, v, scale)
+
+        monkeypatch.setattr(windows, "attention_tiled", counting)
+        z = vf.sample_gaussian(vf.Extent5(1, 2, T, 4, 4), vf.Rng(1))
+        forward_velocity(params, z, 0.5, vf.Conditioning.zeros(2))
+        spec = StageSpec("forward", T * 2 * 2, d, depth, 1, heads, "windowed", w_t, T)
+        assert sum(flops) == stage_flops(spec)
 
 
 class TestPipelineReport:
@@ -99,14 +154,13 @@ class TestPipelineReport:
     def test_recommended_shape_speedup_exceeds_published(self):
         r = pipeline_report(recommended_pipeline())
         assert r.speedup >= 12.0
-        assert reference_speedup() == pytest.approx(REFERENCE_BASELINE_PFLOPS / 34.3)
 
 
 class TestStepDivision:
     def test_curve_is_affine_and_increasing(self):
         hi = simple_stage(name="hi", tokens=256, steps=10)
         lo = simple_stage(name="lo", tokens=64, steps=30)
-        curve = step_division_curve(range(1, 41), hi, lo, fixed_overhead_s=5.0)
+        curve = step_division_curve(range(1, 41), hi, lo)
         ys = [y for _, y in curve]
         diffs = np.diff(ys)
         assert np.allclose(diffs, diffs[0])

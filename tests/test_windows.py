@@ -9,7 +9,9 @@ from vidflow.windows import (
     BlockWeights,
     RoPEConfig,
     WindowSpec,
+    _frame_runs,
     _rope_tables,
+    frame_pairs,
     swin_block_pair,
     swin_block_pair_backward,
     window_attention,
@@ -44,6 +46,13 @@ class TestPartition:
         assert window_bounds(8, 4) == [(0, 4), (4, 8)]
         assert window_bounds(7, 4) == [(0, 4), (4, 7)]
         assert window_bounds(3, 4) == [(0, 3)]
+
+    @pytest.mark.parametrize("w_t", [2, 4, 6, 8, 10])
+    def test_frame_pairs_is_the_mean_of_both_layers_runs(self, w_t):
+        for T in range(1, 61):
+            both = sum((b - a) ** 2 for shifted in (False, True)
+                       for a, b, _ in _frame_runs(T, WindowSpec(w_t), shifted))
+            assert 2 * frame_pairs(T, w_t) == both, T
 
     def test_window_spec_validation(self):
         for bad in (0, 1, 3):
