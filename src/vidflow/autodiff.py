@@ -18,6 +18,7 @@ calls these backwards in a fixed order; nothing records a graph.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import queue
@@ -222,49 +223,36 @@ def _serve() -> None:
         _JOBS.get()()
 
 
-class _Tiles:
-    """One call's tiles ``0 .. n-1``; every thread in :meth:`work` takes the
-    next unclaimed tile until none is left.  A tile that raises stops the
-    hand-out; the error is kept for the caller."""
-
-    def __init__(self, tile, n: int):
-        self.tile, self.n = tile, n
-        self.claimed = self.finished = 0
-        self.error: BaseException | None = None
-        self.lock = threading.Lock()
-        self.done = threading.Event()  # set once every claimed tile has finished
-
-    def work(self) -> None:
-        while True:
-            with self.lock:
-                if self.claimed == self.n:
-                    return
-                i = self.claimed
-                self.claimed += 1
-            try:
-                self.tile(i)
-            except BaseException as e:  # re-raised in the caller
-                with self.lock:
-                    if self.error is None:
-                        self.error = e
-                    self.n = self.claimed
-            with self.lock:
-                self.finished += 1
-                if self.finished == self.n:
-                    self.tile = None  # a late helper finds no tile, and no arrays stay alive
-                    self.done.set()
+def _drain(todo: queue.SimpleQueue, done: queue.SimpleQueue, failed: list) -> None:
+    """Take tiles from ``todo`` until it is empty, putting a token on ``done``
+    for each; run none once ``failed`` holds an error."""
+    while True:
+        try:
+            tile = todo.get_nowait()
+        except queue.Empty:
+            return
+        try:
+            if not failed:
+                tile()
+        except BaseException as e:  # re-raised in the caller
+            failed.append(e)
+        done.put(None)
 
 
 def _share(tile, n: int, helpers: int) -> None:
-    """Run ``tile(0) .. tile(n-1)`` on this thread and up to ``helpers``
-    helper threads; return once all have finished, or raise the first error."""
-    tiles = _Tiles(tile, n)
+    """Run ``tile(0) .. tile(n-1)`` on this thread and up to ``helpers`` helper
+    threads; return once all have finished, or raise the first error.  A job
+    a helper reaches late holds only this call's queues, empty by then."""
+    todo, done, failed = queue.SimpleQueue(), queue.SimpleQueue(), []
+    for i in range(n):
+        todo.put(functools.partial(tile, i))
     for _ in range(min(helpers, n - 1)):
-        _JOBS.put(tiles.work)
-    tiles.work()
-    tiles.done.wait()
-    if tiles.error is not None:
-        raise tiles.error
+        _JOBS.put(functools.partial(_drain, todo, done, failed))
+    _drain(todo, done, failed)
+    for _ in range(n):
+        done.get()
+    if failed:
+        raise failed[0]
 
 
 def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
@@ -280,10 +268,11 @@ def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -
     3. ``(s @ v) / s.sum(-1)``: the row sums divide the (rows, dv) result,
        not the (rows, n_k) tile.
 
-    A call of at least ``_SHARE_SCORES`` scores shares its tiles with the
-    helper threads: each thread, the caller too, takes the next unclaimed
-    tile until none is left.  The tile bounds do not depend on the thread
-    count, so the output is the serial path's, bit for bit.
+    A call of at least ``_SHARE_SCORES`` scores queues its tiles for the
+    helper threads: each thread, the caller too, takes the next queued tile
+    until none is left, and none starts one after a tile has raised.  The
+    tile bounds do not depend on the thread count, so the output is the
+    serial path's, bit for bit.
 
     The shift is skipped only when scale·max‖q_i‖·max‖k_j‖ <= ``_EXP_SAFE``,
     which bounds every score so that no exp overflows or underflows; above

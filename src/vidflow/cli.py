@@ -52,7 +52,7 @@ from .denoiser import (
     train_refiner,
 )
 from .errors import ConfigError, FormatError, VidflowError
-from .grids import Extent5, LatentGrid, Rng, read_lgr1, removed_on_error, write_lgr1
+from .grids import Extent5, LatentGrid, Rng, read_lgr1, replaced, write_lgr1
 from .preview import PreviewConfig, generate_preview
 from .schedule import Conditioning
 
@@ -115,11 +115,8 @@ _SCHEMAS = {
 
 
 def _atomic_write_bytes(path, data: bytes) -> None:
-    tmp = str(path) + ".tmp"
-    with removed_on_error(tmp):
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+    with replaced(path) as (tmp,), open(tmp, "wb") as fh:
+        fh.write(data)
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -127,20 +124,22 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def _write_grid(path, grid: LatentGrid) -> None:
-    tmp = str(path) + ".tmp"
-    with removed_on_error(tmp):
+    with replaced(path) as (tmp,):
         write_lgr1(grid, tmp)
-        os.replace(tmp, path)
 
 
 def _check_out(out) -> None:
-    """Refuse an output path whose directory does not exist or that is a
-    directory itself, before any input is read or any work is done."""
+    """Refuse, before any input is read or any work is done, an output path
+    whose directory does not exist or that exists and is not a regular file:
+    a directory, or a FIFO or device that renaming the written file onto it
+    would replace."""
     parent = os.path.dirname(str(out)) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"output {out}: {parent} is not a directory")
     if os.path.isdir(out):
         raise IsADirectoryError(f"output {out} is a directory")
+    if os.path.exists(out) and not os.path.isfile(out):
+        raise OSError(f"output {out} is not a regular file")
 
 
 def _type_ok(val, default) -> bool:
@@ -398,8 +397,8 @@ def cmd_preview(cfg: dict) -> None:
             raise ConfigError(f"preview.{key} {cfg[key]} not divisible by patch {params.patch}")
     cond = Conditioning.zeros(params.cond_dim)
     count = cfg["count"]
-    t0 = time.time()
     for i in range(count):
+        t0 = time.time()
         seed = cfg["seed"] if count == 1 else Rng(cfg["seed"]).split(i).seed
         pcfg = replace(base_cfg, seed=seed)
         extent = Extent5(cfg["batch"], params.channels, cfg["frames"], *pcfg.hi)

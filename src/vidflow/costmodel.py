@@ -2,11 +2,12 @@
 
 Conventions (documented constants): one multiply-add counts as 2 FLOPs;
 softmax and normalization are not counted, though at this package's head
-width dh=8 one exp costs more than one q·kᵀ score (1.32 vs 1.01 ns per score
-on one thread, float64 numpy, one BLAS thread, a 2-core box; a large inference
-attention call shares its query tiles across the CPUs, see
-:func:`vidflow.autodiff.attention_tiled`).  The acceptance-level claims are
-all ratios, which these conventions cancel out of.
+width dh=8 one exp costs more than one q·kᵀ score (0.87–0.95 vs 0.51–0.53 ns
+per score on one (6 heads, 21 rows, 1024 keys) tile of
+:func:`vidflow.autodiff.attention_tiled`, kᵀ contiguous: float64 numpy 2.4.6,
+one thread, one BLAS thread, a 2-core AVX-512 Xeon; a large inference call
+shares its tiles across the CPUs).  The acceptance-level claims are all
+ratios, which these conventions cancel out of.
 
 Per transformer block and step, for n tokens of width d (d_ff = 4d):
   attention pairs  4 * pairs * d   (q·kᵀ and P·v)
@@ -78,6 +79,9 @@ class PipelineSpec:
     def __post_init__(self):
         if not self.stages:
             raise ConfigError("pipeline needs at least one stage")
+        for i, s in enumerate(self.stages):  # a report keys its rows by name
+            if s.name in (t.name for t in self.stages[:i]):
+                raise ConfigError(f"pipeline has two stages named {s.name!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ backwards (:mod:`vidflow.autodiff`, :mod:`vidflow.windows`) in reverse order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from .grids import (
     axpy,
     read_record,
     record_axes,
-    removed_on_error,
+    replaced,
     resize_spatial,
     sample_gaussian,
     write_record,
@@ -673,16 +672,13 @@ def save_checkpoint(
         groups += [optimizer.m, optimizer.v]
     # both files go to temporary names first and the index is renamed last,
     # so a write that fails leaves the previous checkpoint whole
-    blob, index = str(path), f"{path}.index"
-    with removed_on_error(blob + ".tmp", index + ".tmp"):
-        with open(blob + ".tmp", "wb") as fh:
+    with replaced(path, f"{path}.index") as (blob, index):
+        with open(blob, "wb") as fh:
             for group in groups:
                 for name in params.tensor_shapes():
                     write_record(fh, group[name])
-        with open(index + ".tmp", "w") as fh:
+        with open(index, "w") as fh:
             fh.write("".join(f"meta {k} {v}\n" for k, v in {**header, **(meta or {})}.items()))
-        os.replace(blob + ".tmp", blob)
-        os.replace(index + ".tmp", index)
 
 
 def load_checkpoint(path, train_cfg: TrainConfig | None = None):

@@ -252,15 +252,19 @@ def read_record(data: bytes, offset: int, where) -> tuple[tuple[int, ...], np.nd
 
 
 @contextlib.contextmanager
-def removed_on_error(*paths):
-    """On an exception in the block, remove whichever of ``paths`` exist (the
-    temporary files a failed write leaves), then re-raise."""
+def replaced(*paths):
+    """Yield a temporary name, ``path + ".tmp"``, for each of ``paths``.  When
+    the block returns, rename each onto its path, in order; on an exception,
+    remove whichever temporaries exist (a failed write's), then re-raise."""
+    tmps = [f"{path}.tmp" for path in paths]
     try:
-        yield
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        for path in paths:
+        for tmp in tmps:
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(tmp)
         raise
 
 

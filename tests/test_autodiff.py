@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -442,6 +443,42 @@ class TestSharedTiles:
         assert finished and got.tobytes() == want.tobytes()
 
     @needs_two_cpus
+    def test_no_tile_starts_after_one_raises(self, monkeypatch):
+        q, k, v = qkv(6, 1024, 1024, 8)  # 49 tiles of 21 rows
+        raised, started = threading.Event(), []
+        scratch = autodiff._scratch
+
+        def failing(tile_shape):
+            started.append(threading.current_thread().name)
+            if threading.current_thread().name == "vidflow-attention":
+                raised.set()
+                raise ValueError("tile failed")
+            raised.wait(10)  # the caller's first tile waits for a helper's error
+            return scratch(tile_shape)
+
+        monkeypatch.setattr(autodiff, "_scratch", failing)
+        finished, error = run_with_timeout(lambda: attention_tiled(q, k, v, 0.35))
+        assert finished and isinstance(error, ValueError)
+        assert "vidflow-attention" in started and len(started) <= 2 * CPUS
+
+    @needs_two_cpus
+    def test_blocked_helpers_keep_no_operand_alive(self):
+        """A helper that reaches a call's job after the call has returned
+        holds none of its arrays."""
+        q, k, v = qkv(6, 1024, 1024, 8)
+        blocked = threading.Event()
+        for _ in range(autodiff._helper_count()):
+            autodiff._JOBS.put(blocked.wait)  # each helper takes one and waits on it
+        try:
+            finished, out = run_with_timeout(lambda: attention_tiled(q, k, v, 0.35))
+            assert finished and isinstance(out, np.ndarray)
+            refs = weakref.ref(v), weakref.ref(out)
+            del q, k, v, out
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            blocked.set()
+
+    @needs_two_cpus
     def test_concurrent_callers_match_serial_calls(self, monkeypatch):
         """Four threads share their calls' tiles with the same helpers while
         the interpreter switches threads often; a lost update in the hand-out
@@ -479,8 +516,11 @@ class TestSharedTiles:
         assert large == ["MainThread"] + ["vidflow-attention"] * (CPUS - 1)
 
 
-def test_no_module_imports_ctypes():
-    """The package leaves its host's C allocator alone."""
+@pytest.mark.parametrize("module", ["ctypes", "concurrent", "logging"])
+def test_no_module_imports(module):
+    """The package leaves its host's C allocator alone (ctypes), and shares
+    attention tiles without the executor and logging imports, which cost
+    milliseconds at startup."""
     package = os.path.dirname(vf.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
@@ -490,4 +530,4 @@ def test_no_module_imports_ctypes():
                         if isinstance(node, ast.Import) for alias in node.names}
             imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom)}
-            assert "ctypes" not in imported, name
+            assert module not in imported, name

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -411,28 +412,38 @@ class TestExitCodes:
 
 
 class TestOutputPath:
-    """An output whose directory is missing, or that is a directory itself, is
-    exit 3 naming it before any input is read: no forward, no training
-    iteration and no file written."""
+    """An output whose directory is missing, or that exists and is not a
+    regular file, is exit 3 naming it before any input is read: no forward,
+    no training iteration and no file written or replaced."""
 
-    @pytest.fixture(params=["missing_directory", "directory"])
+    @pytest.fixture(params=["missing_directory", "directory", "fifo"])
     def bad_out(self, request, tmp_path):
         """(the output path, the error line that names it)"""
         if request.param == "directory":
             out = tmp_path / "outdir"
             out.mkdir()
             return out, f"i/o error: output {out} is a directory\n"
+        if request.param == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("os.mkfifo is missing on this platform")
+            out = tmp_path / "out.fifo"
+            os.mkfifo(out)
+            return out, f"i/o error: output {out} is not a regular file\n"
         out = tmp_path / "nodir" / "out.lgr"
         return out, f"i/o error: output {out}: {tmp_path / 'nodir'} is not a directory\n"
 
     @staticmethod
-    def _refused(tmp_path, capsys, bad_out, *argv):
+    def _listing(tmp_path):
+        """Every path under ``tmp_path`` with its file type (a FIFO stays one)."""
+        return [(p, stat.S_IFMT(p.lstat().st_mode)) for p in sorted(tmp_path.rglob("*"))]
+
+    def _refused(self, tmp_path, capsys, bad_out, *argv):
         out, err = bad_out
         capsys.readouterr()
-        before = sorted(tmp_path.rglob("*"))
+        before = self._listing(tmp_path)
         assert run(*argv, "--set", f"out={out}") == 3
         assert capsys.readouterr() == ("", err)
-        assert sorted(tmp_path.rglob("*")) == before
+        assert self._listing(tmp_path) == before
 
     def test_train(self, tmp_path, dataset, monkeypatch, capsys, bad_out):
         from vidflow import denoiser
@@ -556,6 +567,20 @@ class TestPreviewRefine:
                    "--set", "count=2", "--set", "n_total=4", "--set", "k=1",
                    "--set", "hi=[8,8]", "--set", "lo=[4,4]", "--set", "frames=4") == 0
         assert (tmp_path / "prev_0.lgr").exists() and (tmp_path / "prev_1.lgr").exists()
+
+    def test_fanned_out_manifests_time_each_output(self, tmp_path, checkpoint, monkeypatch):
+        from types import SimpleNamespace
+
+        from vidflow import cli
+
+        ticks = iter(range(0, 1000, 7))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: next(ticks)))
+        out = tmp_path / "prev.lgr"
+        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}",
+                   "--set", "count=3", "--set", "n_total=4", "--set", "k=1",
+                   "--set", "hi=[8,8]", "--set", "lo=[4,4]", "--set", "frames=4") == 0
+        walls = {read_manifest(tmp_path / f"prev_{i}.lgr.manifest")["wall_s"] for i in range(3)}
+        assert walls == {"7.000"}
 
     def test_refine_writes_latent_and_ppm(self, tmp_path, checkpoint):
         prev = tmp_path / "prev.lgr"
@@ -687,6 +712,15 @@ class TestProfile:
                    "--set", f"stages=[{stage}]", "--set", f"baseline={STAGE}") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "stage few: " in captured.err and "heads" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_stage_name_is_2(self, tmp_path, capsys):
+        stages = [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": steps} for steps in (10, 30)]
+        baseline = json.dumps({"name": "base", "tokens": 64, "dim": 12, "depth": 2, "steps": 50})
+        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}",
+                   "--set", f"stages={json.dumps(stages)}", "--set", f"baseline={baseline}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "two stages named 'a'" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_stages_without_baseline_is_2(self, tmp_path):
