@@ -59,7 +59,7 @@ class Tensor:
 
     It records no graph.  It stays because the benchmark's tracer times and
     counts reverse passes by wrapping ``autodiff.Tensor.backward``; spans
-    inside the program (ROADMAP item 3) retire it."""
+    inside the program (ROADMAP item 2b) retire it."""
 
     __slots__ = ("_reverse",)
 

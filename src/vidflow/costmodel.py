@@ -20,7 +20,7 @@ the mean over the unshifted/shifted alternation, exact for even depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .windows import frame_pairs
 
 @dataclass(frozen=True)
 class StageSpec:
-    """Analytical description of one denoising stage."""
+    """Analytical description of one denoising stage: ``name`` and
+    ``attention`` are strings, every other field an integer (not a bool)."""
 
     name: str
     tokens: int
@@ -43,6 +44,10 @@ class StageSpec:
     token_frames: int = 1  # frame count the tokens are spread over
 
     def __post_init__(self):
+        for f in fields(self):  # postponed annotations: f.type is "str" or "int"
+            v = getattr(self, f.name)
+            if not (isinstance(v, str) if f.type == "str" else isinstance(v, (int, np.integer)) and not isinstance(v, bool)):
+                raise ConfigError(f"stage {self.name}: {f.name} must be of type {f.type}, got {v!r}")
         if min(self.tokens, self.dim, self.depth, self.steps, self.heads) < 1:
             raise ConfigError(f"stage {self.name}: tokens, dim, depth, steps and heads must be >= 1")
         if self.attention not in ("global", "windowed"):
@@ -174,27 +179,14 @@ REFERENCE_50PCT = (329.2, 1748.0)
 REFERENCE_STEP_DIVISION = ((5, 201.0), (10, 252.0), (20, 369.0), (30, 481.0), (40, 610.0))
 
 
-def recommended_pipeline(
-    base_tokens: int = 18944,
-    base_dim: int = 1536,
-    base_depth: int = 30,
-    token_frames: int = 16,
-    refiner_w_t: int = 4,
-) -> PipelineSpec:
+def recommended_pipeline() -> PipelineSpec:
     """The recommended two-stage shape: 10 steps at the optimal resolution,
     30 steps at a 2x spatial downscale, 10 steps of a small windowed refiner
     at a 2x upscale, against a 50-step baseline at that upscaled resolution."""
-    hi = StageSpec("preview_hi", base_tokens, base_dim, base_depth, steps=10)
-    lo = StageSpec("preview_lo", base_tokens // 4, base_dim, base_depth, steps=30)
-    ref = StageSpec(
-        "refine",
-        base_tokens * 4,
-        max(6, base_dim // 5),
-        base_depth,
-        steps=10,
-        attention="windowed",
-        w_t=refiner_w_t,
-        token_frames=token_frames,
-    )
-    baseline = StageSpec("baseline", base_tokens * 4, base_dim, base_depth, steps=50)
+    tokens, dim, depth = 18944, 1536, 30  # the tokens span 16 latent frames
+    hi = StageSpec("preview_hi", tokens, dim, depth, steps=10)
+    lo = StageSpec("preview_lo", tokens // 4, dim, depth, steps=30)
+    ref = StageSpec("refine", tokens * 4, dim // 5, depth, steps=10,
+                    attention="windowed", w_t=4, token_frames=16)
+    baseline = StageSpec("baseline", tokens * 4, dim, depth, steps=50)
     return PipelineSpec(stages=(hi, lo, ref), baseline=baseline)

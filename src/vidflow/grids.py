@@ -79,10 +79,6 @@ class LatentGrid:
     def zeros(cls, extent: Extent5) -> "LatentGrid":
         return cls(extent, np.zeros(extent.as_tuple()))
 
-    @classmethod
-    def full(cls, extent: Extent5, value: float) -> "LatentGrid":
-        return cls(extent, np.full(extent.as_tuple(), float(value)))
-
     def __repr__(self):
         return f"LatentGrid{self.extent.as_tuple()}"
 
@@ -251,11 +247,22 @@ def read_record(data: bytes, offset: int, where) -> tuple[tuple[int, ...], np.nd
     return axes, values.astype(np.float64), end
 
 
+def check_replaceable(*paths) -> None:
+    """Refuse, with an :class:`OSError` naming it, any of ``paths`` that exists
+    and is not a regular file: a directory, or a FIFO or device that renaming
+    a written file onto it would replace."""
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"output {path} is not a regular file")
+
+
 @contextlib.contextmanager
 def replaced(*paths):
-    """Yield a temporary name, ``path + ".tmp"``, for each of ``paths``.  When
-    the block returns, rename each onto its path, in order; on an exception,
-    remove whichever temporaries exist (a failed write's), then re-raise."""
+    """Yield a temporary name, ``path + ".tmp"``, for each of ``paths``, after
+    :func:`check_replaceable` has passed them all.  When the block returns,
+    rename each onto its path, in order; on an exception, remove whichever
+    temporaries exist (a failed write's), then re-raise."""
+    check_replaceable(*paths)
     tmps = [f"{path}.tmp" for path in paths]
     try:
         yield tmps

@@ -470,6 +470,48 @@ class TestOutputPath:
     def test_profile(self, tmp_path, capsys, bad_out):
         self._refused(tmp_path, capsys, bad_out, "profile")
 
+    def test_refine_frames_dir_that_is_a_file(self, tmp_path, checkpoint, counted_forwards, capsys):
+        prev, frames = tmp_path / "prev.lgr", tmp_path / "frames"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        frames.write_bytes(b"")
+        capsys.readouterr()
+        before = self._listing(tmp_path)
+        assert run("refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                   "--set", f"out={tmp_path / 'out.lgr'}", "--set", f"frames_dir={frames}",
+                   "--set", "n_steps=1") == 3
+        assert capsys.readouterr() == ("", f"i/o error: refine.frames_dir {frames} is not a directory\n")
+        assert self._listing(tmp_path) == before
+        assert counted_forwards == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is missing on this platform")
+class TestLaterOutputPath:
+    """Every file a command writes, not only ``out``, is exit 3 naming it when
+    its path exists and is not a regular file; the FIFO there stays one."""
+
+    PREVIEW = ["--set", "n_total=4", "--set", "k=1", "--set", "hi=[4,4]", "--set", "lo=[2,2]",
+               "--set", "frames=2"]
+
+    @staticmethod
+    def _refused(capsys, fifo, *argv):
+        os.mkfifo(fifo)
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == f"i/o error: output {fifo} is not a regular file\n"
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+    def test_preview_manifest(self, tmp_path, checkpoint, capsys):
+        self._refused(capsys, tmp_path / "out.lgr.manifest", "preview", "--set", f"checkpoint={checkpoint}",
+                      "--set", f"out={tmp_path / 'out.lgr'}", *self.PREVIEW)
+
+    def test_preview_fan_out(self, tmp_path, checkpoint, capsys):
+        self._refused(capsys, tmp_path / "out_0.lgr", "preview", "--set", f"checkpoint={checkpoint}",
+                      "--set", f"out={tmp_path / 'out.lgr'}", "--set", "count=2", *self.PREVIEW)
+
+    def test_train_losses(self, tmp_path, dataset, capsys):
+        self._refused(capsys, tmp_path / "out.lgr.losses.csv", "train", "--set", f"dataset={dataset}",
+                      "--set", f"out={tmp_path / 'out.lgr'}", *FAST_TRAIN)
+
 
 class TestFailedWrite:
     """A write that raises part way removes its temporary file and re-raises,
@@ -744,8 +786,10 @@ class TestProfile:
         [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2}'],
         ['stages=[{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4, "step_overhead_s": -5.0}]',
          f"baseline={STAGE}"],
+        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 8, "heads": true}'],
+        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 8, "attention": 5}'],
     ], ids=["int", "list_of_int", "tokens_str", "empty", "baseline_alone", "baseline_list",
-            "steps_bool", "dim_float", "name_int", "missing_steps", "step_overhead_s"])
+            "steps_bool", "dim_float", "name_int", "missing_steps", "step_overhead_s", "heads_bool", "attention_int"])
     def test_stage_of_the_wrong_type_is_2(self, tmp_path, capsys, overrides):
         out = tmp_path / "r.csv"
         argv = ["profile", "--set", f"out={out}"]

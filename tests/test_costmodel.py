@@ -86,6 +86,15 @@ class TestStageFlops:
         with pytest.raises(ConfigError):
             simple_stage(attention="windowed", w_t=2, token_frames=7)  # 64 % 7
 
+    @pytest.mark.parametrize("field,value", [("tokens", "64"), ("tokens", True), ("dim", 12.0), ("name", 1)])
+    def test_field_of_the_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"stage .*: {field} must be of type "):
+            simple_stage(**{field: value})
+
+    def test_numpy_integer_fields(self):
+        # bench/spans.forward_spec builds stages from Extent5 fields
+        assert stage_flops(simple_stage(tokens=np.int64(64))) == stage_flops(simple_stage())
+
 
 class CountedWeight(np.ndarray):
     """A weight view that appends 2·m·k·n to its ``flops`` list for each

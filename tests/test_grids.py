@@ -14,9 +14,13 @@ def grid_of(arr):
     return vf.LatentGrid.from_array(np.asarray(arr, dtype=float))
 
 
+def full(extent, value):
+    return LatentGrid(extent, np.full(extent.as_tuple(), float(value)))
+
+
 class TestResize:
     def test_constant_stays_constant(self):
-        g = vf.LatentGrid.full(Extent5(1, 2, 3, 5, 7), 3.5)
+        g = full(Extent5(1, 2, 3, 5, 7), 3.5)
         out = vf.resize_spatial(g, 9, 4)
         assert np.all(out.values == 3.5)
 
@@ -74,13 +78,13 @@ class TestResize:
             assert vf.resize_spatial(g, h_out, w_out).values.tobytes() == expect.tobytes()
 
     def test_down_then_up_constant(self):
-        g = vf.LatentGrid.full(Extent5(1, 1, 1, 8, 8), -2.25)
+        g = full(Extent5(1, 1, 1, 8, 8), -2.25)
         down = vf.resize_spatial(g, 3, 3)
         up = vf.resize_spatial(down, 8, 8)
         assert np.allclose(up.values, -2.25)
 
     def test_zero_target_rejected(self):
-        g = vf.LatentGrid.full(Extent5(1, 1, 1, 4, 4), 0.0)
+        g = full(Extent5(1, 1, 1, 4, 4), 0.0)
         with pytest.raises(ShapeError):
             vf.resize_spatial(g, 0, 4)
 
@@ -163,7 +167,7 @@ class TestInvariants:
     @given(st.floats(-100, 100), st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_resize_constant_property(self, value, h_out, w_out):
-        g = vf.LatentGrid.full(Extent5(1, 1, 1, 4, 5), value)
+        g = full(Extent5(1, 1, 1, 4, 5), value)
         out = vf.resize_spatial(g, h_out, w_out)
         assert np.allclose(out.values, value, atol=1e-9 * max(1, abs(value)))
 

@@ -11,8 +11,12 @@ from vidflow.grids import Extent5, Rng
 EXT = Extent5(1, 1, 2, 3, 3)
 
 
+def full(extent, value):
+    return vf.LatentGrid(extent, np.full(extent.as_tuple(), float(value)))
+
+
 def const_model(value):
-    return lambda z, s, c: vf.LatentGrid.full(z.extent, value)
+    return lambda z, s, c: full(z.extent, value)
 
 
 class TestBuildSchedule:
@@ -45,8 +49,8 @@ class TestEulerStep:
         assert np.array_equal(out.values, z.values)
 
     def test_hand_value(self):
-        z = vf.LatentGrid.full(EXT, 1.0)
-        u = vf.LatentGrid.full(EXT, 2.0)
+        z = full(EXT, 1.0)
+        u = full(EXT, 2.0)
         out = vf.euler_step(z, u, 1.0, 0.5)
         assert np.allclose(out.values, 0.0)
 
