@@ -6,14 +6,17 @@ without one it keeps nothing, and :func:`layernorm`, :func:`ffn` and
 :func:`attention_tiled` run in place on their work arrays, the largest two
 (the FFN's hidden array, attention's score tile) in one grow-only scratch
 array per thread.  A large :func:`attention_tiled` call shares its query
-tiles with helper threads, one per further CPU the process may run on; the
-tiles and their arithmetic do not depend on which thread runs them, so the
-output has the serial path's bits.  A backward takes the output gradient and
-the saved entry, adds the parameter gradients into the caller's buffers with
-``+=`` and returns the input gradient.  Buffers start at zero and take their
-terms in the order the caller visits them, so a sum of several terms has the
-bits of that order.  The denoiser's reverse pass (:mod:`vidflow.denoiser`)
-calls these backwards in a fixed order; nothing records a graph.
+tiles with helper threads, one per further CPU the process may run on, and a
+batched inference forward (:func:`vidflow.denoiser._forward`) hands its batch
+items to the same helpers when each item is large, both through
+:func:`run_each`.  The jobs and their arithmetic do not depend on which
+thread runs them, so the output has the serial path's bits.  A backward
+takes the output gradient and the saved entry, adds the parameter gradients
+into the caller's buffers with ``+=`` and returns the input gradient.
+Buffers start at zero and take their terms in the order the caller visits
+them, so a sum of several terms has the bits of that order.  The denoiser's
+reverse pass (:mod:`vidflow.denoiser`) calls these backwards in a fixed
+order; nothing records a graph.
 """
 
 from __future__ import annotations
@@ -190,14 +193,20 @@ def attention_grads(p, q, k, v, g, scale: float):
     return gs @ k, (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), gv
 
 
-# Scores (heads·n_q·n_k) from which attention_tiled shares its query tiles
-# with the helper threads: below it, waking a helper costs more than it saves.
-# Single calls, median ms serial -> shared (one BLAS thread, 2-core AVX-512
-# Xeon): 6 heads × 384² (0.88 M scores) 2.99 -> 3.12, 2 × 768² (1.18 M) 3.72
-# -> 3.62, 6 × 512² (1.57 M) 5.25 -> 3.13, 6 × 1024² 21.4 -> 12.2.  gen_large
-# hi base forward at a floor of 2**20 / 2**21 / 2**22: 67.8 / 71.1 / 71.0 ms
-# (99.8 serial); 32×32 refiner forward 21.4 / 21.7 / 29.5 (29.3 serial).
-# Every gen_small call (6·256² scores at most) stays serial.
+# Scores from which run_each shares its jobs with the helper threads: below
+# it, waking a helper costs more than it saves.  attention_tiled counts a
+# call's scores (heads·n_q·n_k), a batched inference forward one item's
+# (depth·heads·frame pairs·plane²).  Single calls, median ms serial -> shared
+# (one BLAS thread, 2-core AVX-512 Xeon): 6 heads × 384² (0.88 M scores) 2.99
+# -> 3.12, 2 × 768² (1.18 M) 3.72 -> 3.62, 6 × 512² (1.57 M) 5.25 -> 3.13,
+# 6 × 1024² 21.4 -> 12.2.  gen_large hi base forward at a floor of 2**20 /
+# 2**21 / 2**22: 67.8 / 71.1 / 71.0 ms (99.8 serial); 32×32 refiner forward
+# 21.4 / 21.7 / 29.5 (29.3 serial).  Every gen_small call (6·256² scores at
+# most) stays serial.  Its batch-4 items on two threads, the same box: hi
+# (1.38 M scores an item) min of 30 forwards 26.8 / 27.1 / 26.4 -> 16.8 /
+# 19.3 / 16.3 ms whenever the second CPU was free, so they are shared;
+# refine (0.46 M) 1.11× and lo (0.09 M) 0.73×, where the small ops collide
+# on the interpreter lock, so they stay serial.
 _SHARE_SCORES = 1 << 20
 
 _JOBS = queue.SimpleQueue()  # callables the helper threads run in turn
@@ -255,6 +264,20 @@ def _share(tile, n: int, helpers: int) -> None:
         raise failed[0]
 
 
+def run_each(job, n: int, scores: int) -> None:
+    """Run ``job(0) .. job(n-1)``: shared with the helper threads
+    (:func:`_share`) when there are at least two jobs and ``scores`` reaches
+    ``_SHARE_SCORES``, else in order on this thread.  A job may call
+    ``run_each`` again: the thread that makes a call drains that call's
+    queue itself, so a call never waits on a helper busy with another job."""
+    helpers = _helper_count() if n > 1 and scores >= _SHARE_SCORES else 0
+    if helpers:
+        _share(job, n, helpers)
+    else:
+        for i in range(n):
+            job(i)
+
+
 def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     """softmax(q @ kᵀ * scale) @ v over (..., n, dh) operands, keeping nothing.
 
@@ -302,11 +325,5 @@ def attention_tiled(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -
         np.matmul(s, v, out=o)
         o /= np.add.reduce(s, axis=-1, keepdims=True)
 
-    n_tiles = -(-n_q // rows)
-    helpers = _helper_count() if n_tiles > 1 and heads * n_q * n_k >= _SHARE_SCORES else 0
-    if helpers:
-        _share(tile, n_tiles, helpers)
-    else:
-        for t in range(n_tiles):
-            tile(t)
+    run_each(tile, -(-n_q // rows), heads * n_q * n_k)
     return out

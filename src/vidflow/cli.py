@@ -132,13 +132,13 @@ def _check_out(out) -> None:
     """Refuse, before any input is read or any work is done, an output path
     whose directory does not exist or that exists and is not a regular file:
     a directory, or a FIFO or device that renaming the written file onto it
-    would replace."""
+    would replace.  Its manifest, ``out + ".manifest"``, is checked too."""
     parent = os.path.dirname(str(out)) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"output {out}: {parent} is not a directory")
     if os.path.isdir(out):
         raise IsADirectoryError(f"output {out} is a directory")
-    check_replaceable(out)
+    check_replaceable(out, str(out) + ".manifest")
 
 
 def _type_ok(val, default) -> bool:
@@ -389,14 +389,16 @@ def cmd_train(cfg: dict) -> None:
 def cmd_preview(cfg: dict) -> None:
     _require_positive("preview", cfg, ("count", "batch", "frames"))
     base_cfg = _build(PreviewConfig, cfg)
-    _check_out(cfg["out"])
+    count = cfg["count"]
+    outs = [cfg["out"]] if count == 1 else [_numbered(cfg["out"], i) for i in range(count)]
+    for out in outs:
+        _check_out(out)
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     for key in ("hi", "lo"):
         if any(v % params.patch for v in cfg[key]):
             raise ConfigError(f"preview.{key} {cfg[key]} not divisible by patch {params.patch}")
     cond = Conditioning.zeros(params.cond_dim)
-    count = cfg["count"]
-    for i in range(count):
+    for i, out in enumerate(outs):
         t0 = time.time()
         seed = cfg["seed"] if count == 1 else Rng(cfg["seed"]).split(i).seed
         pcfg = replace(base_cfg, seed=seed)
@@ -404,7 +406,6 @@ def cmd_preview(cfg: dict) -> None:
         # denoiser.forward_velocity is looked up at each call, so a tracer or
         # counter that replaces it sees every forward
         res = generate_preview(lambda z, s, c: denoiser.forward_velocity(params, z, s, c), cond, pcfg, extent)
-        out = cfg["out"] if count == 1 else _numbered(cfg["out"], i)
         _write_grid(out, res.latent)
         _write_manifest(
             str(out) + ".manifest", "preview", {**cfg, "seed": seed, "count": 1, "out": str(out)},

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, layernorm, layernorm_backward, linear, linear_backward
+from .autodiff import Tensor, layernorm, layernorm_backward, linear, linear_backward, run_each
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .grids import (
     Extent5,
@@ -32,7 +32,7 @@ from .grids import (
 )
 from .schedule import Conditioning, build_schedule, sample_ode
 from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec
-from .windows import swin_block_pair, swin_block_pair_backward
+from .windows import frame_pairs, swin_block_pair, swin_block_pair_backward
 
 SIGMA_EMBED_DIM = 16
 
@@ -153,9 +153,16 @@ def _block_weights(tensors: dict, depth: int) -> list[BlockWeights]:
 
 def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning,
              saved: list | None = None) -> list[np.ndarray]:
-    """The per-item outputs (c, f, h, w) of every batch item, one item at a
-    time.  With a ``saved`` list, each item appends one list of its own, to
-    which every layer appends what its backward needs, in forward order."""
+    """The per-item outputs (c, f, h, w) of every batch item.
+
+    With a ``saved`` list the items run one at a time, in order, and each
+    appends one list of its own, to which every layer appends what its
+    backward needs, in forward order.  Without one, the items go to
+    :func:`~vidflow.autodiff.run_each`: when there are at least two and one
+    item's attention holds at least ``autodiff._SHARE_SCORES`` scores
+    (depth · heads · frame pairs · plane²), the helper threads take items as
+    attention takes query tiles.  Each item writes only its own output, so
+    the outputs have the serial path's bits."""
     e = z.extent
     p = params.patch
     if e.c != params.channels:
@@ -170,19 +177,24 @@ def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditio
     bias = _sigma_embedding(sigma)[None, :] @ tensors["sigma.w"] + cond.as_array()[None, :] @ tensors["cond.w"]
     blocks = _block_weights(tensors, params.depth)
     spec, rope = params.window, params.rope
-    outs = []
-    for b in range(e.b):
-        item = None if saved is None else []
+    hp, wp = e.h // p, e.w // p
+    outs = [None] * e.b
+
+    def run(b: int, item: list | None = None) -> None:
         tokens = _patchify(z.values[b], p)
-        f, hp, wp, cpp = tokens.shape
-        x = linear(tokens.reshape(-1, cpp), tensors["embed.w"], tensors["embed.b"], item)
-        x = (x + bias).reshape(f, hp, wp, params.d)
+        x = linear(tokens.reshape(-1, tokens.shape[-1]), tensors["embed.w"], tensors["embed.b"], item)
+        x = (x + bias).reshape(e.f, hp, wp, params.d)
         for i in range(0, params.depth, 2):
             x = swin_block_pair(x, (blocks[i], blocks[i + 1]), spec, rope, params.heads, item)
         y = linear(layernorm(x, item).reshape(-1, params.d), tensors["head.w"], tensors["head.b"], item)
-        outs.append(_unpatchify(y.reshape(f, hp, wp, cpp), e.c, p, e.f, e.h, e.w))
-        if saved is not None:
-            saved.append(item)
+        outs[b] = _unpatchify(y.reshape(e.f, hp, wp, -1), e.c, p, e.f, e.h, e.w)
+
+    if saved is None:
+        run_each(run, e.b, params.depth * params.heads * frame_pairs(e.f, params.w_t) * (hp * wp) ** 2)
+    else:
+        for b in range(e.b):
+            saved.append([])
+            run(b, saved[-1])
     return outs
 
 

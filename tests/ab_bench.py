@@ -25,10 +25,15 @@ test p.  A verdict column says
   spread too widely to tell;
 - ``-``: none of these.
 
-Each pair's line also gives each run's steal share: the share of the
-machine's CPU time that the hypervisor gave to other guests while the run
-ran, from the ``cpu`` line of ``/proc/stat`` before and after it (left out
-where that file is absent).  A pair run under heavy steal is contended.
+Each pair's line also gives each run's CPU use and steal share.  CPU use is
+the run's user plus system seconds over its wall seconds, from
+``resource.getrusage(RUSAGE_CHILDREN)`` before and after it: a run that
+shares work across threads but reads about 1.0 did not get a second CPU.
+The steal share is the share of the machine's CPU time that the hypervisor
+gave to other guests while the run ran, from the ``cpu`` line of
+``/proc/stat`` before and after it (left out where that file is absent).  A
+pair run under heavy steal is contended; a missing second CPU can show in
+CPU use while steal reads 0%.
 
 Failed requests are counted per side.  The script changes nothing under
 ``bench/``.  pytest does not collect it.
@@ -41,10 +46,12 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 import numpy as np
 
@@ -81,14 +88,22 @@ def steal_share(before, after) -> float | None:
     return delta[7] / sum(delta) if sum(delta) > 0 else None
 
 
+def child_cpu_s() -> float:
+    """User plus system CPU seconds of every waited-for child process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def bench_once(tree: str, args) -> dict:
     """One ``bench/run.py`` process in ``tree``; its final JSON line, with
-    the run's steal share under ``"steal"``."""
+    the run's CPU use (CPU seconds over wall seconds) under ``"cpu"`` and its
+    steal share under ``"steal"``."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
-    before = cpu_times()
+    before, cpu0, wall0 = cpu_times(), child_cpu_s(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    cpu = (child_cpu_s() - cpu0) / (time.perf_counter() - wall0)
     steal = steal_share(before, cpu_times())
     lines = proc.stdout.strip().splitlines()
     try:
@@ -96,7 +111,7 @@ def bench_once(tree: str, args) -> dict:
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(f"bench/run.py in {tree} exited {proc.returncode} without a result:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}") from None
-    result["steal"] = steal
+    result["cpu"], result["steal"] = cpu, steal
     return result
 
 
@@ -160,11 +175,13 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(bench_once(trees[side], args))
             got = {s: runs[s][-1]["metrics"]["items_per_s_max"]["value"] for s in order}
+            cpu = {s: runs[s][-1]["cpu"] for s in order}
             steal = {s: runs[s][-1]["steal"] for s in order}
             stolen = ("" if None in steal.values() else
                       f"; steal parent {steal['parent']:.1%}, change {steal['change']:.1%}")
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): items_per_s_max parent "
-                  f"{got['parent']:.4g}, change {got['change']:.4g}{stolen}", file=sys.stderr, flush=True)
+                  f"{got['parent']:.4g}, change {got['change']:.4g}; CPU use parent "
+                  f"{cpu['parent']:.2f}, change {cpu['change']:.2f}{stolen}", file=sys.stderr, flush=True)
 
     head = (f"{'metric':<16} {'better':<6} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
             f"{'change':>8} {'wins':>6} {'sign p':>7}  verdict")
@@ -184,6 +201,8 @@ def main(argv=None) -> int:
         attempted = sum(r["attempted"] for r in runs[side])
         wrong = sum(not r["correct"] for r in runs[side])
         print(f"{side}: {failed} of {attempted} requests failed; {wrong} of {len(runs[side])} runs incorrect")
+        uses = ", ".join(f"{r['cpu']:.2f}" for r in runs[side])
+        print(f"{side}: CPU use per run: {uses}")
         if all(r["steal"] is not None for r in runs[side]):
             shares = ", ".join(f"{r['steal']:.1%}" for r in runs[side])
             print(f"{side}: steal share per run: {shares}")

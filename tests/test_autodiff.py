@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vidflow as vf
-from vidflow import autodiff
+from vidflow import autodiff, denoiser
 from vidflow.autodiff import (
     attention_grads,
     attention_probs,
@@ -327,9 +327,10 @@ needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: attention_tiled s
 SHARED_SHAPES = [(6, 1024, 1024, 8), (6, 512, 512, 8), (2, 1024, 1024, 6), (2, 4096, 4096, 6),
                  (6, 256, 256, 8), (2, 200, 1000, 4)]
 
-# In a fresh interpreter: gen_small's forwards (the base model at its hi and
-# lo shapes, the Refiner at its refine shape) and a rig iteration at 5 and at
-# 9 frames, then a gen_large hi forward; the thread names after each part.
+# In a fresh interpreter: gen_small's batch-4 forwards of the base model at
+# its lo shape and of the Refiner at its refine shape, and a rig iteration at
+# 5 and at 9 frames; then the base model's batch-4 forward at gen_small's hi
+# shape, whose items go to the helpers; the thread names after each part.
 THREADS_SCRIPT = """
 import threading
 from vidflow.denoiser import ToyCodec, train_refiner
@@ -339,13 +340,15 @@ from conftest import RIG_DEG, RIG_TRAIN, make_rig_dataset
 rng = vf.Rng(42)
 base, refiner = model(48, 6, rng.split(1)), model(12, 2, rng.split(2))
 cond = vf.Conditioning.zeros(4)
-for params, hw in ((base, 16), (base, 8), (refiner, 16)):
+def forward(params, hw):
     vf.forward_velocity(params, vf.sample_gaussian(vf.Extent5(4, 12, 8, hw, hw), vf.Rng(hw)), 0.6, cond)
+forward(base, 8)
+forward(refiner, 16)
 dataset = make_rig_dataset(vf.Rng(7), n_clips=4)
 params, opt, _ = train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), n_iters=1)
 train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), params, opt, start_iter=150, n_iters=1)
 print(sorted(t.name for t in threading.enumerate()))
-vf.forward_velocity(base, vf.sample_gaussian(vf.Extent5(1, 12, 8, 32, 32), vf.Rng(32)), 0.6, cond)
+forward(base, 16)
 print(sorted(t.name for t in threading.enumerate()))
 """
 
@@ -505,6 +508,8 @@ class TestSharedTiles:
             assert got == [serial[i % 2]] * 3
 
     def test_small_forwards_and_training_start_no_thread(self):
+        """gen_small's lo and refine forwards and training run on one thread;
+        its hi forward, whose items hold 1.38 M scores each, starts the helpers."""
         src = os.path.dirname(os.path.dirname(vf.__file__))
         here = os.path.dirname(os.path.abspath(__file__))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -515,6 +520,145 @@ class TestSharedTiles:
         assert small == ["MainThread"]
         assert large == ["MainThread"] + ["vidflow-attention"] * (CPUS - 1)
 
+
+
+def gen_base(seed: int = 11):
+    """gen_small's base architecture (d=48, 6 heads, depth 2, w_t=4, patch
+    2, 12 channels) with a random output head, so the outputs are not zero."""
+    params = vf.DenoiserParams.init(patch=2, d=48, heads=6, depth=2, w_t=4, channels=12, cond_dim=4,
+                                    rng=vf.Rng(seed))
+    params.tensors["head.w"] = np.random.default_rng(seed).normal(size=params.tensors["head.w"].shape)
+    return params
+
+
+def gen_latent(batch: int, hw: int) -> vf.LatentGrid:
+    return vf.sample_gaussian(vf.Extent5(batch, 12, 8, hw, hw), vf.Rng(hw))
+
+
+class TestSharedItems:
+    """A batched inference forward whose items are large hands them to the
+    helper threads and returns the serial path's bytes; a saving forward
+    runs its items in order on the caller's thread."""
+
+    COND = vf.Conditioning.zeros(4)
+
+    def forward(self, params, z):
+        return vf.forward_velocity(params, z, 0.6, self.COND).values
+
+    def serial(self, monkeypatch, params, z):
+        with monkeypatch.context() as m:
+            m.setattr(autodiff, "_SHARE_SCORES", 1 << 62)
+            return self.forward(params, z)
+
+    @staticmethod
+    def helper_takes_an_item(monkeypatch):
+        """Make each item's first step on the calling thread wait until a
+        helper has started an item; return the names of the threads that
+        started items."""
+        caller, helped, names = threading.current_thread(), threading.Event(), []
+        patchify = denoiser._patchify
+
+        def spy(x, p):
+            names.append(threading.current_thread().name)
+            if threading.current_thread() is caller:
+                helped.wait(10)
+            else:
+                helped.set()
+            return patchify(x, p)
+
+        monkeypatch.setattr(denoiser, "_patchify", spy)
+        return names
+
+    @needs_two_cpus
+    def test_gen_small_hi_items_go_to_a_helper_with_the_serial_bits(self, monkeypatch):
+        params, z = gen_base(), gen_latent(4, 16)  # 1,376,256 scores an item
+        want = self.serial(monkeypatch, params, z)
+        assert self.forward(params, z).tobytes() == want.tobytes()
+        names = self.helper_takes_an_item(monkeypatch)
+        monkeypatch.setattr(autodiff, "_SHARE_SCORES", 0)  # every attention call shares its tiles too
+        got = self.forward(params, z)
+        assert len(names) == 4 and "vidflow-attention" in names
+        assert got.tobytes() == want.tobytes()
+
+    @needs_two_cpus
+    def test_an_item_that_raises_in_a_helper_reaches_the_caller(self, monkeypatch):
+        params, z = gen_base(), gen_latent(4, 16)
+        want = self.serial(monkeypatch, params, z)
+        raised = threading.Event()
+        patchify = denoiser._patchify
+
+        def failing(x, p):
+            if threading.current_thread().name == "vidflow-attention":
+                raised.set()
+                raise ValueError("item failed")
+            raised.wait(10)  # the caller's first item waits for the helper's error
+            return patchify(x, p)
+
+        monkeypatch.setattr(denoiser, "_patchify", failing)
+        finished, error = run_with_timeout(lambda: self.forward(params, z))
+        assert finished and raised.is_set()
+        assert isinstance(error, ValueError) and str(error) == "item failed"
+        monkeypatch.undo()
+        finished, got = run_with_timeout(lambda: self.forward(params, z))  # the helpers still serve
+        assert finished and got.tobytes() == want.tobytes()
+
+    @needs_two_cpus
+    def test_items_share_their_attention_tiles(self, monkeypatch):
+        """At 32×32 each item's attention calls hold 6·1024² scores, so an
+        item on a helper shares its tiles while the caller runs another; each
+        thread drains its own call's tiles, so neither waits on the other."""
+        params, z = gen_base(), gen_latent(2, 32)
+        want = self.serial(monkeypatch, params, z)
+        names = self.helper_takes_an_item(monkeypatch)
+        sharers, share = [], autodiff._share
+
+        def spy(job, n, helpers):
+            sharers.append(threading.current_thread().name)
+            return share(job, n, helpers)
+
+        monkeypatch.setattr(autodiff, "_share", spy)
+        finished, got = run_with_timeout(lambda: self.forward(params, z))
+        assert finished and "vidflow-attention" in names
+        assert "vidflow-attention" in sharers and sharers.count("vidflow-attention") < len(sharers)
+        assert got.tobytes() == want.tobytes()
+
+    @needs_two_cpus
+    def test_concurrent_forwards_match_serial_ones(self, monkeypatch):
+        """Four threads run forwards whose items go to the same helpers,
+        while the interpreter switches threads often; an item lost or run
+        twice would leave an output missing, wrong or a call waiting."""
+        params = gen_base()
+        jobs = [gen_latent(4, 16), gen_latent(2, 24)]  # 1.38 M and 7.0 M scores an item
+        serial = [self.serial(monkeypatch, params, z).tobytes() for z in jobs]
+        results = [None] * 4
+
+        def work(i):
+            results[i] = [self.forward(params, jobs[i % 2]).tobytes() for _ in range(2)]
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, got in enumerate(results):
+            assert got == [serial[i % 2]] * 2
+
+    def test_a_saving_forward_hands_out_no_item(self, monkeypatch):
+        params, z = gen_base(), gen_latent(4, 16)
+        names = []
+        patchify = denoiser._patchify
+        monkeypatch.setattr(denoiser, "_patchify",
+                            lambda x, p: names.append(threading.current_thread().name) or patchify(x, p))
+        monkeypatch.setattr(autodiff, "_SHARE_SCORES", 0)
+        monkeypatch.setattr(autodiff, "_share", lambda *args: pytest.fail("a saving forward shared work"))
+        denoiser.backward(params, z, 0.6, self.COND, gen_latent(4, 16))
+        assert names and set(names) == {threading.current_thread().name}
 
 @pytest.mark.parametrize("module", ["ctypes", "concurrent", "logging"])
 def test_no_module_imports(module):

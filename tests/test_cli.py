@@ -500,13 +500,23 @@ class TestLaterOutputPath:
         assert capsys.readouterr().err == f"i/o error: output {fifo} is not a regular file\n"
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
-    def test_preview_manifest(self, tmp_path, checkpoint, capsys):
+    def test_preview_manifest(self, tmp_path, checkpoint, counted_forwards, capsys):
         self._refused(capsys, tmp_path / "out.lgr.manifest", "preview", "--set", f"checkpoint={checkpoint}",
                       "--set", f"out={tmp_path / 'out.lgr'}", *self.PREVIEW)
+        assert counted_forwards == []
 
-    def test_preview_fan_out(self, tmp_path, checkpoint, capsys):
-        self._refused(capsys, tmp_path / "out_0.lgr", "preview", "--set", f"checkpoint={checkpoint}",
+    def test_preview_fan_out(self, tmp_path, checkpoint, counted_forwards, capsys):
+        """Every item's output is checked before item 0's first forward."""
+        self._refused(capsys, tmp_path / "out_1.lgr", "preview", "--set", f"checkpoint={checkpoint}",
                       "--set", f"out={tmp_path / 'out.lgr'}", "--set", "count=2", *self.PREVIEW)
+        assert counted_forwards == [] and not (tmp_path / "out_0.lgr").exists()
+
+    def test_refine_manifest(self, tmp_path, checkpoint, counted_forwards, capsys):
+        prev = tmp_path / "prev.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        self._refused(capsys, tmp_path / "out.lgr.manifest", "refine", "--set", f"checkpoint={checkpoint}",
+                      "--set", f"preview={prev}", "--set", f"out={tmp_path / 'out.lgr'}", "--set", "n_steps=1")
+        assert counted_forwards == [] and not (tmp_path / "out.lgr").exists()
 
     def test_train_losses(self, tmp_path, dataset, capsys):
         self._refused(capsys, tmp_path / "out.lgr.losses.csv", "train", "--set", f"dataset={dataset}",
