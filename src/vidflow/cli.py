@@ -86,12 +86,7 @@ _SCHEMAS = {
     "preview": {
         "checkpoint": _REQUIRED,
         "out": _REQUIRED,
-        "n_total": 40,
-        "k": 10,
-        "hi": [16, 16],
-        "lo": [8, 8],
-        "shift": 5.0,
-        "seed": 0,
+        **{f.name: f.default for f in fields(PreviewConfig)},
         "count": 1,
         "batch": 1,
         "frames": 8,
@@ -128,24 +123,27 @@ def _write_grid(path, grid: LatentGrid) -> None:
         write_lgr1(grid, tmp)
 
 
-def _check_out(out) -> None:
+def _check_out(out, *also) -> None:
     """Refuse, before any input is read or any work is done, an output path
     whose directory does not exist or that exists and is not a regular file:
     a directory, or a FIFO or device that renaming the written file onto it
-    would replace.  Its manifest, ``out + ".manifest"``, is checked too."""
+    would replace.  Its manifest, ``out + ".manifest"``, and the other paths
+    the command writes, ``also``, must not exist as anything but a regular
+    file either."""
     parent = os.path.dirname(str(out)) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"output {out}: {parent} is not a directory")
     if os.path.isdir(out):
         raise IsADirectoryError(f"output {out} is a directory")
-    check_replaceable(out, str(out) + ".manifest")
+    check_replaceable(out, str(out) + ".manifest", *also)
 
 
 def _type_ok(val, default) -> bool:
     """Whether ``val`` has the type of the schema default it replaces: int,
-    finite float (an int is accepted), bool, str or a list of ints.  A path
-    key takes a non-empty string without NUL (or null, if optional); a
-    ``None`` default takes any JSON value."""
+    finite float (an int is accepted), bool, str or a list of ints (for a
+    list default, and for a tuple one such as ``PreviewConfig.hi``, which it
+    also accepts as itself).  A path key takes a non-empty string without NUL
+    (or null, if optional); a ``None`` default takes any JSON value."""
     if default is _REQUIRED or default is _OPTIONAL_PATH:
         if val is None:
             return default is _OPTIONAL_PATH
@@ -154,8 +152,8 @@ def _type_ok(val, default) -> bool:
         return True
     if isinstance(val, bool) or isinstance(default, bool):
         return isinstance(val, bool) and isinstance(default, bool)
-    if isinstance(default, list):
-        return isinstance(val, list) and all(type(v) is int for v in val)
+    if isinstance(default, (list, tuple)):
+        return isinstance(val, (list, tuple)) and all(type(v) is int for v in val)
     if isinstance(default, float):
         return isinstance(val, (int, float)) and math.isfinite(val)
     return isinstance(val, type(default))
@@ -285,21 +283,19 @@ def cmd_synth(cfg: dict) -> None:
         raise ConfigError(f"synth.clip_seeds must be null or a list of ints, got {clip_seeds!r}")
     if clip_seeds and len(clip_seeds) != cfg["count"]:
         raise ConfigError(f"clip_seeds has {len(clip_seeds)} entries, count is {cfg['count']}")
-    out_dir = cfg["out"]
+    out_dir, names = cfg["out"], [f"clip_{i:04d}.lgr" for i in range(cfg["count"])]
+    manifest = str(out_dir).rstrip("/") + ".manifest"
+    check_replaceable(manifest, *(os.path.join(out_dir, name) for name in ("index.txt", *names)))
     os.makedirs(out_dir, exist_ok=True)
     master = Rng(cfg["seed"])
     extent = Extent5(1, cfg["channels"], cfg["frames"], cfg["height"], cfg["width"])
     clip_seeds = clip_seeds or [master.split(i).seed for i in range(cfg["count"])]
     t0 = time.time()
-    names = []
-    for i, cseed in enumerate(clip_seeds):
-        clip = synth_video(cfg["kind"], extent, Rng(cseed))
-        name = f"clip_{i:04d}.lgr"
-        _write_grid(os.path.join(out_dir, name), clip)
-        names.append(name)
+    for name, cseed in zip(names, clip_seeds):
+        _write_grid(os.path.join(out_dir, name), synth_video(cfg["kind"], extent, Rng(cseed)))
     _atomic_write_text(os.path.join(out_dir, "index.txt"), "\n".join(names) + "\n")
     _write_manifest(
-        str(out_dir).rstrip("/") + ".manifest", "synth", cfg,
+        manifest, "synth", cfg,
         {"clips": len(names), "wall_s": f"{time.time() - t0:.3f}"},
     )
     print(f"synth: wrote {len(names)} clips to {out_dir}")
@@ -328,7 +324,7 @@ def cmd_train(cfg: dict) -> None:
     tc = _build(TrainConfig, cfg)
     deg = _build(DegradationConfig, cfg)
     out, resume = cfg["out"], cfg["resume"]
-    _check_out(out)
+    _check_out(out, f"{out}.index", f"{out}.losses.csv")
     if os.path.exists(out) and not cfg["force"] and not resume:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
     dataset = load_dataset(cfg["dataset"])
@@ -349,6 +345,8 @@ def cmd_train(cfg: dict) -> None:
         except ValueError:
             raise FormatError(f"{resume}.index: meta iteration must be an integer, "
                               f"got {meta['iteration']!r}") from None
+        if start_iter < 0:
+            raise FormatError(f"{resume}.index: meta iteration must be >= 0, got {start_iter}")
     else:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
@@ -435,6 +433,9 @@ def cmd_refine(cfg: dict) -> None:
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     planes = _rgb_planes(params.channels) if frames_dir else None
     preview_lo = read_lgr1(cfg["preview"])
+    frames = range(preview_lo.extent.f) if frames_dir else ()
+    ppm = [os.path.join(frames_dir, f"frame_{fi:04d}.ppm") for fi in frames]
+    check_replaceable(*ppm)
     cond = Conditioning.zeros(params.cond_dim)
     up = cfg["upscale"]
     target_hw = (preview_lo.extent.h * up, preview_lo.extent.w * up)
@@ -442,14 +443,16 @@ def cmd_refine(cfg: dict) -> None:
     t0 = time.time()
     refined = refine(params, preview_lo, target_hw, n_steps, cond)
     _write_grid(cfg["out"], refined)
-    n_frames = _dump_ppm_frames(ToyCodec().decode(refined), planes, frames_dir) if frames_dir else 0
+    if frames_dir:
+        os.makedirs(frames_dir, exist_ok=True)
+        _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm)
     _write_manifest(
         str(cfg["out"]) + ".manifest", "refine", cfg,
         {"n_steps": n_steps, "nfe": n_steps, "target_h": target_hw[0],
-         "target_w": target_hw[1], "ppm_frames": n_frames,
+         "target_w": target_hw[1], "ppm_frames": len(ppm),
          "wall_s": f"{time.time() - t0:.3f}", **_process_usage()},
     )
-    print(f"refine: {n_steps} steps -> {cfg['out']} ({n_frames} PPM frames)")
+    print(f"refine: {n_steps} steps -> {cfg['out']} ({len(ppm)} PPM frames)")
 
 
 def _rgb_planes(latent_channels: int) -> list[int]:
@@ -465,18 +468,15 @@ def _rgb_planes(latent_channels: int) -> list[int]:
     return [0, 0, 0] if c == 1 else [0, 1, 2]
 
 
-def _dump_ppm_frames(pixels: LatentGrid, planes: list[int], frames_dir) -> int:
-    """Write each frame of batch item 0 as binary PPM (P6), 8-bit, ``planes`` as RGB."""
+def _dump_ppm_frames(pixels: LatentGrid, planes: list[int], paths) -> None:
+    """Write frame ``i`` of batch item 0 to ``paths[i]`` as binary PPM (P6),
+    8-bit, ``planes`` as RGB."""
     e = pixels.extent
     quant = np.clip(np.round(pixels.values[0, planes] * 255.0), 0, 255).astype(np.uint8)
-    os.makedirs(frames_dir, exist_ok=True)
-    for fi in range(e.f):
+    header = f"P6\n{e.w} {e.h}\n255\n".encode()
+    for fi, path in enumerate(paths):
         frame = quant[:, fi].transpose(1, 2, 0)  # (h, w, 3)
-        header = f"P6\n{e.w} {e.h}\n255\n".encode()
-        _atomic_write_bytes(
-            os.path.join(frames_dir, f"frame_{fi:04d}.ppm"), header + frame.tobytes()
-        )
-    return e.f
+        _atomic_write_bytes(path, header + frame.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,9 @@ def degrade_pair(
             f"spatial dims {(e.h, e.w)} not divisible by codec*factor "
             f"{codec.factor * cfg.downup_factor}"
         )
+    if cfg.latent_downup_factor > min(e.h, e.w) // codec.factor:
+        raise ConfigError(f"latent_downup_factor {cfg.latent_downup_factor} exceeds the latent's "
+                          f"spatial dims {(e.h // codec.factor, e.w // codec.factor)}")
     z_hr = codec.encode(hr_pixels)
 
     px = hr_pixels.values
@@ -387,13 +390,11 @@ def synth_video(
     kind: str,
     extent: Extent5,
     rng: Rng,
-    velocity: tuple[float, float] | None = None,
 ) -> LatentGrid:
     """Deterministic procedural pixel video in [0, 1].
 
     A single shape per clip moves at constant velocity and bounces elastically
-    off the walls; edges are anti-aliased.  ``velocity`` overrides the random
-    draw (use (0, 0) for a static clip).
+    off the walls; edges are anti-aliased.
     """
     if kind not in SYNTH_KINDS:
         raise ConfigError(f"unknown synth kind {kind!r}, expected one of {SYNTH_KINDS}")
@@ -405,10 +406,7 @@ def synth_video(
         size = 0.12 * min(e.h, e.w) + 0.1 * min(e.h, e.w) * rng.uniform(1)[0]
         cy0 = size + (e.h - 1 - 2 * size) * rng.uniform(1)[0]
         cx0 = size + (e.w - 1 - 2 * size) * rng.uniform(1)[0]
-        if velocity is None:
-            vy, vx = 3.0 * (rng.uniform(2) - 0.5)
-        else:
-            vy, vx = velocity
+        vy, vx = 3.0 * (rng.uniform(2) - 0.5)
         colors = 0.3 + 0.7 * rng.uniform(e.c)
         t = np.arange(e.f)
         cy = _reflect(cy0 + vy * t, size, e.h - 1 - size)
@@ -697,10 +695,10 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     """Inverse of :func:`save_checkpoint`; returns (params, optimizer-or-None,
     meta dict).  ``train_cfg`` is required to reconstruct the optimizer.  An
     index line other than ``meta <key> <value>``, a non-integer or invalid
-    architecture, a record that :func:`~vidflow.grids.read_record` refuses or
-    whose header axes differ from the architecture's shape, or a byte after
-    the last record the index implies raises :class:`FormatError` naming the
-    line, record or byte."""
+    architecture, a negative ``opt_t``, a record that
+    :func:`~vidflow.grids.read_record` refuses or whose header axes differ
+    from the architecture's shape, or a byte after the last record the index
+    implies raises :class:`FormatError` naming the line, record or byte."""
     index = f"{path}.index"
     try:
         with open(index) as fh:
@@ -730,6 +728,8 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     except ConfigError as exc:
         raise FormatError(f"{index}: invalid architecture: {exc}") from exc
     opt_t = meta_int("opt_t") if "opt_t" in meta else None
+    if opt_t is not None and opt_t < 0:
+        raise FormatError(f"{index}: meta opt_t must be >= 0, got {opt_t}")
     shapes = params.tensor_shapes()
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -15,7 +15,6 @@ from .grids import Extent5, LatentGrid, Rng, axpy, resize_spatial, sample_gaussi
 from .schedule import (
     Conditioning,
     VelocityModel,
-    _check_shift,
     _checked_eval,
     build_schedule,
     estimate_clean,
@@ -25,10 +24,10 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class PreviewConfig:
-    n_total: int
-    k: int
-    hi: tuple[int, int]
-    lo: tuple[int, int]
+    n_total: int = 40
+    k: int = 10
+    hi: tuple[int, int] = (16, 16)
+    lo: tuple[int, int] = (8, 8)
     shift: float = 5.0
     seed: int = 0
 
@@ -36,7 +35,7 @@ class PreviewConfig:
         for name in ("hi", "lo"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} must be a (height, width) pair, got {getattr(self, name)}")
-        _check_shift(self.shift)
+        build_schedule(self.n_total, self.shift)
         if not (1 <= self.k < self.n_total):
             raise ConfigError(f"k must satisfy 1 <= k < n_total, got k={self.k}, n_total={self.n_total}")
         if self.lo[0] > self.hi[0] or self.lo[1] > self.hi[1]:

@@ -57,19 +57,14 @@ class SigmaSchedule:
         return len(self.sigmas) - 1
 
 
-def _check_shift(shift: float) -> None:
-    """The warp's rule for its shift: at least 1 (which NaN fails too)."""
-    if not shift >= 1.0:
-        raise ConfigError(f"shift must be >= 1, got {shift}")
-
-
 def build_schedule(n: int, shift: float = 1.0) -> SigmaSchedule:
     """Rational timestep warp: sigma_i = shift*u / (1 + (shift-1)*u) with
     u = 1 - i/n.  shift=1 is the plain linear grid; larger shifts spend more
     of the budget at high noise."""
-    if n < 1:
-        raise ConfigError(f"step count must be >= 1, got {n}")
-    _check_shift(shift)
+    if not 1 <= n <= 2**53:  # past 2**53 steps, some adjacent float64 levels are equal
+        raise ConfigError(f"step count must be in [1, 2**53], got {n}")
+    if not shift >= 1.0:  # NaN fails too
+        raise ConfigError(f"shift must be >= 1, got {shift}")
     u = 1.0 - np.arange(n + 1) / n
     sig = shift * u / (1.0 + (shift - 1.0) * u)
     sig[0], sig[-1] = 1.0, 0.0

@@ -12,7 +12,9 @@ bits.  It digests
   the hi, lo and refine shapes of the gen_small and gen_large workloads (both
   refine at 2 * lo, which is their hi, so those lines repeat the hi lines);
 - the latents ``vidflow preview`` and ``vidflow refine`` write with these
-  models at the gen_small shape;
+  models at the gen_small shape, and the latent and recorded config (less
+  its two paths) of a base-model ``vidflow preview`` that sets only
+  ``checkpoint`` and ``out``, so runs on its defaults;
 - ``refiner_loss``'s loss and gradients at batch 3 and 9 frames;
 - the losses and final parameters of 20 iterations of the acceptance rig
   (10 at 5 frames, then 10 at 9).
@@ -28,6 +30,7 @@ earlier trees.  pytest does not collect it: it asserts nothing by itself.
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -90,7 +93,7 @@ def forwards(models, cond):
 def pipeline(models):
     batch, hi, lo, frames = GEN_SHAPES["gen_small"]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        path = {k: os.path.join(tmp, k) for k in ("base", "refiner", "preview", "refined")}
+        path = {k: os.path.join(tmp, k) for k in ("base", "refiner", "preview", "refined", "default")}
         for name in ("base", "refiner"):
             save_checkpoint(path[name], models[name])
         for argv in (["preview", "--set", f"checkpoint={path['base']}", "--set", f"out={path['preview']}",
@@ -98,12 +101,18 @@ def pipeline(models):
                       "--set", f"lo=[{lo},{lo}]", "--set", f"batch={batch}",
                       "--set", f"frames={frames}", "--set", "seed=7"],
                      ["refine", "--set", f"checkpoint={path['refiner']}", "--set", f"preview={path['preview']}",
-                      "--set", f"out={path['refined']}", "--set", "n_steps=10"]):
+                      "--set", f"out={path['refined']}", "--set", "n_steps=10"],
+                     ["preview", "--set", f"checkpoint={path['base']}", "--set", f"out={path['default']}"]):
             if cli.main(argv) != 0:
                 raise SystemExit(f"vidflow {argv[0]} failed")
-        latents = {name: vf.read_lgr1(path[name]).values for name in ("preview", "refined")}
-    for name, values in latents.items():
-        yield f"cli {name} gen_small", sha(values)
+        latents = {f"cli {name} gen_small": vf.read_lgr1(path[name]).values for name in ("preview", "refined")}
+        latents["cli preview defaults"] = vf.read_lgr1(path["default"]).values
+        config = cli.read_manifest(path["default"] + ".manifest")["config"]
+    for label, values in latents.items():
+        yield label, sha(values)
+    del config["checkpoint"], config["out"]  # temporary paths
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    yield "cli preview defaults config", digest
 
 
 def rig():

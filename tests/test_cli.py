@@ -268,6 +268,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: refine.frames_dir: {reason}\n"
         assert counted_forwards == [] and not out.exists() and not frames.exists()
 
+    def test_latent_factor_beyond_the_latent_is_2(self, tmp_path, dataset, capsys):
+        """8x8 clips encode to 4x4 latents, which a factor of 8 would shrink to 0x0."""
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'ckpt.lgr'}",
+                   *FAST_TRAIN, "--set", "latent_downup_factor=8") == 2
+        err = capsys.readouterr().err
+        assert "latent_downup_factor 8 exceeds the latent's spatial dims (4, 4)" in err
+        assert "Traceback" not in err and list(tmp_path.glob("ckpt.lgr*")) == []
+
     @pytest.mark.parametrize("override", ["hi=8", "count=1O", "shift=true", "lo=[8,8.5]"])
     def test_value_of_the_wrong_type_is_2(self, tmp_path, override):
         assert run("preview", "--set", f"checkpoint={tmp_path / 'none.lgr'}",
@@ -287,8 +295,9 @@ class TestExitCodes:
         ("train", "dataset=[1,2]"), ("train", "out=null"), ("train", 'out=""'), ("train", "resume=7"),
         ("preview", 'checkpoint="a\\u0000b"'), ("refine", "checkpoint=null"),
         ("refine", 'frames_dir="x\\u0000"'), ("train", "lr=NaN"), ("preview", "shift=Infinity"),
+        ("preview", "shift=1e16"), ("preview", f"n_total={2**70}"),
     ])
-    def test_count_below_one_is_2_before_loading(self, tmp_path, verb, override):
+    def test_count_below_one_is_2_before_loading(self, tmp_path, capsys, verb, override):
         # the inputs do not exist: exit 2 rather than 3, with nothing written,
         # shows the check ran first
         missing = str(tmp_path / "none.lgr")
@@ -301,6 +310,10 @@ class TestExitCodes:
         out = tmp_path / "out.lgr"
         assert run(verb, *inputs, "--set", f"out={out}", "--set", override) == 2
         assert not out.exists()  # not even synth's index.txt
+        # at shift=1e16 the first levels round to 1.0: the schedule is named
+        named = {"shift=1e16": "schedule must be strictly decreasing",
+                 f"n_total={2**70}": "step count must be in [1, 2**53]"}.get(override, "")
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
 
     @pytest.mark.parametrize("override", ["weight_decay=-1", "weight_decay=-0.001"])
     def test_negative_weight_decay_is_2_before_the_dataset_is_read(self, tmp_path, capsys, override):
@@ -338,14 +351,21 @@ class TestExitCodes:
         assert named in err and "Traceback" not in err
         assert list(tmp_path.glob("resumed.lgr*")) == []
 
-    def test_resume_from_a_non_integer_iteration_is_3(self, tmp_path, dataset, checkpoint, capsys):
+    @pytest.mark.parametrize("key,value,named", [
+        ("iteration", "five", "meta iteration must be an integer, got 'five'"),
+        ("iteration", "-3", "meta iteration must be >= 0, got -3"),
+        ("opt_t", "-3", "meta opt_t must be >= 0, got -3"),
+    ], ids=["non_integer_iteration", "negative_iteration", "negative_opt_t"])
+    def test_resume_from_a_bad_step_count_is_3(self, tmp_path, dataset, checkpoint, capsys,
+                                                key, value, named):
         index = tmp_path / "refiner.lgr.index"
-        index.write_text(index.read_text().replace("meta iteration 5\n", "meta iteration five\n"))
+        index.write_text(index.read_text().replace(f"meta {key} 5\n", f"meta {key} {value}\n"))
+        assert f"meta {key} {value}\n" in index.read_text()
         out = tmp_path / "resumed.lgr"
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={out}", *FAST_TRAIN,
                    "--set", f"resume={checkpoint}") == 3
         err = capsys.readouterr().err
-        assert "meta iteration must be an integer, got 'five'" in err and "Traceback" not in err
+        assert f"refiner.lgr.index: {named}" in err and "Traceback" not in err
         assert list(tmp_path.glob("resumed.lgr*")) == []
 
     def test_resume_of_a_checkpoint_without_target(self, tmp_path, dataset):
@@ -518,9 +538,42 @@ class TestLaterOutputPath:
                       "--set", f"preview={prev}", "--set", f"out={tmp_path / 'out.lgr'}", "--set", "n_steps=1")
         assert counted_forwards == [] and not (tmp_path / "out.lgr").exists()
 
-    def test_train_losses(self, tmp_path, dataset, capsys):
-        self._refused(capsys, tmp_path / "out.lgr.losses.csv", "train", "--set", f"dataset={dataset}",
+    def _train(self, tmp_path, dataset, monkeypatch, capsys, fifo):
+        """No iteration runs and nothing of the checkpoint is written."""
+        from vidflow import denoiser
+
+        iterations = []
+        loss = denoiser.refiner_loss
+        monkeypatch.setattr(denoiser, "refiner_loss", lambda *args: iterations.append(1) or loss(*args))
+        self._refused(capsys, fifo, "train", "--set", f"dataset={dataset}",
                       "--set", f"out={tmp_path / 'out.lgr'}", *FAST_TRAIN)
+        assert iterations == [] and list(tmp_path.glob("out.lgr*")) == [fifo]
+
+    def test_train_losses(self, tmp_path, dataset, monkeypatch, capsys):
+        self._train(tmp_path, dataset, monkeypatch, capsys, tmp_path / "out.lgr.losses.csv")
+
+    def test_train_index(self, tmp_path, dataset, monkeypatch, capsys):
+        self._train(tmp_path, dataset, monkeypatch, capsys, tmp_path / "out.lgr.index")
+
+    def test_synth_manifest(self, tmp_path, monkeypatch, capsys):
+        """Every clip, the index and the manifest are checked before the directory is made."""
+        from vidflow import cli
+
+        monkeypatch.setattr(cli, "synth_video", lambda *args: pytest.fail("a clip was drawn"))
+        self._refused(capsys, tmp_path / "d2.manifest", "synth", "--set", f"out={tmp_path / 'd2'}",
+                      "--set", "count=2", "--set", "frames=4", "--set", "height=8", "--set", "width=8")
+        assert not (tmp_path / "d2").exists()
+
+    def test_refine_frame(self, tmp_path, checkpoint, counted_forwards, capsys):
+        """Each PPM frame is checked once the preview is read, before the first forward."""
+        prev, frames = tmp_path / "prev.lgr", tmp_path / "fr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        frames.mkdir()
+        self._refused(capsys, frames / "frame_0001.ppm", "refine", "--set", f"checkpoint={checkpoint}",
+                      "--set", f"preview={prev}", "--set", f"out={tmp_path / 'rq.lgr'}",
+                      "--set", f"frames_dir={frames}", "--set", "n_steps=1")
+        assert counted_forwards == [] and list(frames.iterdir()) == [frames / "frame_0001.ppm"]
+        assert list(tmp_path.glob("rq.lgr*")) == []
 
 
 class TestFailedWrite:
@@ -601,6 +654,15 @@ class TestTrain:
 
 
 class TestPreviewRefine:
+    def test_preview_with_the_defaults(self, tmp_path, checkpoint):
+        """``PreviewConfig``'s defaults run and are recorded, the pairs as JSON lists."""
+        out = tmp_path / "prev.lgr"
+        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}") == 0
+        config = read_manifest(str(out) + ".manifest")["config"]
+        assert {k: config[k] for k in ("hi", "lo", "n_total", "k", "shift", "seed")} == {
+            "hi": [16, 16], "lo": [8, 8], "n_total": 40, "k": 10, "shift": 5.0, "seed": 0}
+        assert vf.read_lgr1(out).extent == vf.Extent5(1, 12, 8, 8, 8)
+
     def test_preview_output_and_manifest(self, tmp_path, checkpoint):
         out = tmp_path / "prev.lgr"
         assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}",

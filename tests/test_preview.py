@@ -25,6 +25,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PreviewConfig(n_total=10, k=2, hi=(4, 4), lo=(8, 8))
 
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"shift": 1e16}, "schedule must be strictly decreasing"),  # rounds flat at sigma = 1
+        ({"n_total": 2**70}, "step count must be in"),
+        ({"shift": 0.5}, "shift must be >= 1"),
+    ], ids=["flat_schedule", "too_many_steps", "shift_below_one"])
+    def test_schedule_rules_run_at_construction(self, kwargs, named):
+        with pytest.raises(ConfigError, match=named):
+            PreviewConfig(**kwargs)
+
 
 class TestReshift:
     def test_linear_combination_exact(self):
