@@ -331,7 +331,6 @@ def cmd_train(cfg: dict) -> None:
     codec = ToyCodec()
     rng = Rng(cfg["seed"])
     optimizer = None
-    start_iter = 0
     if resume:
         params, optimizer, meta = load_checkpoint(resume, train_cfg=tc)
         for key, val in arch.items():
@@ -340,31 +339,22 @@ def cmd_train(cfg: dict) -> None:
         if meta.get("target", cfg["target"]) != cfg["target"]:
             raise ConfigError(f"train.target is {cfg['target']!r}, the checkpoint {resume} "
                               f"was trained as {meta['target']!r}")
-        try:
-            start_iter = int(meta.get("iteration", 0))
-        except ValueError:
-            raise FormatError(f"{resume}.index: meta iteration must be an integer, "
-                              f"got {meta['iteration']!r}") from None
-        if start_iter < 0:
-            raise FormatError(f"{resume}.index: meta iteration must be >= 0, got {start_iter}")
     else:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
+    start_iter = optimizer.t if optimizer is not None else 0
     t0 = time.time()
-    n_iters = tc.total_iters - start_iter
     if cfg["target"] == "refiner":
         params, optimizer, losses = train_refiner(
-            dataset, codec, deg, tc, rng, params=params,
-            optimizer=optimizer, start_iter=start_iter, n_iters=n_iters,
+            dataset, codec, deg, tc, rng, params=params, optimizer=optimizer, start_iter=start_iter,
         )
     else:
         params, optimizer, losses = train_base(
-            dataset, codec, tc, rng, params=params,
-            optimizer=optimizer, start_iter=start_iter, n_iters=n_iters,
+            dataset, codec, tc, rng, params=params, optimizer=optimizer, start_iter=start_iter,
         )
     wall = time.time() - t0
 
-    save_checkpoint(out, params, optimizer, meta={"target": cfg["target"], "iteration": tc.total_iters})
+    save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
     csv_lines = ["iter,loss,frames,wall_ms"]
     per_iter_ms = 1000.0 * wall / max(len(losses), 1)
     for j, loss in enumerate(losses):
@@ -599,6 +589,9 @@ def main(argv=None) -> int:
             _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: a size is too large to allocate ({exc})", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -561,16 +561,23 @@ def _clip_window(clip: LatentGrid, frames: int, ri: Rng) -> LatentGrid:
 
 
 def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters):
-    """The training loop both trainers share.  Iteration ``it`` takes all its
-    randomness from ``rng.split(it)``: a clip and a window of it, then
-    ``draw(window, ri)`` for the (source, clean) pair, then the path time t.
-    Resuming at ``start_iter`` with a checkpointed optimizer therefore
-    reproduces a straight run bit for bit.  A schedule that needs more frames
-    than the shortest clip holds is refused before the first iteration; a
-    non-finite loss, or one above :data:`DIVERGED_LOSS_RATIO` times the mean
-    square of its target, stops training before the optimizer applies its
-    gradients."""
+    """The training loop both trainers share: iterations ``start_iter`` up to
+    ``start_iter + n_iters``, or to ``train_cfg.total_iters`` when
+    ``n_iters`` is None.  Iteration ``it`` takes all its randomness from
+    ``rng.split(it)``: a clip and a window of it, then ``draw(window, ri)``
+    for the (source, clean) pair, then the path time t.  The optimizer's step
+    count ``t`` is the one record of a run's position, so ``start_iter`` must
+    equal it (0 without an optimizer) and not lie past the end; resuming
+    with a checkpointed optimizer then reproduces a straight run bit for bit.
+    A start that breaks this, or a schedule that needs more frames than the
+    shortest clip holds, is refused before the first iteration; a non-finite
+    loss, or one above :data:`DIVERGED_LOSS_RATIO` times the mean square of
+    its target, stops training before the optimizer applies its gradients."""
     end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
+    steps = optimizer.t if optimizer is not None else 0
+    if start_iter != steps or start_iter > end:
+        raise ConfigError(f"cannot train from iteration {start_iter} to {end} with an optimizer at step "
+                          f"{steps}: a run starts at its optimizer's step count and not past its end")
     need = train_cfg.frames_at(end - 1) if end > start_iter else 0
     shortest = min(clip.extent.f for clip in dataset)
     if need > shortest:

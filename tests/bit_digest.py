@@ -16,6 +16,9 @@ bits.  It digests
   its two paths) of a base-model ``vidflow preview`` that sets only
   ``checkpoint`` and ``out``, so runs on its defaults;
 - ``refiner_loss``'s loss and gradients at batch 3 and 9 frames;
+- the checkpoint blobs (moments included; the index is not digested) of a
+  small straight ``vidflow train`` run and of the same run stopped after
+  its first phase and resumed;
 - the losses and final parameters of 20 iterations of the acceptance rig
   (10 at 5 frames, then 10 at 9).
 
@@ -115,6 +118,27 @@ def pipeline(models):
     yield "cli preview defaults config", digest
 
 
+def cli_train():
+    train = ["--set", "phase1_iters=3", "--set", "phase2_iters=2", "--set", "phase1_frames=3",
+             "--set", "phase2_frames=4", "--set", "d=6", "--set", "heads=1", "--set", "lr=0.001"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        data, straight, part, resumed = (os.path.join(tmp, k) for k in ("data", "straight", "part", "resumed"))
+        for argv in (["synth", "--set", f"out={data}", "--set", "count=3", "--set", "frames=6",
+                      "--set", "height=8", "--set", "width=8"],
+                     ["train", "--set", f"dataset={data}", "--set", f"out={straight}", *train],
+                     ["train", "--set", f"dataset={data}", "--set", f"out={part}", *train,
+                      "--set", "phase2_iters=0"],
+                     ["train", "--set", f"dataset={data}", "--set", f"out={resumed}", *train,
+                      "--set", f"resume={part}"]):
+            if cli.main(argv) != 0:
+                raise SystemExit(f"vidflow {argv[0]} failed")
+        h = hashlib.sha256()
+        for path in (straight, resumed):
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    yield "cli train", h.hexdigest()[:16]
+
+
 def rig():
     rng = vf.Rng(RIG_SEED)
     cfg = replace(RIG_TRAIN, phase1_iters=10, phase2_iters=10)
@@ -134,7 +158,7 @@ def main() -> None:
     rng = vf.Rng(SEED)
     models = {"base": model(48, 6, rng.split(1)), "refiner": model(12, 2, rng.split(2))}
     cond = vf.Conditioning((0.3, -0.2, 0.1, 0.5))
-    for label, digest in (*forwards(models, cond), *pipeline(models), *rig(), *costmodel()):
+    for label, digest in (*forwards(models, cond), *pipeline(models), *cli_train(), *rig(), *costmodel()):
         print(f"{label:<34} {digest}")
 
 

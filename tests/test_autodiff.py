@@ -333,6 +333,7 @@ SHARED_SHAPES = [(6, 1024, 1024, 8), (6, 512, 512, 8), (2, 1024, 1024, 6), (2, 4
 # shape, whose items go to the helpers; the thread names after each part.
 THREADS_SCRIPT = """
 import threading
+from dataclasses import replace
 from vidflow.denoiser import ToyCodec, train_refiner
 import vidflow as vf
 from bit_digest import model
@@ -346,7 +347,8 @@ forward(base, 8)
 forward(refiner, 16)
 dataset = make_rig_dataset(vf.Rng(7), n_clips=4)
 params, opt, _ = train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), n_iters=1)
-train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), params, opt, start_iter=150, n_iters=1)
+train_refiner(dataset, ToyCodec(), RIG_DEG, replace(RIG_TRAIN, phase1_iters=1), vf.Rng(8), params, opt,
+              start_iter=1, n_iters=1)
 print(sorted(t.name for t in threading.enumerate()))
 forward(base, 16)
 print(sorted(t.name for t in threading.enumerate()))

@@ -467,6 +467,25 @@ class TestTraining:
         for suffix in ("lgr", "lgr.index"):
             assert (tmp_path / f"straight.{suffix}").read_bytes() == (tmp_path / f"resumed.{suffix}").read_bytes()
 
+    @pytest.mark.parametrize("start_iter,n_iters", [(0, None), (1, 1), (3, 1), (2, -1)],
+                             ids=["from_the_start", "behind_the_optimizer", "ahead_of_the_optimizer",
+                                  "past_the_end"])
+    def test_start_other_than_the_optimizers_step_count_is_refused(self, monkeypatch, start_iter,
+                                                                    n_iters):
+        """The optimizer below has taken 2 steps: only ``start_iter=2`` up to
+        an end at or after it may run, and a refused start runs nothing."""
+        from vidflow import denoiser
+
+        dataset = [synth_video("bouncing_rect", Extent5(1, 1, 6, 8, 8), Rng(300 + i)) for i in range(2)]
+        cfg = TrainConfig(lr=1e-3, phase1_frames=3, phase1_iters=2, phase2_frames=4, phase2_iters=2)
+        params, opt, _ = train_refiner(dataset, ToyCodec(), RIG_DEG, cfg, Rng(5), n_iters=2)
+        assert opt.t == 2
+        monkeypatch.setattr(denoiser, "refiner_loss", lambda *args: pytest.fail("an iteration ran"))
+        with pytest.raises(ConfigError, match=r"from iteration \d+ to \d+ with an optimizer at step 2"):
+            train_refiner(dataset, ToyCodec(), RIG_DEG, cfg, Rng(5), params, opt,
+                          start_iter=start_iter, n_iters=n_iters)
+        assert opt.t == 2
+
     def test_progressive_frame_schedule(self):
         cfg = TrainConfig(phase1_frames=5, phase1_iters=10, phase2_frames=9, phase2_iters=10)
         assert cfg.frames_at(0) == 5 and cfg.frames_at(9) == 5
