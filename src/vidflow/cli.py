@@ -118,11 +118,6 @@ def _atomic_write_text(path, text: str) -> None:
     _atomic_write_bytes(path, text.encode())
 
 
-def _write_grid(path, grid: LatentGrid) -> None:
-    with replaced(path) as (tmp,):
-        write_lgr1(grid, tmp)
-
-
 def _check_out(out, *also) -> None:
     """Refuse, before any input is read or any work is done, an output path
     whose directory does not exist or that exists and is not a regular file:
@@ -139,10 +134,10 @@ def _check_out(out, *also) -> None:
 
 
 def _type_ok(val, default) -> bool:
-    """Whether ``val`` has the type of the schema default it replaces: int,
-    finite float (an int is accepted), bool, str or a list of ints (for a
-    list default, and for a tuple one such as ``PreviewConfig.hi``, which it
-    also accepts as itself).  A path key takes a non-empty string without NUL
+    """Whether ``val``, a JSON value given for a key, has the type of the
+    schema default it replaces: int, finite float (an int is accepted), bool,
+    str, or a list of ints for a list or tuple default such as
+    ``PreviewConfig.hi``.  A path key takes a non-empty string without NUL
     (or null, if optional); a ``None`` default takes any JSON value."""
     if default is _REQUIRED or default is _OPTIONAL_PATH:
         if val is None:
@@ -153,7 +148,7 @@ def _type_ok(val, default) -> bool:
     if isinstance(val, bool) or isinstance(default, bool):
         return isinstance(val, bool) and isinstance(default, bool)
     if isinstance(default, (list, tuple)):
-        return isinstance(val, (list, tuple)) and all(type(v) is int for v in val)
+        return isinstance(val, list) and all(type(v) is int for v in val)
     if isinstance(default, float):
         return isinstance(val, (int, float)) and math.isfinite(val)
     return isinstance(val, type(default))
@@ -171,7 +166,8 @@ def _build(cls, cfg: dict):
 
 
 def _parse(command: str, config_path, overrides) -> dict:
-    """The values a config file section and ``--set`` overrides give, unchecked."""
+    """The values ``--set`` and ``command``'s section of the config file give,
+    unchecked; each key of the file's JSON object is a verb holding an object."""
     values = {}
     if config_path is not None:
         try:
@@ -181,11 +177,13 @@ def _parse(command: str, config_path, overrides) -> dict:
             raise FormatError(f"config file not found: {config_path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if isinstance(raw, dict):
-            raw = raw.get(command, raw if set(raw) <= set(_SCHEMAS[command]) else {})
         if not isinstance(raw, dict):
-            raise ConfigError(f"config file must hold a JSON object, or one per verb: {config_path}")
-        values.update(raw)
+            raise ConfigError(f"config file must hold a JSON object of sections, one per verb: {config_path}")
+        for verb, section in raw.items():
+            if verb not in _SCHEMAS or not isinstance(section, dict):
+                raise ConfigError(f"config file section {verb!r} must be an object named after a verb: "
+                                  f"{', '.join(_SCHEMAS)}")
+        values.update(raw.get(command, {}))
     for kv in overrides or []:
         if "=" not in kv:
             raise ConfigError(f"override must look like key=value, got {kv!r}")
@@ -199,20 +197,19 @@ def _parse(command: str, config_path, overrides) -> dict:
 
 def _validated(command: str, values: dict) -> dict:
     """The schema's defaults updated with ``values``, after rejecting unknown
-    keys, missing required keys and values of the wrong type."""
+    keys, given values of the wrong type and missing required keys."""
     schema = _SCHEMAS[command]
-    for key in values:
+    for key, val in values.items():
         if key not in schema:
             raise ConfigError(f"unknown config key {command}.{key}")
+        if not _type_ok(val, schema[key]):
+            raise ConfigError(f"config key {command}.{key} has the wrong type: {val!r} "
+                              f"(default {schema[key]!r})")
     cfg = {k: None if v is _OPTIONAL_PATH else v for k, v in schema.items() if v is not _REQUIRED}
     cfg.update(values)
     missing = [k for k, v in schema.items() if v is _REQUIRED and k not in cfg]
     if missing:
         raise ConfigError(f"missing required config keys for {command}: {missing}")
-    for key, val in cfg.items():
-        if not _type_ok(val, schema[key]):
-            raise ConfigError(f"config key {command}.{key} has the wrong type: {val!r} "
-                              f"(default {schema[key]!r})")
     return cfg
 
 
@@ -292,7 +289,7 @@ def cmd_synth(cfg: dict) -> None:
     clip_seeds = clip_seeds or [master.split(i).seed for i in range(cfg["count"])]
     t0 = time.time()
     for name, cseed in zip(names, clip_seeds):
-        _write_grid(os.path.join(out_dir, name), synth_video(cfg["kind"], extent, Rng(cseed)))
+        write_lgr1(synth_video(cfg["kind"], extent, Rng(cseed)), os.path.join(out_dir, name))
     _atomic_write_text(os.path.join(out_dir, "index.txt"), "\n".join(names) + "\n")
     _write_manifest(
         manifest, "synth", cfg,
@@ -394,7 +391,7 @@ def cmd_preview(cfg: dict) -> None:
         # denoiser.forward_velocity is looked up at each call, so a tracer or
         # counter that replaces it sees every forward
         res = generate_preview(lambda z, s, c: denoiser.forward_velocity(params, z, s, c), cond, pcfg, extent)
-        _write_grid(out, res.latent)
+        write_lgr1(res.latent, out)
         _write_manifest(
             str(out) + ".manifest", "preview", {**cfg, "seed": seed, "count": 1, "out": str(out)},
             {"k": pcfg.k, "n_total": pcfg.n_total,
@@ -432,7 +429,7 @@ def cmd_refine(cfg: dict) -> None:
     n_steps = cfg["n_steps"]
     t0 = time.time()
     refined = refine(params, preview_lo, target_hw, n_steps, cond)
-    _write_grid(cfg["out"], refined)
+    write_lgr1(refined, cfg["out"])
     if frames_dir:
         os.makedirs(frames_dir, exist_ok=True)
         _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm)

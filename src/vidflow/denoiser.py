@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,12 +70,20 @@ class DenoiserParams:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         self.window = WindowSpec(self.w_t)
         self.rope = RoPEConfig.even_split(self.d)
-        # each tensor's (name, slice, shape) in a flat buffer of every value
-        self._layout, self.size = [], 0
-        for name, shape in self.tensor_shapes().items():
-            n = math.prod(shape)
-            self._layout.append((name, slice(self.size, self.size + n), shape))
-            self.size += n
+
+    @cached_property
+    def _layout(self) -> list:
+        """Each tensor's (name, slice, shape) in a flat buffer of every value,
+        made when first needed: construction only checks the architecture."""
+        layout, stop = [], 0
+        for name, shape in self._shapes():
+            layout.append((name, slice(stop, stop + math.prod(shape)), shape))
+            stop = layout[-1][1].stop
+        return layout
+
+    @property
+    def size(self) -> int:  # the number of values in all tensors
+        return self._layout[-1][1].stop
 
     @property
     def token_dim(self) -> int:
@@ -82,18 +91,21 @@ class DenoiserParams:
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of every weight tensor, in the order :meth:`init` draws them."""
+        return dict(self._shapes())
+
+    def _shapes(self):
+        """The (name, shape) pairs of :meth:`tensor_shapes`, made one at a time."""
         d, cpp = self.d, self.token_dim
-        shapes = {"embed.w": (cpp, d), "embed.b": (d,), "sigma.w": (SIGMA_EMBED_DIM, d),
-                  "cond.w": (self.cond_dim, d)}
+        yield from {"embed.w": (cpp, d), "embed.b": (d,), "sigma.w": (SIGMA_EMBED_DIM, d),
+                    "cond.w": (self.cond_dim, d)}.items()
         for i in range(self.depth):
-            shapes.update({
+            yield from {
                 f"block{i}.wq": (d, d), f"block{i}.wk": (d, d),
                 f"block{i}.wv": (d, d), f"block{i}.wo": (d, d),
                 f"block{i}.ffn_w1": (d, 4 * d), f"block{i}.ffn_b1": (4 * d,),
                 f"block{i}.ffn_w2": (4 * d, d), f"block{i}.ffn_b2": (d,),
-            })
-        shapes.update({"head.w": (d, cpp), "head.b": (cpp,)})
-        return shapes
+            }.items()
+        yield from {"head.w": (d, cpp), "head.b": (cpp,)}.items()
 
     @classmethod
     def init(cls, rng: Rng, **arch) -> "DenoiserParams":
@@ -737,13 +749,12 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     opt_t = meta_int("opt_t") if "opt_t" in meta else None
     if opt_t is not None and opt_t < 0:
         raise FormatError(f"{index}: meta opt_t must be >= 0, got {opt_t}")
-    shapes = params.tensor_shapes()
     with open(path, "rb") as fh:
         blob = fh.read()
     groups = [{}] if opt_t is None else [{}, {}, {}]
     offset = 0
     for group, prefix in zip(groups, ("", "opt.m.", "opt.v.")):
-        for key, shape in shapes.items():
+        for key, shape in params._shapes():  # made as read: a record the blob lacks stops it
             name = prefix + key
             axes, values, end = read_record(blob, offset, f"{path} record {name!r}")
             if axes != record_axes(shape):
@@ -759,7 +770,7 @@ def load_checkpoint(path, train_cfg: TrainConfig | None = None):
     if opt_t is not None and train_cfg is not None:
         optimizer = AdamW(params, train_cfg)
         optimizer.t = opt_t
-        for name in shapes:
+        for name in params.tensors:
             optimizer.m[name][...] = groups[1][name]
             optimizer.v[name][...] = groups[2][name]
     return params, optimizer, meta

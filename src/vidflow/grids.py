@@ -276,8 +276,8 @@ def replaced(*paths):
 
 
 def write_lgr1(grid: LatentGrid, path) -> None:
-    """Write a grid as an LGR1 file: one record with axes (b, c, f, h, w)."""
-    with open(path, "wb") as fh:
+    """Write a grid through :func:`replaced` as an LGR1 file: one record with axes (b, c, f, h, w)."""
+    with replaced(path) as (tmp,), open(tmp, "wb") as fh:
         write_record(fh, grid.values)
 
 

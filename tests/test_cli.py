@@ -4,6 +4,8 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +50,32 @@ MANIFEST_PROBES = {
 
 def run(*argv):
     return main(list(argv))
+
+
+# Runs ``vidflow argv`` and prints its wall time; the child's address space is
+# capped, so a per-block table built for a huge ``depth`` fails fast instead of
+# filling the machine's memory.
+BOUNDED_SCRIPT = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from vidflow.cli import main
+t0 = time.perf_counter()
+rc = main(sys.argv[1:])
+print(time.perf_counter() - t0)
+sys.exit(rc)
+"""
+
+
+def run_bounded(*argv) -> tuple[int, float]:
+    """Exit code and wall seconds of ``vidflow argv`` run in a child process
+    under a 1 GiB address-space cap (one BLAS thread, whose buffers the cap
+    then holds on any number of cores)."""
+    src = os.path.dirname(os.path.dirname(vf.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", BOUNDED_SCRIPT, *map(str, argv)], env=env,
+                           capture_output=True, text=True, timeout=60)
+    return child.returncode, float(child.stdout.splitlines()[-1])
 
 
 def _record_offset(checkpoint, name) -> int:
@@ -120,6 +148,13 @@ class TestSynth:
         for clip in ("clip_0000.lgr", "clip_0001.lgr"):
             assert (outs[0] / clip).read_bytes() == (outs[1] / clip).read_bytes()
 
+    def test_moving_gaussian(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("synth", "--set", f"out={out}", "--set", "kind=moving_gaussian", "--set", "count=1",
+                   "--set", "frames=3", "--set", "height=8", "--set", "width=8") == 0
+        clip = vf.read_lgr1(out / "clip_0000.lgr").values
+        assert clip.shape == (1, 3, 3, 8, 8) and 0.0 <= clip.min() and clip.max() <= 1.0
+
     def test_config_file_with_section(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"synth": {"out": str(tmp_path / "d"), "count": 1,
@@ -147,6 +182,29 @@ class TestExitCodes:
         cfgfile.write_text(text)
         assert run("synth", "--config", str(cfgfile)) == 2
 
+    @pytest.mark.parametrize("raw,named", [
+        ({"ratee": 2e-15}, "ratee"),  # a flat file with a misspelled key
+        ({"out": "OUT", "ratee": 2e-15}, "out"),  # a flat file holding every required key
+        ({"profle": {"rate": 2e-15}}, "profle"),  # a misspelled verb
+        ({"profile": {"rate": 2e-15}, "refine": 1}, "refine"),  # a section that is not an object
+    ], ids=["flat_misspelled", "flat_complete", "misspelled_verb", "section_not_an_object"])
+    def test_config_file_key_that_is_not_a_verb_section_is_2(self, tmp_path, capsys, raw, named):
+        """Every top-level key names a verb and holds an object; any other is
+        refused, named, before anything is written, not dropped with the file."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(raw).replace("OUT", str(tmp_path / "in_file.csv")))
+        assert run("profile", "--config", str(cfgfile), "--set", f"out={tmp_path / 'r.csv'}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file section {named!r} must be an object")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_config_file_without_the_verbs_section_gives_the_defaults(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"preview": {"k": 3}, "refine": {"n_steps": 2}}))
+        out = tmp_path / "r.csv"
+        assert run("profile", "--config", str(cfgfile), "--set", f"out={out}") == 0
+        assert read_manifest(str(out) + ".manifest")["config"]["rate"] == 1e-15
+
     def test_invalid_json_config_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -167,6 +225,22 @@ class TestExitCodes:
         blob = checkpoint.read_bytes()
         checkpoint.write_bytes(blob[: len(blob) - 8])
         assert self._refine(tmp_path, checkpoint) == 3
+
+    def test_checkpoint_of_a_huge_depth_is_3_at_once(self, tmp_path, checkpoint):
+        """The records are read as the architecture's shapes are made, so a
+        depth the blob cannot hold stops at the first record it lacks."""
+        index = tmp_path / "refiner.lgr.index"
+        index.write_text(index.read_text().replace("meta depth 2\n", "meta depth 2000000000\n"))
+        out = tmp_path / "prev.lgr"
+        code, seconds = run_bounded("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}")
+        assert code == 3 and not out.exists() and seconds < 1.0
+
+    def test_train_of_a_huge_depth_checks_its_inputs_at_once(self, tmp_path):
+        """Building the architecture only checks it: the missing dataset is
+        seen at once, and nothing is written."""
+        code, seconds = run_bounded("train", "--set", f"dataset={tmp_path / 'none'}",
+                                    "--set", f"out={tmp_path / 'm.lgr'}", "--set", "depth=2000000000")
+        assert code == 3 and os.listdir(tmp_path) == [] and seconds < 1.0
 
     def test_checkpoint_missing_meta_key_is_3(self, tmp_path, checkpoint):
         index = tmp_path / "refiner.lgr.index"
@@ -624,7 +698,7 @@ class TestFailedWrite:
         assert list(tmp_path.iterdir()) == []
 
     def test_write_grid(self, tmp_path, monkeypatch):
-        from vidflow import cli, grids
+        from vidflow import grids
 
         def half_record(fh, arr):
             fh.write(grids.LGR1_MAGIC)
@@ -632,8 +706,14 @@ class TestFailedWrite:
 
         monkeypatch.setattr(grids, "write_record", half_record)
         with pytest.raises(OSError, match="No space left"):
-            cli._write_grid(tmp_path / "clip.lgr", vf.LatentGrid.zeros(vf.Extent5(1, 1, 1, 2, 2)))
+            vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 1, 1, 2, 2)), tmp_path / "clip.lgr")
         assert list(tmp_path.iterdir()) == []
+
+    def test_write_lgr1_onto_a_directory_is_refused(self, tmp_path):
+        (tmp_path / "clip.lgr").mkdir()
+        with pytest.raises(OSError, match="clip.lgr is not a regular file"):
+            vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 1, 1, 2, 2)), tmp_path / "clip.lgr")
+        assert os.listdir(tmp_path) == ["clip.lgr"] and os.listdir(tmp_path / "clip.lgr") == []
 
 
 class TestTrain:

@@ -319,6 +319,22 @@ class TestSynthVideo:
         with pytest.raises(ConfigError):
             synth_video("spinning_cube", EXT, Rng(0))
 
+    def test_moving_gaussian_range_and_determinism(self):
+        a = synth_video("moving_gaussian", Extent5(2, 3, 5, 16, 16), Rng(25))
+        b = synth_video("moving_gaussian", Extent5(2, 3, 5, 16, 16), Rng(25))
+        assert np.array_equal(a.values, b.values)
+        assert a.values.min() >= 0.0 and a.values.max() <= 1.0
+        other = synth_video("moving_gaussian", Extent5(2, 3, 5, 16, 16), Rng(26))
+        assert not np.array_equal(a.values, other.values)
+
+    def test_moving_gaussian_peak_moves_between_frames(self):
+        v = synth_video("moving_gaussian", Extent5(1, 1, 6, 16, 16), Rng(27)).values[0, 0]
+        peaks = [np.unravel_index(np.argmax(frame), frame.shape) for frame in v]
+        assert len(set(peaks)) > 1
+        # a blob, not a box: the peak falls off smoothly on every side
+        y, x = peaks[0]
+        assert 0.0 < v[0, y, x - 1] < v[0, y, x] and 0.0 < v[0, y - 1, x] < v[0, y, x]
+
 
 class TestFlowMapping:
     def test_interpolation_identities(self):
