@@ -18,7 +18,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -70,7 +70,6 @@ _SCHEMAS = {
         "height": 16,
         "width": 16,
         "seed": 0,
-        "clip_seeds": None,  # optional explicit per-clip seeds
     },
     "train": {
         "target": "refiner",  # base | refiner
@@ -87,7 +86,6 @@ _SCHEMAS = {
         "checkpoint": _REQUIRED,
         "out": _REQUIRED,
         **{f.name: f.default for f in fields(PreviewConfig)},
-        "count": 1,
         "batch": 1,
         "frames": 8,
     },
@@ -171,12 +169,12 @@ def _parse(command: str, config_path, overrides) -> dict:
     values = {}
     if config_path is not None:
         try:
-            with open(config_path) as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except FileNotFoundError as exc:
             raise FormatError(f"config file not found: {config_path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file must hold a JSON object of sections, one per verb: {config_path}")
         for verb, section in raw.items():
@@ -192,6 +190,8 @@ def _parse(command: str, config_path, overrides) -> dict:
             values[key] = json.loads(val)
         except json.JSONDecodeError:
             values[key] = val
+        except RecursionError:
+            raise ConfigError(f"override {key} is nested too deeply") from None
     return values
 
 
@@ -246,8 +246,8 @@ def read_manifest(path) -> dict:
         raise FormatError(f"{path}: not a run manifest")
     try:
         out["config"] = json.loads(out["config_json"])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: config_json is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{path}: config_json is not valid JSON: {exc}") from None
     if not isinstance(out["config"], dict):
         raise FormatError(f"{path}: config_json is not a JSON object")
     return out
@@ -275,21 +275,15 @@ def cmd_synth(cfg: dict) -> None:
     _require_positive("synth", cfg, ("count", "channels", "frames", "height", "width"))
     if cfg["kind"] not in SYNTH_KINDS:
         raise ConfigError(f"unknown synth.kind {cfg['kind']!r}, expected one of {SYNTH_KINDS}")
-    clip_seeds = cfg["clip_seeds"]
-    if clip_seeds is not None and not _type_ok(clip_seeds, []):
-        raise ConfigError(f"synth.clip_seeds must be null or a list of ints, got {clip_seeds!r}")
-    if clip_seeds and len(clip_seeds) != cfg["count"]:
-        raise ConfigError(f"clip_seeds has {len(clip_seeds)} entries, count is {cfg['count']}")
     out_dir, names = cfg["out"], [f"clip_{i:04d}.lgr" for i in range(cfg["count"])]
     manifest = str(out_dir).rstrip("/") + ".manifest"
     check_replaceable(manifest, *(os.path.join(out_dir, name) for name in ("index.txt", *names)))
     os.makedirs(out_dir, exist_ok=True)
     master = Rng(cfg["seed"])
     extent = Extent5(1, cfg["channels"], cfg["frames"], cfg["height"], cfg["width"])
-    clip_seeds = clip_seeds or [master.split(i).seed for i in range(cfg["count"])]
     t0 = time.time()
-    for name, cseed in zip(names, clip_seeds):
-        write_lgr1(synth_video(cfg["kind"], extent, Rng(cseed)), os.path.join(out_dir, name))
+    for i, name in enumerate(names):
+        write_lgr1(synth_video(cfg["kind"], extent, master.split(i)), os.path.join(out_dir, name))
     _atomic_write_text(os.path.join(out_dir, "index.txt"), "\n".join(names) + "\n")
     _write_manifest(
         manifest, "synth", cfg,
@@ -322,7 +316,9 @@ def cmd_train(cfg: dict) -> None:
     deg = _build(DegradationConfig, cfg)
     out, resume = cfg["out"], cfg["resume"]
     _check_out(out, f"{out}.index", f"{out}.losses.csv")
-    if os.path.exists(out) and not cfg["force"] and not resume:
+    exists = os.path.exists(out)
+    in_place = exists and resume is not None and os.path.exists(resume) and os.path.samefile(out, resume)
+    if exists and not cfg["force"] and not in_place:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
     dataset = load_dataset(cfg["dataset"])
     codec = ToyCodec()
@@ -372,39 +368,27 @@ def cmd_train(cfg: dict) -> None:
 
 
 def cmd_preview(cfg: dict) -> None:
-    _require_positive("preview", cfg, ("count", "batch", "frames"))
-    base_cfg = _build(PreviewConfig, cfg)
-    count = cfg["count"]
-    outs = [cfg["out"]] if count == 1 else [_numbered(cfg["out"], i) for i in range(count)]
-    for out in outs:
-        _check_out(out)
+    _require_positive("preview", cfg, ("batch", "frames"))
+    pcfg = _build(PreviewConfig, cfg)
+    out = cfg["out"]
+    _check_out(out)
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     for key in ("hi", "lo"):
         if any(v % params.patch for v in cfg[key]):
             raise ConfigError(f"preview.{key} {cfg[key]} not divisible by patch {params.patch}")
     cond = Conditioning.zeros(params.cond_dim)
-    for i, out in enumerate(outs):
-        t0 = time.time()
-        seed = cfg["seed"] if count == 1 else Rng(cfg["seed"]).split(i).seed
-        pcfg = replace(base_cfg, seed=seed)
-        extent = Extent5(cfg["batch"], params.channels, cfg["frames"], *pcfg.hi)
-        # denoiser.forward_velocity is looked up at each call, so a tracer or
-        # counter that replaces it sees every forward
-        res = generate_preview(lambda z, s, c: denoiser.forward_velocity(params, z, s, c), cond, pcfg, extent)
-        write_lgr1(res.latent, out)
-        _write_manifest(
-            str(out) + ".manifest", "preview", {**cfg, "seed": seed, "count": 1, "out": str(out)},
-            {"k": pcfg.k, "n_total": pcfg.n_total,
-             "sigma_switch": f"{res.sigma_switch:.12g}",
-             "nfe_hi": res.nfe_hi, "nfe_lo": res.nfe_lo,
-             "wall_s": f"{time.time() - t0:.3f}", **_process_usage()},
-        )
-    print(f"preview: wrote {count} latent(s) to {cfg['out']}")
-
-
-def _numbered(path, i: int) -> str:
-    stem, ext = os.path.splitext(str(path))
-    return f"{stem}_{i}{ext}"
+    t0 = time.time()
+    extent = Extent5(cfg["batch"], params.channels, cfg["frames"], *pcfg.hi)
+    # denoiser.forward_velocity is looked up at each call, so a tracer or
+    # counter that replaces it sees every forward
+    res = generate_preview(lambda z, s, c: denoiser.forward_velocity(params, z, s, c), cond, pcfg, extent)
+    write_lgr1(res.latent, out)
+    _write_manifest(
+        str(out) + ".manifest", "preview", cfg,
+        {"sigma_switch": f"{res.sigma_switch:.12g}", "nfe_hi": res.nfe_hi, "nfe_lo": res.nfe_lo,
+         "wall_s": f"{time.time() - t0:.3f}", **_process_usage()},
+    )
+    print(f"preview: wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +419,7 @@ def cmd_refine(cfg: dict) -> None:
         _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm)
     _write_manifest(
         str(cfg["out"]) + ".manifest", "refine", cfg,
-        {"n_steps": n_steps, "nfe": n_steps, "target_h": target_hw[0],
+        {"nfe": n_steps, "target_h": target_hw[0],
          "target_w": target_hw[1], "ppm_frames": len(ppm),
          "wall_s": f"{time.time() - t0:.3f}", **_process_usage()},
     )

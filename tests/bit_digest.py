@@ -15,6 +15,8 @@ bits.  It digests
   models at the gen_small shape, and the latent and recorded config (less
   its two paths) of a base-model ``vidflow preview`` that sets only
   ``checkpoint`` and ``out``, so runs on its defaults;
+- the clip files, in ``index.txt`` order, of a ``vidflow synth`` run of each
+  kind;
 - ``refiner_loss``'s loss and gradients at batch 3 and 9 frames;
 - the checkpoint blobs (moments included; the index is not digested) of a
   small straight ``vidflow train`` run and of the same run stopped after
@@ -118,6 +120,21 @@ def pipeline(models):
     yield "cli preview defaults config", digest
 
 
+def cli_synth():
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for kind in ("bouncing_rect", "moving_gaussian"):
+            data = os.path.join(tmp, kind)
+            if cli.main(["synth", "--set", f"out={data}", "--set", f"kind={kind}", "--set", "count=3",
+                         "--set", "frames=5", "--set", "height=8", "--set", "width=12", "--set", "seed=9"]) != 0:
+                raise SystemExit("vidflow synth failed")
+            with open(os.path.join(data, "index.txt")) as fh:
+                for name in fh.read().split():
+                    with open(os.path.join(data, name), "rb") as clip:
+                        h.update(clip.read())
+    yield "cli synth", h.hexdigest()[:16]
+
+
 def cli_train():
     train = ["--set", "phase1_iters=3", "--set", "phase2_iters=2", "--set", "phase1_frames=3",
              "--set", "phase2_frames=4", "--set", "d=6", "--set", "heads=1", "--set", "lr=0.001"]
@@ -158,7 +175,8 @@ def main() -> None:
     rng = vf.Rng(SEED)
     models = {"base": model(48, 6, rng.split(1)), "refiner": model(12, 2, rng.split(2))}
     cond = vf.Conditioning((0.3, -0.2, 0.1, 0.5))
-    for label, digest in (*forwards(models, cond), *pipeline(models), *cli_train(), *rig(), *costmodel()):
+    for label, digest in (*forwards(models, cond), *pipeline(models), *cli_synth(), *cli_train(), *rig(),
+                          *costmodel()):
         print(f"{label:<34} {digest}")
 
 

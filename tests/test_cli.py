@@ -210,6 +210,24 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run("synth", "--config", str(bad)) == 2
 
+    @pytest.mark.parametrize("config,override", [
+        (b'\xff\xfe{"profile": {}}', None),
+        (b"[" * 200_000 + b"]" * 200_000, None),
+        (None, "stages=" + "[" * 30_000 + "]" * 30_000),
+    ], ids=["config_not_utf8", "config_nested_deep", "override_nested_deep"])
+    def test_json_that_cannot_be_decoded_is_2(self, tmp_path, capsys, config, override):
+        """A config file that is not UTF-8, or JSON nested deeper than the
+        decoder goes, is a config error with no traceback and nothing written."""
+        argv = ["--set", f"out={tmp_path / 'r.csv'}"]
+        if config is not None:
+            (tmp_path / "cfg.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        if override is not None:
+            argv += ["--set", override]
+        assert run("profile", *argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_corrupt_lgr_is_3(self, tmp_path):
         bad = tmp_path / "bad.lgr"
         bad.write_bytes(b"garbage")
@@ -350,13 +368,13 @@ class TestExitCodes:
         assert "latent_downup_factor 8 exceeds the latent's spatial dims (4, 4)" in err
         assert "Traceback" not in err and list(tmp_path.glob("ckpt.lgr*")) == []
 
-    @pytest.mark.parametrize("override", ["hi=8", "count=1O", "shift=true", "lo=[8,8.5]"])
+    @pytest.mark.parametrize("override", ["hi=8", "count=1O", "batch=1O", "shift=true", "lo=[8,8.5]"])
     def test_value_of_the_wrong_type_is_2(self, tmp_path, override):
         assert run("preview", "--set", f"checkpoint={tmp_path / 'none.lgr'}",
                    "--set", f"out={tmp_path / 'prev.lgr'}", "--set", override) == 2
 
     @pytest.mark.parametrize("verb,override", [
-        ("preview", "batch=0"), ("preview", "frames=0"), ("preview", "count=0"),
+        ("preview", "batch=0"), ("preview", "frames=0"),
         ("refine", "upscale=0"),
         *[("synth", f"{key}=0") for key in ("count", "channels", "frames", "height", "width")],
         *[("train", f"{key}=0") for key in ("phase1_frames", "phase2_frames", "patch", "d",
@@ -364,7 +382,6 @@ class TestExitCodes:
         ("train", "phase1_iters=-1"), ("train", "target=refinr"), ("train", "lr=-1"),
         ("preview", "k=0"), ("refine", "n_steps=0"),
         ("preview", "hi=[16]"), ("preview", "lo=[8]"), ("preview", "shift=0.5"),
-        ("synth", 'clip_seeds=["a","b","c","d"]'), ("synth", "clip_seeds=[1,2]"),
         ("train", "w_t=3"), ("train", "d=7"), ("train", "depth=3"), ("synth", "kind=bogus"),
         ("train", "dataset=[1,2]"), ("train", "out=null"), ("train", 'out=""'), ("train", "resume=7"),
         ("preview", 'checkpoint="a\\u0000b"'), ("refine", "checkpoint=null"),
@@ -511,6 +528,12 @@ class TestExitCodes:
         with pytest.raises(vf.FormatError, match="not a UTF-8 manifest"):
             replay_manifest(path)
 
+    def test_manifest_nested_too_deep_is_format_error(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        path.write_text(f"command profile\nversion {__version__}\nconfig_json {'[' * 30_000}{']' * 30_000}\n")
+        with pytest.raises(vf.FormatError, match="config_json is not valid JSON"):
+            replay_manifest(path)
+
     def test_manifest_with_bad_config_json_is_format_error(self, tmp_path):
         path = tmp_path / "run.manifest"
         path.write_text("command preview\nversion 0.1.0\nconfig_json {not json\n")
@@ -521,6 +544,28 @@ class TestExitCodes:
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}", *FAST_TRAIN) == 2
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}",
                    "--set", "force=true", *FAST_TRAIN) == 0
+
+    def test_resume_into_another_existing_checkpoint_without_force_is_2(self, tmp_path, dataset,
+                                                                         checkpoint, capsys):
+        other = tmp_path / "other.lgr"
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={other}", *FAST_TRAIN,
+                   "--set", "seed=1") == 0
+        written = {path: path.read_bytes() for path in tmp_path.glob("other.lgr*")}
+        capsys.readouterr()
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={other}", *FAST_TRAIN,
+                   "--set", "phase2_iters=3", "--set", f"resume={checkpoint}") == 2
+        assert capsys.readouterr().err == f"config error: checkpoint {other} exists (pass force=true to overwrite)\n"
+        assert {path: path.read_bytes() for path in tmp_path.glob("other.lgr*")} == written
+
+    def test_resume_in_place_needs_no_force(self, tmp_path, dataset, checkpoint):
+        """It matches a straight run of the longer schedule, byte for byte."""
+        straight = tmp_path / "straight.lgr"
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={straight}", *FAST_TRAIN,
+                   "--set", "phase2_iters=3") == 0
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={checkpoint}", *FAST_TRAIN,
+                   "--set", "phase2_iters=3", "--set", f"resume={checkpoint}") == 0
+        for a, b in ((straight, checkpoint), (f"{straight}.index", f"{checkpoint}.index")):
+            assert open(a, "rb").read() == open(b, "rb").read(), b
 
 
 class TestOutputPath:
@@ -616,12 +661,6 @@ class TestLaterOutputPath:
         self._refused(capsys, tmp_path / "out.lgr.manifest", "preview", "--set", f"checkpoint={checkpoint}",
                       "--set", f"out={tmp_path / 'out.lgr'}", *self.PREVIEW)
         assert counted_forwards == []
-
-    def test_preview_fan_out(self, tmp_path, checkpoint, counted_forwards, capsys):
-        """Every item's output is checked before item 0's first forward."""
-        self._refused(capsys, tmp_path / "out_1.lgr", "preview", "--set", f"checkpoint={checkpoint}",
-                      "--set", f"out={tmp_path / 'out.lgr'}", "--set", "count=2", *self.PREVIEW)
-        assert counted_forwards == [] and not (tmp_path / "out_0.lgr").exists()
 
     def test_refine_manifest(self, tmp_path, checkpoint, counted_forwards, capsys):
         prev = tmp_path / "prev.lgr"
@@ -792,26 +831,19 @@ class TestPreviewRefine:
         assert float(m["sigma_switch"]) > 0
         assert float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
 
-    def test_preview_count_fans_out(self, tmp_path, checkpoint):
-        out = tmp_path / "prev.lgr"
-        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}",
-                   "--set", "count=2", "--set", "n_total=4", "--set", "k=1",
-                   "--set", "hi=[8,8]", "--set", "lo=[4,4]", "--set", "frames=4") == 0
-        assert (tmp_path / "prev_0.lgr").exists() and (tmp_path / "prev_1.lgr").exists()
-
-    def test_fanned_out_manifests_time_each_output(self, tmp_path, checkpoint, monkeypatch):
-        from types import SimpleNamespace
-
-        from vidflow import cli
-
-        ticks = iter(range(0, 1000, 7))
-        monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: next(ticks)))
-        out = tmp_path / "prev.lgr"
-        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}",
-                   "--set", "count=3", "--set", "n_total=4", "--set", "k=1",
-                   "--set", "hi=[8,8]", "--set", "lo=[4,4]", "--set", "frames=4") == 0
-        walls = {read_manifest(tmp_path / f"prev_{i}.lgr.manifest")["wall_s"] for i in range(3)}
-        assert walls == {"7.000"}
+    @pytest.mark.parametrize("verb,override", [("preview", "count=2"), ("synth", "clip_seeds=[1,2]")])
+    def test_removed_fan_out_key_is_2(self, tmp_path, checkpoint, counted_forwards, capsys, verb, override):
+        """One run makes one preview and clips from split seeds only: ``preview.count``
+        and ``synth.clip_seeds`` are unknown keys, refused before any work."""
+        before = sorted(tmp_path.rglob("*"))
+        argv = {"preview": ["--set", f"checkpoint={checkpoint}", "--set", f"out={tmp_path / 'prev.lgr'}",
+                            "--set", "n_total=4", "--set", "k=1", "--set", "hi=[8,8]", "--set", "lo=[4,4]",
+                            "--set", "frames=4"],
+                "synth": ["--set", f"out={tmp_path / 'clips'}", "--set", "count=2"]}[verb]
+        assert run(verb, *argv, "--set", override) == 2
+        key = override.partition("=")[0]
+        assert capsys.readouterr().err == f"config error: unknown config key {verb}.{key}\n"
+        assert sorted(tmp_path.rglob("*")) == before and counted_forwards == []
 
     def test_refine_writes_latent_and_ppm(self, tmp_path, checkpoint):
         prev = tmp_path / "prev.lgr"
