@@ -30,8 +30,6 @@ from .costmodel import (
     REFERENCE_BASELINE_TIME_S,
     REFERENCE_PIPELINE_PFLOPS,
     REFERENCE_STEP_DIVISION,
-    PipelineSpec,
-    StageSpec,
     affine_fit,
     recommended_pipeline,
     pipeline_report,
@@ -101,8 +99,6 @@ _SCHEMAS = {
         "out": _REQUIRED,
         "rate": 1e-15,
         "k_values": [5, 10, 20, 30, 40],
-        "stages": None,  # list of stage dicts; None -> recommended shape
-        "baseline": None,
     },
 }
 
@@ -131,18 +127,32 @@ def _check_out(out, *also) -> None:
     check_replaceable(out, str(out) + ".manifest", *also)
 
 
+def _same_file(a, b) -> bool:
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
+def _check_inputs_kept(command: str, cfg: dict, *frames) -> None:
+    """Refuse a path ``command`` writes (``out``, its manifest or one of the
+    PPM ``frames``) that is the same file as one it reads (``checkpoint``, its
+    index or ``preview``)."""
+    ckpt, out = cfg["checkpoint"], cfg["out"]
+    reads = {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index", "preview": cfg.get("preview")}
+    for wkey, w in [("out", out), ("out's manifest", f"{out}.manifest"), *(("frames_dir", f) for f in frames)]:
+        for rkey, r in reads.items():
+            if r is not None and _same_file(w, r):
+                raise ConfigError(f"{command}.{wkey} {w} is {command}.{rkey}, an input the run would overwrite")
+
+
 def _type_ok(val, default) -> bool:
     """Whether ``val``, a JSON value given for a key, has the type of the
     schema default it replaces: int, finite float (an int is accepted), bool,
     str, or a list of ints for a list or tuple default such as
     ``PreviewConfig.hi``.  A path key takes a non-empty string without NUL
-    (or null, if optional); a ``None`` default takes any JSON value."""
+    (or null, if optional)."""
     if default is _REQUIRED or default is _OPTIONAL_PATH:
         if val is None:
             return default is _OPTIONAL_PATH
         return isinstance(val, str) and val != "" and "\0" not in val
-    if default is None:
-        return True
     if isinstance(val, bool) or isinstance(default, bool):
         return isinstance(val, bool) and isinstance(default, bool)
     if isinstance(default, (list, tuple)):
@@ -316,9 +326,8 @@ def cmd_train(cfg: dict) -> None:
     deg = _build(DegradationConfig, cfg)
     out, resume = cfg["out"], cfg["resume"]
     _check_out(out, f"{out}.index", f"{out}.losses.csv")
-    exists = os.path.exists(out)
-    in_place = exists and resume is not None and os.path.exists(resume) and os.path.samefile(out, resume)
-    if exists and not cfg["force"] and not in_place:
+    in_place = resume is not None and _same_file(out, resume)
+    if os.path.exists(out) and not cfg["force"] and not in_place:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
     dataset = load_dataset(cfg["dataset"])
     codec = ToyCodec()
@@ -372,6 +381,7 @@ def cmd_preview(cfg: dict) -> None:
     pcfg = _build(PreviewConfig, cfg)
     out = cfg["out"]
     _check_out(out)
+    _check_inputs_kept("preview", cfg)
     params, _, _ = load_checkpoint(cfg["checkpoint"])
     for key in ("hi", "lo"):
         if any(v % params.patch for v in cfg[key]):
@@ -398,6 +408,7 @@ def cmd_preview(cfg: dict) -> None:
 def cmd_refine(cfg: dict) -> None:
     _require_positive("refine", cfg, ("n_steps", "upscale"))
     _check_out(cfg["out"])
+    _check_inputs_kept("refine", cfg)
     frames_dir = cfg["frames_dir"]
     if frames_dir and os.path.exists(frames_dir) and not os.path.isdir(frames_dir):
         raise NotADirectoryError(f"refine.frames_dir {frames_dir} is not a directory")
@@ -407,6 +418,7 @@ def cmd_refine(cfg: dict) -> None:
     frames = range(preview_lo.extent.f) if frames_dir else ()
     ppm = [os.path.join(frames_dir, f"frame_{fi:04d}.ppm") for fi in frames]
     check_replaceable(*ppm)
+    _check_inputs_kept("refine", cfg, *ppm)
     cond = Conditioning.zeros(params.cond_dim)
     up = cfg["upscale"]
     target_hw = (preview_lo.extent.h * up, preview_lo.extent.w * up)
@@ -454,35 +466,16 @@ def _dump_ppm_frames(pixels: LatentGrid, planes: list[int], paths) -> None:
 # profile
 
 
-def _stage_from_dict(d, where: str) -> StageSpec:
-    """The StageSpec a config stage object describes: a JSON object whose keys
-    are StageSpec's arguments; StageSpec checks their values."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a stage object, got {d!r}")
-    try:
-        return StageSpec(**d)
-    except (TypeError, ConfigError) as exc:  # an unknown or missing key, or a bad value
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def cmd_profile(cfg: dict) -> None:
     if not cfg["rate"] > 0:
         raise ConfigError(f"profile.rate must be > 0 seconds per FLOP, got {cfg['rate']}")
-    if cfg["stages"] is None and cfg["baseline"] is None:
-        pipe = recommended_pipeline()
-    else:
-        if not isinstance(cfg["stages"], list):
-            raise ConfigError(f"profile.stages must be a list of stage objects, got {cfg['stages']!r}")
-        stages = tuple(_stage_from_dict(s, f"profile.stages[{i}]") for i, s in enumerate(cfg["stages"]))
-        pipe = PipelineSpec(stages=stages, baseline=_stage_from_dict(cfg["baseline"], "profile.baseline"))
-    rate, curve = cfg["rate"], None
-    if len(pipe.stages) >= 2:
-        hi, lo, *rest = pipe.stages
-        try:
-            curve = step_division_curve(cfg["k_values"], hi, lo, rest[0] if rest else None, rate)
-        except ConfigError as exc:
-            raise ConfigError(f"profile.k_values: {exc}, the step budget of stages "
-                              f"{hi.name!r} ({hi.steps}) and {lo.name!r} ({lo.steps})") from None
+    pipe, rate = recommended_pipeline(), cfg["rate"]
+    hi, lo, ref = pipe.stages
+    try:
+        curve = step_division_curve(cfg["k_values"], hi, lo, ref, rate)
+    except ConfigError as exc:
+        raise ConfigError(f"profile.k_values: {exc}, the step budget of stages "
+                          f"{hi.name!r} ({hi.steps}) and {lo.name!r} ({lo.steps})") from None
     _check_out(cfg["out"])
     report = pipeline_report(pipe, rate)
 
@@ -496,6 +489,7 @@ def cmd_profile(cfg: dict) -> None:
     r30, r50 = round(steps * 0.3) / steps, round(steps * 0.5) / steps
     ref30 = REFERENCE_30PCT[0] / REFERENCE_BASELINE_PFLOPS
     ref50 = REFERENCE_50PCT[0] / REFERENCE_BASELINE_PFLOPS
+    slope, intercept, r2 = affine_fit(REFERENCE_STEP_DIVISION)
     foot = [
         f"# 30%step flops ratio {r30:.4f} (published {ref30:.4f}, "
         f"time {REFERENCE_30PCT[1] / REFERENCE_BASELINE_TIME_S:.4f})",
@@ -506,17 +500,12 @@ def cmd_profile(cfg: dict) -> None:
         f"({REFERENCE_BASELINE_PFLOPS} -> {REFERENCE_PIPELINE_PFLOPS} PFLOPs); "
         "not bit-reproducible here: the baseline's full architecture is not public",
         "# times model DiT forward passes only (decoder excluded)",
-    ]
-
-    if curve is not None:
-        foot.append("# step_division k,predicted_s: " + "; ".join(f"{k},{t:.6g}" for k, t in curve))
-    slope, intercept, r2 = affine_fit(REFERENCE_STEP_DIVISION)
-    foot.append(
+        "# step_division k,predicted_s: " + "; ".join(f"{k},{t:.6g}" for k, t in curve),
         f"# published step-division affine fit: slope {slope:.3f} s/step, "
-        f"intercept {intercept:.2f} s, R2 {r2:.5f}"
-    )
+        f"intercept {intercept:.2f} s, R2 {r2:.5f}",
+    ]
     _atomic_write_text(cfg["out"], "\n".join(lines + foot) + "\n")
-    _write_manifest(str(cfg["out"]) + ".manifest", "profile", cfg, {"stages": len(pipe.stages)})
+    _write_manifest(str(cfg["out"]) + ".manifest", "profile", cfg, {})
     print("\n".join(lines + foot))
 
 

@@ -9,11 +9,13 @@ the smaller grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError
 from .grids import Extent5, LatentGrid, Rng, axpy, resize_spatial, sample_gaussian
 from .schedule import (
     Conditioning,
+    SigmaSchedule,
     VelocityModel,
     _checked_eval,
     build_schedule,
@@ -35,13 +37,17 @@ class PreviewConfig:
         for name in ("hi", "lo"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} must be a (height, width) pair, got {getattr(self, name)}")
-        build_schedule(self.n_total, self.shift)
+        self.schedule  # noqa: B018 -- built once, here, which checks n_total and shift
         if not (1 <= self.k < self.n_total):
             raise ConfigError(f"k must satisfy 1 <= k < n_total, got k={self.k}, n_total={self.n_total}")
         if self.lo[0] > self.hi[0] or self.lo[1] > self.hi[1]:
             raise ConfigError(f"lo resolution {self.lo} exceeds hi {self.hi}")
         if min(self.lo) < 1:
             raise ConfigError(f"lo resolution must be >= 1, got {self.lo}")
+
+    @cached_property
+    def schedule(self) -> SigmaSchedule:
+        return build_schedule(self.n_total, self.shift)
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ def generate_preview(
     if reshift_rng is None:
         reshift_rng = master.split(1)
 
-    sig = build_schedule(cfg.n_total, cfg.shift).sigmas
+    sig = cfg.schedule.sigmas
 
     # Pre-k steps at the optimal resolution.
     z = z1

@@ -17,6 +17,8 @@ bits.  It digests
   ``checkpoint`` and ``out``, so runs on its defaults;
 - the clip files, in ``index.txt`` order, of a ``vidflow synth`` run of each
   kind;
+- the CSVs ``vidflow profile`` writes at its defaults and with
+  ``rate=2.5e-14 k_values=[1,7,40]``;
 - ``refiner_loss``'s loss and gradients at batch 3 and 9 frames;
 - the checkpoint blobs (moments included; the index is not digested) of a
   small straight ``vidflow train`` run and of the same run stopped after
@@ -135,6 +137,18 @@ def cli_synth():
     yield "cli synth", h.hexdigest()[:16]
 
 
+def cli_profile():
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = os.path.join(tmp, "profile.csv")
+        for argv in ([], ["--set", "rate=2.5e-14", "--set", "k_values=[1,7,40]"]):
+            if cli.main(["profile", "--set", f"out={out}", *argv]) != 0:
+                raise SystemExit("vidflow profile failed")
+            with open(out, "rb") as fh:
+                h.update(fh.read())
+    yield "cli profile", h.hexdigest()[:16]
+
+
 def cli_train():
     train = ["--set", "phase1_iters=3", "--set", "phase2_iters=2", "--set", "phase1_frames=3",
              "--set", "phase2_frames=4", "--set", "d=6", "--set", "heads=1", "--set", "lr=0.001"]
@@ -175,8 +189,8 @@ def main() -> None:
     rng = vf.Rng(SEED)
     models = {"base": model(48, 6, rng.split(1)), "refiner": model(12, 2, rng.split(2))}
     cond = vf.Conditioning((0.3, -0.2, 0.1, 0.5))
-    for label, digest in (*forwards(models, cond), *pipeline(models), *cli_synth(), *cli_train(), *rig(),
-                          *costmodel()):
+    for label, digest in (*forwards(models, cond), *pipeline(models), *cli_synth(), *cli_profile(),
+                          *cli_train(), *rig(), *costmodel()):
         print(f"{label:<34} {digest}")
 
 

@@ -15,12 +15,13 @@ from vidflow import __version__
 from vidflow.cli import load_dataset, main, read_manifest, replay_manifest
 
 
-STAGE = '{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}'
 FAST_TRAIN = [
     "--set", "phase1_iters=3", "--set", "phase2_iters=2",
     "--set", "phase1_frames=3", "--set", "phase2_frames=4",
     "--set", "d=6", "--set", "heads=1", "--set", "lr=0.001",
 ]
+SMALL_PREVIEW = ["--set", "n_total=4", "--set", "k=1", "--set", "hi=[4,4]", "--set", "lo=[2,2]",
+                 "--set", "frames=2"]
 
 
 def _replace(pattern, repl):
@@ -213,7 +214,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("config,override", [
         (b'\xff\xfe{"profile": {}}', None),
         (b"[" * 200_000 + b"]" * 200_000, None),
-        (None, "stages=" + "[" * 30_000 + "]" * 30_000),
+        (None, "k_values=" + "[" * 30_000 + "]" * 30_000),
     ], ids=["config_not_utf8", "config_nested_deep", "override_nested_deep"])
     def test_json_that_cannot_be_decoded_is_2(self, tmp_path, capsys, config, override):
         """A config file that is not UTF-8, or JSON nested deeper than the
@@ -646,9 +647,6 @@ class TestLaterOutputPath:
     """Every file a command writes, not only ``out``, is exit 3 naming it when
     its path exists and is not a regular file; the FIFO there stays one."""
 
-    PREVIEW = ["--set", "n_total=4", "--set", "k=1", "--set", "hi=[4,4]", "--set", "lo=[2,2]",
-               "--set", "frames=2"]
-
     @staticmethod
     def _refused(capsys, fifo, *argv):
         os.mkfifo(fifo)
@@ -659,7 +657,7 @@ class TestLaterOutputPath:
 
     def test_preview_manifest(self, tmp_path, checkpoint, counted_forwards, capsys):
         self._refused(capsys, tmp_path / "out.lgr.manifest", "preview", "--set", f"checkpoint={checkpoint}",
-                      "--set", f"out={tmp_path / 'out.lgr'}", *self.PREVIEW)
+                      "--set", f"out={tmp_path / 'out.lgr'}", *SMALL_PREVIEW)
         assert counted_forwards == []
 
     def test_refine_manifest(self, tmp_path, checkpoint, counted_forwards, capsys):
@@ -845,6 +843,31 @@ class TestPreviewRefine:
         assert capsys.readouterr().err == f"config error: unknown config key {verb}.{key}\n"
         assert sorted(tmp_path.rglob("*")) == before and counted_forwards == []
 
+    @pytest.mark.parametrize("verb,out,read", [
+        ("preview", "refiner.lgr", "checkpoint"),
+        ("preview", "refiner.lgr.index", "checkpoint's index"),
+        ("refine", "prev.lgr", "preview"),
+        ("refine", "refiner.lgr", "checkpoint"),
+    ], ids=["preview-checkpoint", "preview-index", "refine-preview", "refine-checkpoint"])
+    def test_output_that_is_an_input_is_2(self, tmp_path, checkpoint, counted_forwards, capsys,
+                                          verb, out, read):
+        """A run never writes over a file it reads; both keys are named, no
+        forward runs and every file keeps its bytes."""
+        prev = tmp_path / "prev.lgr"
+        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={prev}",
+                   *SMALL_PREVIEW) == 0
+        counted_forwards.clear()
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        argv = {"preview": SMALL_PREVIEW,
+                "refine": ["--set", f"preview={prev}", "--set", "n_steps=1"]}[verb]
+        out = tmp_path / out
+        assert run(verb, "--set", f"checkpoint={checkpoint}", "--set", f"out={out}", *argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {verb}.out {out} is {verb}.{read}, an input the run would overwrite\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert counted_forwards == []
+
     def test_refine_writes_latent_and_ppm(self, tmp_path, checkpoint):
         prev = tmp_path / "prev.lgr"
         assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={prev}",
@@ -925,29 +948,6 @@ class TestProfile:
         assert "# step_division" in text
         assert "R2 0.99" in text
 
-    def test_explicit_stages(self, tmp_path):
-        cfgfile = tmp_path / "p.json"
-        cfgfile.write_text(json.dumps({"profile": {
-            "out": str(tmp_path / "r.csv"),
-            "stages": [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}],
-            "baseline": {"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 8},
-        }}))
-        assert run("profile", "--config", str(cfgfile)) == 0
-        text = (tmp_path / "r.csv").read_text()
-        assert "total" in text and "0.500000" in text
-
-    def test_one_step_baseline(self, tmp_path):
-        # the 30% and 50% variants of a 1-step baseline have 0 steps
-        cfgfile = tmp_path / "p.json"
-        cfgfile.write_text(json.dumps({"profile": {
-            "out": str(tmp_path / "r.csv"),
-            "stages": [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 1}],
-            "baseline": {"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 1},
-        }}))
-        assert run("profile", "--config", str(cfgfile)) == 0
-        text = (tmp_path / "r.csv").read_text()
-        assert "# 30%step flops ratio 0.0000" in text and "# 50%step flops ratio 0.0000" in text
-
     @pytest.mark.parametrize("rate", ["-1", "0", "-1e-15"])
     def test_rate_not_positive_is_2(self, tmp_path, capsys, rate):
         assert run("profile", "--set", f"out={tmp_path / 'r.csv'}", "--set", f"rate={rate}") == 2
@@ -956,68 +956,24 @@ class TestProfile:
         assert list(tmp_path.iterdir()) == []
 
     def test_k_values_beyond_the_step_budget_is_2(self, tmp_path, capsys):
-        """Two 1-step preview stages hold 2 steps; the default k_values reach 40."""
-        one_step = lambda name: json.dumps(  # noqa: E731
-            {"name": name, "tokens": 64, "dim": 12, "depth": 2, "steps": 1})
-        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}",
-                   "--set", f"stages=[{one_step('hi')}, {one_step('lo')}]",
-                   "--set", f"baseline={one_step('base')}") == 2
+        """The built-in preview stages hold 10 + 30 steps."""
+        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}", "--set", "k_values=[41]") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "config error: profile.k_values: k=5 outside (0, 2], "
-            "the step budget of stages 'hi' (1) and 'lo' (1)\n")
+            "config error: profile.k_values: k=41 outside (0, 40], "
+            "the step budget of stages 'preview_hi' (10) and 'preview_lo' (30)\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("heads", [0, -5])
-    def test_stage_without_heads_is_2(self, tmp_path, capsys, heads):
-        stage = json.dumps({"name": "few", "tokens": 64, "dim": 12, "depth": 2, "steps": 4, "heads": heads})
-        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}",
-                   "--set", f"stages=[{stage}]", "--set", f"baseline={STAGE}") == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "stage few: " in captured.err and "heads" in captured.err
-        assert list(tmp_path.iterdir()) == []
-
-    def test_repeated_stage_name_is_2(self, tmp_path, capsys):
-        stages = [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": steps} for steps in (10, 30)]
-        baseline = json.dumps({"name": "base", "tokens": 64, "dim": 12, "depth": 2, "steps": 50})
-        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}",
-                   "--set", f"stages={json.dumps(stages)}", "--set", f"baseline={baseline}") == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "two stages named 'a'" in captured.err
-        assert list(tmp_path.iterdir()) == []
-
-    def test_stages_without_baseline_is_2(self, tmp_path):
-        cfgfile = tmp_path / "p.json"
-        cfgfile.write_text(json.dumps({"profile": {
-            "out": str(tmp_path / "r.csv"),
-            "stages": [{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}],
-        }}))
-        assert run("profile", "--config", str(cfgfile)) == 2
-
-    @pytest.mark.parametrize("overrides", [
-        ["stages=5"],
-        ["stages=[1]"],
-        ['stages=[{"tokens": "x"}]'],
-        ["stages=[]", f"baseline={STAGE}"],
-        ["baseline=3"],
-        [f"stages=[{STAGE}]", "baseline=[]"],
-        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": true}'],
-        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12.0, "depth": 2, "steps": 8}'],
-        ['stages=[{"name": 1, "tokens": 64, "dim": 12, "depth": 2, "steps": 4}]', f"baseline={STAGE}"],
-        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2}'],
-        ['stages=[{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4, "step_overhead_s": -5.0}]',
-         f"baseline={STAGE}"],
-        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 8, "heads": true}'],
-        [f"stages=[{STAGE}]", 'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 8, "attention": 5}'],
-    ], ids=["int", "list_of_int", "tokens_str", "empty", "baseline_alone", "baseline_list",
-            "steps_bool", "dim_float", "name_int", "missing_steps", "step_overhead_s", "heads_bool", "attention_int"])
-    def test_stage_of_the_wrong_type_is_2(self, tmp_path, capsys, overrides):
-        out = tmp_path / "r.csv"
-        argv = ["profile", "--set", f"out={out}"]
-        for o in overrides:
-            argv += ["--set", o]
-        assert run(*argv) == 2
-        assert "Traceback" not in capsys.readouterr().err
+    @pytest.mark.parametrize("override", [
+        'stages=[{"name": "a", "tokens": 64, "dim": 12, "depth": 2, "steps": 4}]',
+        'baseline={"name": "b", "tokens": 64, "dim": 12, "depth": 2, "steps": 8}',
+    ], ids=["stages", "baseline"])
+    def test_removed_pipeline_key_is_2(self, tmp_path, capsys, override):
+        """``profile`` prices the built-in pipeline only: ``stages`` and
+        ``baseline`` are unknown keys, refused before anything is written."""
+        assert run("profile", "--set", f"out={tmp_path / 'r.csv'}", "--set", override) == 2
+        key = override.partition("=")[0]
+        assert capsys.readouterr() == ("", f"config error: unknown config key profile.{key}\n")
         assert list(tmp_path.iterdir()) == []
 
 

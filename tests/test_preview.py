@@ -64,6 +64,17 @@ class TestGeneratePreview:
         assert res.latent.extent == Extent5(1, 2, 3, 4, 4)
         assert res.sigma_switch == vf.build_schedule(cfg.n_total, cfg.shift).sigmas[cfg.k]
 
+    def test_schedule_built_once_by_the_config(self, monkeypatch):
+        """``generate_preview`` runs on the schedule its config built and checked."""
+        from vidflow import preview
+
+        cfg = PreviewConfig(n_total=8, k=3, hi=(8, 8), lo=(4, 4), seed=1)
+        built = []
+        counting = lambda *args: built.append(args) or vf.build_schedule(*args)  # noqa: E731
+        monkeypatch.setattr(preview, "build_schedule", counting)
+        generate_preview(zero_model(), vf.Conditioning.zeros(1), cfg, TEMPLATE)
+        assert built == []
+
     def test_nfe_split(self):
         cfg = PreviewConfig(n_total=8, k=3, hi=(8, 8), lo=(4, 4), seed=1)
         extents = []
