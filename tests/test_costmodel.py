@@ -145,9 +145,11 @@ class TestPipelineReport:
         assert r.speedup == pytest.approx(2.0)
         assert r.total_flops == sum(r.stage_flops.values())
 
-    def test_pipeline_validation(self):
+    def test_pipeline_without_stages(self):
         with pytest.raises(ConfigError, match="at least one stage"):
             PipelineSpec(stages=(), baseline=simple_stage(name="b"))
+
+    def test_repeated_stage_name(self):
         with pytest.raises(ConfigError, match="two stages named 'a'"):  # a report keys its rows by name
             PipelineSpec(stages=(simple_stage(name="a"), simple_stage(name="a", steps=30)),
                          baseline=simple_stage(name="b"))
