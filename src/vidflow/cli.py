@@ -112,35 +112,40 @@ def _atomic_write_text(path, text: str) -> None:
     _atomic_write_bytes(path, text.encode())
 
 
-def _check_out(out, *also) -> None:
-    """Refuse, before any input is read or any work is done, an output path
-    whose directory does not exist or that exists and is not a regular file:
-    a directory, or a FIFO or device that renaming the written file onto it
-    would replace.  Its manifest, ``out + ".manifest"``, and the other paths
-    the command writes, ``also``, must not exist as anything but a regular
-    file either."""
-    parent = os.path.dirname(str(out)) or "."
-    if not os.path.isdir(parent):
-        raise FileNotFoundError(f"output {out}: {parent} is not a directory")
-    if os.path.isdir(out):
-        raise IsADirectoryError(f"output {out} is a directory")
-    check_replaceable(out, str(out) + ".manifest", *also)
+def _manifest_path(out) -> str:
+    return str(out).rstrip("/") + ".manifest"
 
 
 def _same_file(a, b) -> bool:
     return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
 
 
-def _check_inputs_kept(command: str, cfg: dict, *frames) -> None:
-    """Refuse a path ``command`` writes (``out``, its manifest or one of the
-    PPM ``frames``) that is the same file as one it reads (``checkpoint``, its
-    index or ``preview``)."""
-    ckpt, out = cfg["checkpoint"], cfg["out"]
-    reads = {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index", "preview": cfg.get("preview")}
-    for wkey, w in [("out", out), ("out's manifest", f"{out}.manifest"), *(("frames_dir", f) for f in frames)]:
+def _check_writes(command: str, writes: dict, reads: dict) -> None:
+    """Refuse, before the work it would spoil, a run of ``command`` that
+    writes the paths of ``writes`` and reads those of ``reads`` (each keyed by
+    the config key it comes from): an ``out`` whose directory does not exist
+    or a written path that exists and is not a regular file (a directory, or
+    a FIFO or device that opening or renaming onto would block on or
+    replace), exit 3; two written paths that are one path, or a written path
+    that is the same file as a read one, exit 2.  Each path's temporary,
+    ``path + ".tmp"`` (see :func:`grids.replaced`), counts as written too."""
+    if "out" in writes:
+        parent = os.path.dirname(str(writes["out"])) or "."
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"output {writes['out']}: {parent} is not a directory")
+    written = [(key, p) for key, path in writes.items() for p in (path, f"{path}.tmp")]
+    for _, path in written:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output {path} is a directory")
+        check_replaceable(path)
+    seen = {}
+    for key, path in written:
+        other = seen.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise ConfigError(f"{command}.{key} {path} is {command}.{other}, a path the run also writes")
         for rkey, r in reads.items():
-            if r is not None and _same_file(w, r):
-                raise ConfigError(f"{command}.{wkey} {w} is {command}.{rkey}, an input the run would overwrite")
+            if _same_file(path, r):
+                raise ConfigError(f"{command}.{key} {path} is {command}.{rkey}, an input the run would overwrite")
 
 
 def _type_ok(val, default) -> bool:
@@ -223,22 +228,21 @@ def _validated(command: str, values: dict) -> dict:
     return cfg
 
 
-def _process_usage() -> dict:
-    """Peak resident memory (MB; ``ru_maxrss`` counts KiB on Linux) and minor
-    page faults of this process so far: totals since the process started, not
-    of one command alone."""
+def _run(command: str, cfg: dict) -> None:
+    """Run ``command`` on ``cfg``, then record the run in ``<out>.manifest``:
+    the config, the verb's own keys, and last the whole verb's wall seconds
+    on a monotonic clock, peak resident memory (MB; ``ru_maxrss`` counts KiB
+    on Linux) and minor page faults, the last two totals of the whole process
+    so far; then print the verb's closing message."""
+    t0 = time.perf_counter()
+    extra, message = _DISPATCH[command](cfg)
+    wall = time.perf_counter() - t0
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    return {"peak_rss_mb": f"{usage.ru_maxrss / 1024.0:.1f}", "minor_faults": usage.ru_minflt}
-
-
-def _write_manifest(path, command: str, cfg: dict, extra: dict) -> None:
-    lines = [
-        f"command {command}",
-        f"version {__version__}",
-        f"config_json {json.dumps(cfg, sort_keys=True)}",
-    ]
-    lines += [f"{k} {v}" for k, v in extra.items()]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = [f"command {command}", f"version {__version__}", f"config_json {json.dumps(cfg, sort_keys=True)}",
+             *(f"{k} {v}" for k, v in extra.items()),
+             f"wall_s {wall:.3f}", f"peak_rss_mb {usage.ru_maxrss / 1024.0:.1f}", f"minor_faults {usage.ru_minflt}"]
+    _atomic_write_text(_manifest_path(cfg["out"]), "\n".join(lines) + "\n")
+    print(message)
 
 
 def read_manifest(path) -> dict:
@@ -274,35 +278,31 @@ def replay_manifest(path, overrides: dict | None = None) -> None:
         raise FormatError(f"{path}: command {command!r} cannot be replayed")
     if m.get("version") != __version__:
         raise FormatError(f"{path}: written by vidflow {m.get('version')}, this is {__version__}")
-    _DISPATCH[command](_validated(command, {**m["config"], **(overrides or {})}))
+    _run(command, _validated(command, {**m["config"], **(overrides or {})}))
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(cfg: dict) -> None:
+def cmd_synth(cfg: dict) -> tuple[dict, str]:
     _require_positive("synth", cfg, ("count", "channels", "frames", "height", "width"))
     if cfg["kind"] not in SYNTH_KINDS:
         raise ConfigError(f"unknown synth.kind {cfg['kind']!r}, expected one of {SYNTH_KINDS}")
     out_dir, names = cfg["out"], [f"clip_{i:04d}.lgr" for i in range(cfg["count"])]
-    manifest = str(out_dir).rstrip("/") + ".manifest"
-    check_replaceable(manifest, *(os.path.join(out_dir, name) for name in ("index.txt", *names)))
+    _check_writes("synth", {"out's manifest": _manifest_path(out_dir),
+                            **{f"out's {n}": os.path.join(out_dir, n) for n in ("index.txt", *names)}}, {})
     os.makedirs(out_dir, exist_ok=True)
     master = Rng(cfg["seed"])
     extent = Extent5(1, cfg["channels"], cfg["frames"], cfg["height"], cfg["width"])
-    t0 = time.time()
     for i, name in enumerate(names):
         write_lgr1(synth_video(cfg["kind"], extent, master.split(i)), os.path.join(out_dir, name))
     _atomic_write_text(os.path.join(out_dir, "index.txt"), "\n".join(names) + "\n")
-    _write_manifest(
-        manifest, "synth", cfg,
-        {"clips": len(names), "wall_s": f"{time.time() - t0:.3f}"},
-    )
-    print(f"synth: wrote {len(names)} clips to {out_dir}")
+    return {"clips": len(names)}, f"synth: wrote {len(names)} clips to {out_dir}"
 
 
-def load_dataset(dataset_dir) -> list[LatentGrid]:
+def _clip_names(dataset_dir) -> list[str]:
+    """The clip files ``dataset_dir``'s ``index.txt`` lists, in order."""
     index = os.path.join(dataset_dir, "index.txt")
     if not os.path.exists(index):
         raise FormatError(f"dataset index not found: {index}")
@@ -310,26 +310,31 @@ def load_dataset(dataset_dir) -> list[LatentGrid]:
         names = [ln.strip() for ln in fh if ln.strip()]
     if not names:
         raise FormatError(f"dataset index lists no clips: {index}")
-    return [read_lgr1(os.path.join(dataset_dir, n)) for n in names]
+    return names
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def cmd_train(cfg: dict) -> None:
+def cmd_train(cfg: dict) -> tuple[dict, str]:
     if cfg["target"] not in ("base", "refiner"):
         raise ConfigError(f"unknown train target {cfg['target']!r}")
     arch = {k: cfg[k] for k in REFINER_ARCH}
     DenoiserParams(**arch, channels=1)  # the architecture's rules; channels come from the dataset
     tc = _build(TrainConfig, cfg)
     deg = _build(DegradationConfig, cfg)
-    out, resume = cfg["out"], cfg["resume"]
-    _check_out(out, f"{out}.index", f"{out}.losses.csv")
+    out, resume, data = cfg["out"], cfg["resume"], cfg["dataset"]
+    names = _clip_names(data)
+    reads = {f"dataset's {n}": os.path.join(data, n) for n in ("index.txt", *names)}
     in_place = resume is not None and _same_file(out, resume)
+    if resume is not None and not in_place:
+        reads.update({"resume": resume, "resume's index": f"{resume}.index"})
+    _check_writes("train", {"out": out, "out's index": f"{out}.index", "out's losses": f"{out}.losses.csv",
+                            "out's manifest": _manifest_path(out)}, reads)
     if os.path.exists(out) and not cfg["force"] and not in_place:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
-    dataset = load_dataset(cfg["dataset"])
+    dataset = [read_lgr1(os.path.join(data, n)) for n in names]
     codec = ToyCodec()
     rng = Rng(cfg["seed"])
     optimizer = None
@@ -345,7 +350,7 @@ def cmd_train(cfg: dict) -> None:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
     start_iter = optimizer.t if optimizer is not None else 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     if cfg["target"] == "refiner":
         params, optimizer, losses = train_refiner(
             dataset, codec, deg, tc, rng, params=params, optimizer=optimizer, start_iter=start_iter,
@@ -354,7 +359,7 @@ def cmd_train(cfg: dict) -> None:
         params, optimizer, losses = train_base(
             dataset, codec, tc, rng, params=params, optimizer=optimizer, start_iter=start_iter,
         )
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
     csv_lines = ["iter,loss,frames,wall_ms"]
@@ -363,79 +368,64 @@ def cmd_train(cfg: dict) -> None:
         it = start_iter + j
         csv_lines.append(f"{it},{loss:.10g},{tc.frames_at(it)},{per_iter_ms:.3f}")
     _atomic_write_text(str(out) + ".losses.csv", "\n".join(csv_lines) + "\n")
-    _write_manifest(
-        str(out) + ".manifest", "train", cfg,
-        {"iterations": tc.total_iters, "final_loss": losses[-1] if losses else "nan",
-         "wall_s": f"{wall:.3f}"},
-    )
-    print(f"train[{cfg['target']}]: {len(losses)} iters, final loss "
-          f"{losses[-1]:.6g}" if losses else "train: no iterations run")
+    return ({"iterations": tc.total_iters, "final_loss": losses[-1] if losses else "nan"},
+            f"train[{cfg['target']}]: {len(losses)} iters, final loss {losses[-1]:.6g}" if losses
+            else "train: no iterations run")
 
 
 # ---------------------------------------------------------------------------
 # preview
 
 
-def cmd_preview(cfg: dict) -> None:
+def cmd_preview(cfg: dict) -> tuple[dict, str]:
     _require_positive("preview", cfg, ("batch", "frames"))
     pcfg = _build(PreviewConfig, cfg)
-    out = cfg["out"]
-    _check_out(out)
-    _check_inputs_kept("preview", cfg)
-    params, _, _ = load_checkpoint(cfg["checkpoint"])
+    out, ckpt = cfg["out"], cfg["checkpoint"]
+    _check_writes("preview", {"out": out, "out's manifest": _manifest_path(out)},
+                  {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index"})
+    params, _, _ = load_checkpoint(ckpt)
     for key in ("hi", "lo"):
         if any(v % params.patch for v in cfg[key]):
             raise ConfigError(f"preview.{key} {cfg[key]} not divisible by patch {params.patch}")
     cond = Conditioning.zeros(params.cond_dim)
-    t0 = time.time()
     extent = Extent5(cfg["batch"], params.channels, cfg["frames"], *pcfg.hi)
     # denoiser.forward_velocity is looked up at each call, so a tracer or
     # counter that replaces it sees every forward
     res = generate_preview(lambda z, s, c: denoiser.forward_velocity(params, z, s, c), cond, pcfg, extent)
     write_lgr1(res.latent, out)
-    _write_manifest(
-        str(out) + ".manifest", "preview", cfg,
-        {"sigma_switch": f"{res.sigma_switch:.12g}", "nfe_hi": res.nfe_hi, "nfe_lo": res.nfe_lo,
-         "wall_s": f"{time.time() - t0:.3f}", **_process_usage()},
-    )
-    print(f"preview: wrote {out}")
+    return ({"sigma_switch": f"{res.sigma_switch:.12g}", "nfe_hi": res.nfe_hi, "nfe_lo": res.nfe_lo},
+            f"preview: wrote {out}")
 
 
 # ---------------------------------------------------------------------------
 # refine
 
 
-def cmd_refine(cfg: dict) -> None:
+def cmd_refine(cfg: dict) -> tuple[dict, str]:
     _require_positive("refine", cfg, ("n_steps", "upscale"))
-    _check_out(cfg["out"])
-    _check_inputs_kept("refine", cfg)
-    frames_dir = cfg["frames_dir"]
+    out, ckpt, frames_dir = cfg["out"], cfg["checkpoint"], cfg["frames_dir"]
+    writes = {"out": out, "out's manifest": _manifest_path(out)}
+    reads = {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index", "preview": cfg["preview"]}
+    _check_writes("refine", writes, reads)
     if frames_dir and os.path.exists(frames_dir) and not os.path.isdir(frames_dir):
         raise NotADirectoryError(f"refine.frames_dir {frames_dir} is not a directory")
-    params, _, _ = load_checkpoint(cfg["checkpoint"])
+    params, _, _ = load_checkpoint(ckpt)
     planes = _rgb_planes(params.channels) if frames_dir else None
     preview_lo = read_lgr1(cfg["preview"])
-    frames = range(preview_lo.extent.f) if frames_dir else ()
-    ppm = [os.path.join(frames_dir, f"frame_{fi:04d}.ppm") for fi in frames]
-    check_replaceable(*ppm)
-    _check_inputs_kept("refine", cfg, *ppm)
+    names = [f"frame_{fi:04d}.ppm" for fi in range(preview_lo.extent.f)] if frames_dir else []
+    ppm = {f"frames_dir's {n}": os.path.join(frames_dir, n) for n in names}
+    _check_writes("refine", {**writes, **ppm}, reads)
     cond = Conditioning.zeros(params.cond_dim)
     up = cfg["upscale"]
     target_hw = (preview_lo.extent.h * up, preview_lo.extent.w * up)
     n_steps = cfg["n_steps"]
-    t0 = time.time()
     refined = refine(params, preview_lo, target_hw, n_steps, cond)
-    write_lgr1(refined, cfg["out"])
+    write_lgr1(refined, out)
     if frames_dir:
         os.makedirs(frames_dir, exist_ok=True)
-        _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm)
-    _write_manifest(
-        str(cfg["out"]) + ".manifest", "refine", cfg,
-        {"nfe": n_steps, "target_h": target_hw[0],
-         "target_w": target_hw[1], "ppm_frames": len(ppm),
-         "wall_s": f"{time.time() - t0:.3f}", **_process_usage()},
-    )
-    print(f"refine: {n_steps} steps -> {cfg['out']} ({len(ppm)} PPM frames)")
+        _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm.values())
+    return ({"nfe": n_steps, "target_h": target_hw[0], "target_w": target_hw[1], "ppm_frames": len(ppm)},
+            f"refine: {n_steps} steps -> {out} ({len(ppm)} PPM frames)")
 
 
 def _rgb_planes(latent_channels: int) -> list[int]:
@@ -466,7 +456,7 @@ def _dump_ppm_frames(pixels: LatentGrid, planes: list[int], paths) -> None:
 # profile
 
 
-def cmd_profile(cfg: dict) -> None:
+def cmd_profile(cfg: dict) -> tuple[dict, str]:
     if not cfg["rate"] > 0:
         raise ConfigError(f"profile.rate must be > 0 seconds per FLOP, got {cfg['rate']}")
     pipe, rate = recommended_pipeline(), cfg["rate"]
@@ -476,7 +466,8 @@ def cmd_profile(cfg: dict) -> None:
     except ConfigError as exc:
         raise ConfigError(f"profile.k_values: {exc}, the step budget of stages "
                           f"{hi.name!r} ({hi.steps}) and {lo.name!r} ({lo.steps})") from None
-    _check_out(cfg["out"])
+    out = cfg["out"]
+    _check_writes("profile", {"out": out, "out's manifest": _manifest_path(out)}, {})
     report = pipeline_report(pipe, rate)
 
     lines = ["stage,flops,share,ratio_vs_baseline,predicted_s"]
@@ -504,9 +495,9 @@ def cmd_profile(cfg: dict) -> None:
         f"# published step-division affine fit: slope {slope:.3f} s/step, "
         f"intercept {intercept:.2f} s, R2 {r2:.5f}",
     ]
-    _atomic_write_text(cfg["out"], "\n".join(lines + foot) + "\n")
-    _write_manifest(str(cfg["out"]) + ".manifest", "profile", cfg, {})
-    print("\n".join(lines + foot))
+    text = "\n".join(lines + foot)
+    _atomic_write_text(out, text + "\n")
+    return {}, text
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +546,7 @@ def main(argv=None) -> int:
         if args.command == "inspect":
             cmd_inspect({"path": args.path})
         else:
-            cfg = _validated(args.command, _parse(args.command, args.config, args.set))
-            _DISPATCH[args.command](cfg)
+            _run(args.command, _validated(args.command, _parse(args.command, args.config, args.set)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

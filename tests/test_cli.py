@@ -12,7 +12,7 @@ import pytest
 
 import vidflow as vf
 from vidflow import __version__
-from vidflow.cli import load_dataset, main, read_manifest, replay_manifest
+from vidflow.cli import main, read_manifest, replay_manifest
 
 
 FAST_TRAIN = [
@@ -667,6 +667,12 @@ class TestLaterOutputPath:
                       "--set", f"preview={prev}", "--set", f"out={tmp_path / 'out.lgr'}", "--set", "n_steps=1")
         assert counted_forwards == [] and not (tmp_path / "out.lgr").exists()
 
+    def test_preview_temporary(self, tmp_path, checkpoint, counted_forwards, capsys):
+        """A FIFO where ``out``'s temporary goes would block the write for good."""
+        self._refused(capsys, tmp_path / "out.lgr.tmp", "preview", "--set", f"checkpoint={checkpoint}",
+                      "--set", f"out={tmp_path / 'out.lgr'}", *SMALL_PREVIEW)
+        assert counted_forwards == []
+
     def _train(self, tmp_path, dataset, monkeypatch, capsys, fifo):
         """No iteration runs and nothing of the checkpoint is written."""
         from vidflow import denoiser
@@ -789,8 +795,9 @@ class TestTrain:
         tc = vf.TrainConfig(lr=0.001, phase1_iters=3, phase2_iters=2, phase1_frames=3, phase2_frames=4)
         params = vf.DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=4, channels=12, cond_dim=4,
                                         rng=vf.Rng(0).split(10**9))
-        params, opt, _ = vf.train_refiner(load_dataset(dataset), vf.ToyCodec(), vf.DegradationConfig(), tc,
-                                          vf.Rng(0), params, n_iters=3)
+        clips = [vf.read_lgr1(dataset / name) for name in (dataset / "index.txt").read_text().split()]
+        params, opt, _ = vf.train_refiner(clips, vf.ToyCodec(), vf.DegradationConfig(), tc, vf.Rng(0), params,
+                                          n_iters=3)
         part = tmp_path / "part.lgr"
         vf.save_checkpoint(part, params, opt)
         full = tmp_path / "resumed.lgr"
@@ -798,6 +805,32 @@ class TestTrain:
                    *FAST_TRAIN, "--set", f"resume={part}") == 0
         for a, b in ((straight, full), (f"{straight}.index", f"{full}.index")):
             assert open(a, "rb").read() == open(b, "rb").read(), b
+
+    @pytest.mark.parametrize("out,read,resume", [
+        ("data/clip_0000.lgr", "dataset's clip_0000.lgr", False),
+        ("data/index.txt", "dataset's index.txt", False),
+        ("refiner.lgr.index", "resume's index", True),
+    ], ids=["clip", "dataset-index", "resume-index"])
+    def test_output_that_is_an_input_is_2(self, tmp_path, dataset, checkpoint, monkeypatch, capsys,
+                                          out, read, resume):
+        """``force`` never lets a run write over its dataset or the checkpoint
+        it resumes: both keys are named, no iteration runs and every file
+        keeps its bytes."""
+        from vidflow import denoiser
+
+        iterations = []
+        loss = denoiser.refiner_loss
+        monkeypatch.setattr(denoiser, "refiner_loss", lambda *args: iterations.append(1) or loss(*args))
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        out = tmp_path / out
+        argv = ["--set", f"resume={checkpoint}", "--set", "phase2_iters=3"] if resume else []
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={out}", "--set", "force=true",
+                   *FAST_TRAIN, *argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: train.out {out} is train.{read}, an input the run would overwrite\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert iterations == []
 
     def test_train_base_target(self, tmp_path, dataset):
         ckpt = tmp_path / "base.lgr"
@@ -868,6 +901,45 @@ class TestPreviewRefine:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert counted_forwards == []
 
+    @pytest.mark.parametrize("out,frame,clash", [
+        ("fr/frame_0000.ppm", 0, "fr/frame_0000.ppm"),
+        ("link/frame_0001.ppm", 1, "fr/frame_0001.ppm"),
+        ("fr/frame_0002.ppm.tmp", 2, "fr/frame_0002.ppm.tmp"),
+    ], ids=["same-spelling", "through-a-symlink", "a-frames-temporary"])
+    def test_two_outputs_that_are_one_path_is_2(self, tmp_path, checkpoint, counted_forwards, capsys,
+                                                out, frame, clash):
+        """``out`` may not be one of the PPM frames, however it is spelt, nor
+        the temporary a frame is written to first: both keys are named, no
+        forward runs and nothing is written."""
+        prev, frames = tmp_path / "prev.lgr", tmp_path / "fr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        frames.mkdir()
+        os.symlink(frames, tmp_path / "link")
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / out
+        assert run("refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                   "--set", f"out={out}", "--set", f"frames_dir={frames}", "--set", "n_steps=1") == 2
+        assert capsys.readouterr() == (
+            "", f"config error: refine.frames_dir's frame_{frame:04d}.ppm {tmp_path / clash} "
+                f"is refine.out, a path the run also writes\n")
+        assert sorted(tmp_path.rglob("*")) == before and counted_forwards == []
+
+    def test_output_whose_temporary_is_an_input_is_2(self, tmp_path, checkpoint, counted_forwards, capsys):
+        """``out`` is written to ``out + ".tmp"`` first, so that path may not
+        be an input either."""
+        ckpt = tmp_path / "c.lgr.tmp"
+        ckpt.write_bytes(checkpoint.read_bytes())
+        (tmp_path / "c.lgr.tmp.index").write_bytes((tmp_path / "refiner.lgr.index").read_bytes())
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run("preview", "--set", f"checkpoint={ckpt}", "--set", f"out={tmp_path / 'c.lgr'}",
+                   *SMALL_PREVIEW) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: preview.out {ckpt} is preview.checkpoint, an input the run would overwrite\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert counted_forwards == []
+
     def test_refine_writes_latent_and_ppm(self, tmp_path, checkpoint):
         prev = tmp_path / "prev.lgr"
         assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={prev}",
@@ -934,6 +1006,38 @@ class TestReplay:
         with pytest.raises(error):
             replay_manifest(manifest, {"out": str(replayed)})
         assert not replayed.exists()
+
+
+class TestRunRecord:
+    """Every verb's manifest, a replayed one's included, ends with the whole
+    verb's wall seconds on a monotonic clock, peak RSS and minor faults."""
+
+    @pytest.mark.parametrize("replayed", [False, True], ids=["run", "replayed"])
+    @pytest.mark.parametrize("verb", ["synth", "train", "preview", "refine", "profile"])
+    def test_trailer_with_a_wall_clock_that_steps_back(self, tmp_path, dataset, checkpoint, monkeypatch,
+                                                       verb, replayed):
+        import itertools
+        import time
+
+        prev = tmp_path / "prev.lgr"
+        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={prev}", *SMALL_PREVIEW) == 0
+        clock = itertools.count(2e9, -1.0)  # each read of the wall clock is a second earlier
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        argv = {"synth": ["--set", "count=2", "--set", "frames=2", "--set", "height=4", "--set", "width=4"],
+                "train": ["--set", f"dataset={dataset}", *FAST_TRAIN],
+                "preview": ["--set", f"checkpoint={checkpoint}", *SMALL_PREVIEW],
+                "refine": ["--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}", "--set", "n_steps=1"],
+                "profile": []}[verb]
+        out = tmp_path / "run.out"
+        assert run(verb, *argv, "--set", f"out={out}") == 0
+        if replayed:
+            replay_manifest(f"{out}.manifest", {"out": str(tmp_path / "again.out")})
+            out = tmp_path / "again.out"
+        lines = open(f"{out}.manifest").read().splitlines()
+        assert [ln.partition(" ")[0] for ln in lines[-3:]] == ["wall_s", "peak_rss_mb", "minor_faults"]
+        m = read_manifest(f"{out}.manifest")
+        assert m["command"] == verb
+        assert float(m["wall_s"]) >= 0 and float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
 
 
 class TestProfile:
