@@ -1,6 +1,6 @@
 """Walkthrough: the batch CLI end to end in a temporary directory.
 
-synth -> train -> preview -> refine -> inspect -> profile, then a manifest
+synth -> inspect -> train -> preview -> refine -> inspect -> profile, then a manifest
 replay to show runs are byte-for-byte reproducible.
 """
 
@@ -10,7 +10,7 @@ import tempfile
 from vidflow.cli import main, replay_manifest
 
 tmp = tempfile.mkdtemp(prefix="vidflow_demo_")
-data = os.path.join(tmp, "data")
+data = os.path.join(tmp, "data.lgr")  # one grid: the 8 clips along its batch axis
 ckpt = os.path.join(tmp, "refiner.lgr")
 prev = os.path.join(tmp, "preview.lgr")
 refined = os.path.join(tmp, "refined.lgr")
@@ -25,6 +25,7 @@ fast_train = [
 steps = [
     ["synth", "--set", f"out={data}", "--set", "count=8",
      "--set", "frames=6", "--set", "height=8", "--set", "width=8"],
+    ["inspect", data],
     ["train", "--set", f"dataset={data}", "--set", f"out={ckpt}", *fast_train],
     ["preview", "--set", f"checkpoint={ckpt}", "--set", f"out={prev}",
      "--set", "n_total=12", "--set", "k=3",

@@ -113,7 +113,7 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def _manifest_path(out) -> str:
-    return str(out).rstrip("/") + ".manifest"
+    return f"{out}.manifest"
 
 
 def _same_file(a, b) -> bool:
@@ -123,16 +123,16 @@ def _same_file(a, b) -> bool:
 def _check_writes(command: str, writes: dict, reads: dict) -> None:
     """Refuse, before the work it would spoil, a run of ``command`` that
     writes the paths of ``writes`` and reads those of ``reads`` (each keyed by
-    the config key it comes from): an ``out`` whose directory does not exist
-    or a written path that exists and is not a regular file (a directory, or
-    a FIFO or device that opening or renaming onto would block on or
-    replace), exit 3; two written paths that are one path, or a written path
-    that is the same file as a read one, exit 2.  Each path's temporary,
-    ``path + ".tmp"`` (see :func:`grids.replaced`), counts as written too."""
-    if "out" in writes:
-        parent = os.path.dirname(str(writes["out"])) or "."
-        if not os.path.isdir(parent):
-            raise FileNotFoundError(f"output {writes['out']}: {parent} is not a directory")
+    the config key it comes from, ``out`` among the written): an ``out`` whose
+    directory does not exist or a written path that exists and is not a
+    regular file (a directory, or a FIFO or device that opening or renaming
+    onto would block on or replace), exit 3; two written paths that are one
+    path, or a written path that is the same file as a read one, exit 2.
+    Each path's temporary, ``path + ".tmp"`` (see :func:`grids.replaced`),
+    counts as written too."""
+    parent = os.path.dirname(str(writes["out"])) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"output {writes['out']}: {parent} is not a directory")
     written = [(key, p) for key, path in writes.items() for p in (path, f"{path}.tmp")]
     for _, path in written:
         if os.path.isdir(path):
@@ -289,28 +289,15 @@ def cmd_synth(cfg: dict) -> tuple[dict, str]:
     _require_positive("synth", cfg, ("count", "channels", "frames", "height", "width"))
     if cfg["kind"] not in SYNTH_KINDS:
         raise ConfigError(f"unknown synth.kind {cfg['kind']!r}, expected one of {SYNTH_KINDS}")
-    out_dir, names = cfg["out"], [f"clip_{i:04d}.lgr" for i in range(cfg["count"])]
-    _check_writes("synth", {"out's manifest": _manifest_path(out_dir),
-                            **{f"out's {n}": os.path.join(out_dir, n) for n in ("index.txt", *names)}}, {})
-    os.makedirs(out_dir, exist_ok=True)
+    out, count = cfg["out"], cfg["count"]
+    _check_writes("synth", {"out": out, "out's manifest": _manifest_path(out)}, {})
     master = Rng(cfg["seed"])
     extent = Extent5(1, cfg["channels"], cfg["frames"], cfg["height"], cfg["width"])
-    for i, name in enumerate(names):
-        write_lgr1(synth_video(cfg["kind"], extent, master.split(i)), os.path.join(out_dir, name))
-    _atomic_write_text(os.path.join(out_dir, "index.txt"), "\n".join(names) + "\n")
-    return {"clips": len(names)}, f"synth: wrote {len(names)} clips to {out_dir}"
-
-
-def _clip_names(dataset_dir) -> list[str]:
-    """The clip files ``dataset_dir``'s ``index.txt`` lists, in order."""
-    index = os.path.join(dataset_dir, "index.txt")
-    if not os.path.exists(index):
-        raise FormatError(f"dataset index not found: {index}")
-    with open(index) as fh:
-        names = [ln.strip() for ln in fh if ln.strip()]
-    if not names:
-        raise FormatError(f"dataset index lists no clips: {index}")
-    return names
+    clips = np.empty((count, *extent.as_tuple()[1:]))
+    for i in range(count):
+        clips[i] = synth_video(cfg["kind"], extent, master.split(i)).values[0]
+    write_lgr1(LatentGrid.from_array(clips), out)
+    return {"clips": count}, f"synth: wrote {count} clips to {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +311,8 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
     DenoiserParams(**arch, channels=1)  # the architecture's rules; channels come from the dataset
     tc = _build(TrainConfig, cfg)
     deg = _build(DegradationConfig, cfg)
-    out, resume, data = cfg["out"], cfg["resume"], cfg["dataset"]
-    names = _clip_names(data)
-    reads = {f"dataset's {n}": os.path.join(data, n) for n in ("index.txt", *names)}
+    out, resume = cfg["out"], cfg["resume"]
+    reads = {"dataset": cfg["dataset"]}
     in_place = resume is not None and _same_file(out, resume)
     if resume is not None and not in_place:
         reads.update({"resume": resume, "resume's index": f"{resume}.index"})
@@ -334,7 +320,8 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
                             "out's manifest": _manifest_path(out)}, reads)
     if os.path.exists(out) and not cfg["force"] and not in_place:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
-    dataset = [read_lgr1(os.path.join(data, n)) for n in names]
+    clips = read_lgr1(cfg["dataset"]).values
+    dataset = [LatentGrid.from_array(clips[i : i + 1]) for i in range(len(clips))]
     codec = ToyCodec()
     rng = Rng(cfg["seed"])
     optimizer = None
@@ -349,23 +336,17 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
     else:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
-    start_iter = optimizer.t if optimizer is not None else 0
     t0 = time.perf_counter()
     if cfg["target"] == "refiner":
-        params, optimizer, losses = train_refiner(
-            dataset, codec, deg, tc, rng, params=params, optimizer=optimizer, start_iter=start_iter,
-        )
+        params, optimizer, losses = train_refiner(dataset, codec, deg, tc, rng, params=params, optimizer=optimizer)
     else:
-        params, optimizer, losses = train_base(
-            dataset, codec, tc, rng, params=params, optimizer=optimizer, start_iter=start_iter,
-        )
+        params, optimizer, losses = train_base(dataset, codec, tc, rng, params=params, optimizer=optimizer)
     wall = time.perf_counter() - t0
 
     save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
     csv_lines = ["iter,loss,frames,wall_ms"]
     per_iter_ms = 1000.0 * wall / max(len(losses), 1)
-    for j, loss in enumerate(losses):
-        it = start_iter + j
+    for it, loss in enumerate(losses, optimizer.t - len(losses)):
         csv_lines.append(f"{it},{loss:.10g},{tc.frames_at(it)},{per_iter_ms:.3f}")
     _atomic_write_text(str(out) + ".losses.csv", "\n".join(csv_lines) + "\n")
     return ({"iterations": tc.total_iters, "final_loss": losses[-1] if losses else "nan"},
@@ -407,8 +388,12 @@ def cmd_refine(cfg: dict) -> tuple[dict, str]:
     writes = {"out": out, "out's manifest": _manifest_path(out)}
     reads = {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index", "preview": cfg["preview"]}
     _check_writes("refine", writes, reads)
-    if frames_dir and os.path.exists(frames_dir) and not os.path.isdir(frames_dir):
-        raise NotADirectoryError(f"refine.frames_dir {frames_dir} is not a directory")
+    if frames_dir:
+        parent = os.path.dirname(frames_dir.rstrip("/")) or "."
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"refine.frames_dir {frames_dir}: {parent} is not a directory")
+        if os.path.exists(frames_dir) and not os.path.isdir(frames_dir):
+            raise NotADirectoryError(f"refine.frames_dir {frames_dir} is not a directory")
     params, _, _ = load_checkpoint(ckpt)
     planes = _rgb_planes(params.channels) if frames_dir else None
     preview_lo = read_lgr1(cfg["preview"])
@@ -422,7 +407,8 @@ def cmd_refine(cfg: dict) -> tuple[dict, str]:
     refined = refine(params, preview_lo, target_hw, n_steps, cond)
     write_lgr1(refined, out)
     if frames_dir:
-        os.makedirs(frames_dir, exist_ok=True)
+        if not os.path.isdir(frames_dir):
+            os.mkdir(frames_dir)
         _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm.values())
     return ({"nfe": n_steps, "target_h": target_hw[0], "target_w": target_hw[1], "ppm_frames": len(ppm)},
             f"refine: {n_steps} steps -> {out} ({len(ppm)} PPM frames)")

@@ -578,15 +578,18 @@ def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters
     ``n_iters`` is None.  Iteration ``it`` takes all its randomness from
     ``rng.split(it)``: a clip and a window of it, then ``draw(window, ri)``
     for the (source, clean) pair, then the path time t.  The optimizer's step
-    count ``t`` is the one record of a run's position, so ``start_iter`` must
-    equal it (0 without an optimizer) and not lie past the end; resuming
-    with a checkpointed optimizer then reproduces a straight run bit for bit.
-    A start that breaks this, or a schedule that needs more frames than the
-    shortest clip holds, is refused before the first iteration; a non-finite
-    loss, or one above :data:`DIVERGED_LOSS_RATIO` times the mean square of
-    its target, stops training before the optimizer applies its gradients."""
-    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
+    count ``t`` is the one record of a run's position, so ``start_iter``
+    (None: that count, or 0 without an optimizer) must equal it and not lie
+    past the end; resuming with a checkpointed optimizer then reproduces a
+    straight run bit for bit.  A start that breaks this, or a schedule that
+    needs more frames than the shortest clip holds, is refused before the
+    first iteration; a non-finite loss, or one above
+    :data:`DIVERGED_LOSS_RATIO` times the mean square of its target, stops
+    training before the optimizer applies its gradients."""
     steps = optimizer.t if optimizer is not None else 0
+    if start_iter is None:
+        start_iter = steps
+    end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
     if start_iter != steps or start_iter > end:
         raise ConfigError(f"cannot train from iteration {start_iter} to {end} with an optimizer at step "
                           f"{steps}: a run starts at its optimizer's step count and not past its end")
@@ -625,7 +628,7 @@ def train_refiner(
     rng: Rng,
     params: DenoiserParams | None = None,
     optimizer: AdamW | None = None,
-    start_iter: int = 0,
+    start_iter: int | None = None,
     n_iters: int | None = None,
 ) -> tuple[DenoiserParams, AdamW, list[float]]:
     """Train the Refiner on (degraded, clean) latent pairs with the
@@ -651,7 +654,7 @@ def train_base(
     rng: Rng,
     params: DenoiserParams,
     optimizer: AdamW | None = None,
-    start_iter: int = 0,
+    start_iter: int | None = None,
     n_iters: int | None = None,
 ) -> tuple[DenoiserParams, AdamW, list[float]]:
     """Flow-matching pretraining of the base model on (noise, clean) pairs."""

@@ -15,7 +15,7 @@ bits.  It digests
   models at the gen_small shape, and the latent and recorded config (less
   its two paths) of a base-model ``vidflow preview`` that sets only
   ``checkpoint`` and ``out``, so runs on its defaults;
-- the clip files, in ``index.txt`` order, of a ``vidflow synth`` run of each
+- the clips' values, in clip order, of a ``vidflow synth`` run of each
   kind;
 - the CSVs ``vidflow profile`` writes at its defaults and with
   ``rate=2.5e-14 k_values=[1,7,40]``;
@@ -122,19 +122,27 @@ def pipeline(models):
     yield "cli preview defaults config", digest
 
 
+def synth_clips(path) -> list[np.ndarray]:
+    """The clips a ``vidflow synth`` run wrote to ``path``, in order, each of
+    batch 1: the batch items of one LGR1 file, or, on earlier trees, the
+    files a directory's ``index.txt`` lists."""
+    if os.path.isdir(path):
+        with open(os.path.join(path, "index.txt")) as fh:
+            return [vf.read_lgr1(os.path.join(path, name)).values for name in fh.read().split()]
+    values = vf.read_lgr1(path).values
+    return [values[i : i + 1] for i in range(len(values))]
+
+
 def cli_synth():
-    h = hashlib.sha256()
+    clips = []
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for kind in ("bouncing_rect", "moving_gaussian"):
-            data = os.path.join(tmp, kind)
+            data = os.path.join(tmp, f"{kind}.lgr")
             if cli.main(["synth", "--set", f"out={data}", "--set", f"kind={kind}", "--set", "count=3",
                          "--set", "frames=5", "--set", "height=8", "--set", "width=12", "--set", "seed=9"]) != 0:
                 raise SystemExit("vidflow synth failed")
-            with open(os.path.join(data, "index.txt")) as fh:
-                for name in fh.read().split():
-                    with open(os.path.join(data, name), "rb") as clip:
-                        h.update(clip.read())
-    yield "cli synth", h.hexdigest()[:16]
+            clips += synth_clips(data)
+    yield "cli synth", sha(*clips)
 
 
 def cli_profile():

@@ -111,7 +111,7 @@ def counted_forwards(monkeypatch):
 
 @pytest.fixture()
 def dataset(tmp_path):
-    out = tmp_path / "data"
+    out = tmp_path / "data.lgr"
     assert run(
         "synth", "--set", f"out={out}", "--set", "count=3",
         "--set", "frames=6", "--set", "height=8", "--set", "width=8",
@@ -128,40 +128,49 @@ def checkpoint(tmp_path, dataset):
     return ckpt
 
 
+SMALL_SYNTH = ["--set", "count=2", "--set", "frames=4", "--set", "height=8", "--set", "width=8"]
+
+
 class TestSynth:
-    def test_writes_clips_index_manifest(self, tmp_path, dataset):
-        names = sorted(os.listdir(dataset))
-        assert "index.txt" in names
-        assert sum(n.endswith(".lgr") for n in names) == 3
+    def test_one_file_of_count_clips_beside_its_manifest(self, tmp_path, dataset):
+        """Clip ``i`` is the clip ``synth_video`` draws from ``Rng(seed).split(i)``."""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.lgr", "data.lgr.manifest"]
+        grid = vf.read_lgr1(dataset)
+        assert grid.extent == vf.Extent5(3, 3, 6, 8, 8)
+        for i in range(3):
+            clip = vf.synth_video("bouncing_rect", vf.Extent5(1, 3, 6, 8, 8), vf.Rng(0).split(i))
+            assert np.array_equal(grid.values[i : i + 1], clip.values), i
         m = read_manifest(str(dataset) + ".manifest")
         assert m["command"] == "synth"
-        assert m["config"]["count"] == 3
+        assert m["config"]["count"] == 3 and m["clips"] == "3"
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert run(
-                "synth", "--set", f"out={out}", "--set", "count=2",
-                "--set", "frames=4", "--set", "height=8", "--set", "width=8",
-            ) == 0
-            outs.append(out)
-        for clip in ("clip_0000.lgr", "clip_0001.lgr"):
-            assert (outs[0] / clip).read_bytes() == (outs[1] / clip).read_bytes()
-
-    def test_moving_gaussian(self, tmp_path):
-        out = tmp_path / "d"
-        assert run("synth", "--set", f"out={out}", "--set", "kind=moving_gaussian", "--set", "count=1",
-                   "--set", "frames=3", "--set", "height=8", "--set", "width=8") == 0
-        clip = vf.read_lgr1(out / "clip_0000.lgr").values
-        assert clip.shape == (1, 3, 3, 8, 8) and 0.0 <= clip.min() and clip.max() <= 1.0
+        a, b = tmp_path / "a.lgr", tmp_path / "b.lgr"
+        for out in (a, b):
+            assert run("synth", "--set", f"out={out}", *SMALL_SYNTH) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_with_section(self, tmp_path):
+        """A ``--config`` run writes the bytes the same keys give through ``--set``."""
+        a, b = tmp_path / "a.lgr", tmp_path / "b.lgr"
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"synth": {"out": str(tmp_path / "d"), "count": 1,
-                                                 "frames": 4, "height": 8, "width": 8}}))
+        cfgfile.write_text(json.dumps({"synth": {"out": str(a), "count": 2, "frames": 4, "height": 8, "width": 8}}))
         assert run("synth", "--config", str(cfgfile)) == 0
-        assert (tmp_path / "d" / "clip_0000.lgr").exists()
+        assert run("synth", "--set", f"out={b}", *SMALL_SYNTH) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_moving_gaussian(self, tmp_path):
+        out = tmp_path / "d.lgr"
+        assert run("synth", "--set", f"out={out}", "--set", "kind=moving_gaussian", "--set", "count=2",
+                   "--set", "frames=3", "--set", "height=8", "--set", "width=8") == 0
+        clips = vf.read_lgr1(out).values
+        assert clips.shape == (2, 3, 3, 8, 8) and 0.0 <= clips.min() and clips.max() <= 1.0
+
+    def test_inspect_reads_the_dataset(self, dataset, capsys):
+        capsys.readouterr()
+        assert run("inspect", str(dataset)) == 0
+        out = capsys.readouterr().out
+        assert "extent    b=3 c=3 f=6 h=8 w=8" in out and "nan_count 0" in out
 
 
 class TestExitCodes:
@@ -332,12 +341,18 @@ class TestExitCodes:
         assert f"trailing data at byte {end}, after record 'opt.v.head.b'" in err
         assert counted_forwards == [] and not (tmp_path / "prev.lgr").exists()
 
-    def test_empty_dataset_index_is_3(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        (empty / "index.txt").write_text("\n")
-        assert run("train", "--set", f"dataset={empty}",
+    def test_dataset_that_is_a_directory_is_3(self, tmp_path, capsys):
+        """A directory of clips and an ``index.txt`` (the earlier dataset format) is not a dataset."""
+        old = tmp_path / "old"
+        old.mkdir()
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 3, 6, 8, 8)), old / "clip_0000.lgr")
+        (old / "index.txt").write_text("clip_0000.lgr\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert run("train", "--set", f"dataset={old}",
                    "--set", f"out={tmp_path / 'ckpt.lgr'}", *FAST_TRAIN) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_preview_size_off_patch_is_2_before_any_forward(self, tmp_path, checkpoint, counted_forwards):
         assert run("preview", "--set", f"checkpoint={checkpoint}",
@@ -401,7 +416,7 @@ class TestExitCodes:
         }[verb]
         out = tmp_path / "out.lgr"
         assert run(verb, *inputs, "--set", f"out={out}", "--set", override) == 2
-        assert not out.exists()  # not even synth's index.txt
+        assert not out.exists()
         # at shift=1e16 the first levels round to 1.0: the schedule is named
         named = {"shift=1e16": "schedule must be strictly decreasing",
                  f"n_total={2**70}": "step count must be in [1, 2**53]"}.get(override, "")
@@ -628,6 +643,26 @@ class TestOutputPath:
     def test_profile(self, tmp_path, capsys, bad_out):
         self._refused(tmp_path, capsys, bad_out, "profile")
 
+    def test_synth(self, tmp_path, monkeypatch, capsys, bad_out):
+        from vidflow import cli
+
+        monkeypatch.setattr(cli, "synth_video", lambda *args: pytest.fail("a clip was drawn"))
+        self._refused(tmp_path, capsys, bad_out, "synth", *SMALL_SYNTH)
+
+    def test_refine_frames_dir_whose_directory_is_missing(self, tmp_path, checkpoint, counted_forwards, capsys):
+        """``frames_dir`` is made by the run, but only inside a directory that exists."""
+        prev, frames = tmp_path / "prev.lgr", tmp_path / "nodir" / "frames"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
+        capsys.readouterr()
+        before = self._listing(tmp_path)
+        assert run("refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                   "--set", f"out={tmp_path / 'out.lgr'}", "--set", f"frames_dir={frames}",
+                   "--set", "n_steps=1") == 3
+        assert capsys.readouterr() == (
+            "", f"i/o error: refine.frames_dir {frames}: {tmp_path / 'nodir'} is not a directory\n")
+        assert self._listing(tmp_path) == before
+        assert counted_forwards == []
+
     def test_refine_frames_dir_that_is_a_file(self, tmp_path, checkpoint, counted_forwards, capsys):
         prev, frames = tmp_path / "prev.lgr", tmp_path / "frames"
         vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 4, 4, 4)), prev)
@@ -691,13 +726,13 @@ class TestLaterOutputPath:
         self._train(tmp_path, dataset, monkeypatch, capsys, tmp_path / "out.lgr.index")
 
     def test_synth_manifest(self, tmp_path, monkeypatch, capsys):
-        """Every clip, the index and the manifest are checked before the directory is made."""
+        """The manifest is checked before any clip is drawn."""
         from vidflow import cli
 
         monkeypatch.setattr(cli, "synth_video", lambda *args: pytest.fail("a clip was drawn"))
-        self._refused(capsys, tmp_path / "d2.manifest", "synth", "--set", f"out={tmp_path / 'd2'}",
-                      "--set", "count=2", "--set", "frames=4", "--set", "height=8", "--set", "width=8")
-        assert not (tmp_path / "d2").exists()
+        self._refused(capsys, tmp_path / "d2.lgr.manifest", "synth", "--set", f"out={tmp_path / 'd2.lgr'}",
+                      *SMALL_SYNTH)
+        assert not (tmp_path / "d2.lgr").exists()
 
     def test_refine_frame(self, tmp_path, checkpoint, counted_forwards, capsys):
         """Each PPM frame is checked once the preview is read, before the first forward."""
@@ -795,7 +830,8 @@ class TestTrain:
         tc = vf.TrainConfig(lr=0.001, phase1_iters=3, phase2_iters=2, phase1_frames=3, phase2_frames=4)
         params = vf.DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=4, channels=12, cond_dim=4,
                                         rng=vf.Rng(0).split(10**9))
-        clips = [vf.read_lgr1(dataset / name) for name in (dataset / "index.txt").read_text().split()]
+        values = vf.read_lgr1(dataset).values
+        clips = [vf.LatentGrid.from_array(values[i : i + 1]) for i in range(len(values))]
         params, opt, _ = vf.train_refiner(clips, vf.ToyCodec(), vf.DegradationConfig(), tc, vf.Rng(0), params,
                                           n_iters=3)
         part = tmp_path / "part.lgr"
@@ -807,10 +843,9 @@ class TestTrain:
             assert open(a, "rb").read() == open(b, "rb").read(), b
 
     @pytest.mark.parametrize("out,read,resume", [
-        ("data/clip_0000.lgr", "dataset's clip_0000.lgr", False),
-        ("data/index.txt", "dataset's index.txt", False),
+        ("data.lgr", "dataset", False),
         ("refiner.lgr.index", "resume's index", True),
-    ], ids=["clip", "dataset-index", "resume-index"])
+    ], ids=["dataset", "resume-index"])
     def test_output_that_is_an_input_is_2(self, tmp_path, dataset, checkpoint, monkeypatch, capsys,
                                           out, read, resume):
         """``force`` never lets a run write over its dataset or the checkpoint
@@ -861,6 +896,24 @@ class TestPreviewRefine:
         assert m["nfe_hi"] == "3" and m["nfe_lo"] == "4"
         assert float(m["sigma_switch"]) > 0
         assert float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
+
+    @pytest.mark.parametrize("n_total,k", [(4, 1), (7, 3)])
+    def test_preview_nfe_is_the_forwards_made(self, tmp_path, checkpoint, counted_forwards, n_total, k):
+        counted_forwards.clear()
+        out = tmp_path / "prev.lgr"
+        assert run("preview", "--set", f"checkpoint={checkpoint}", "--set", f"out={out}", *SMALL_PREVIEW,
+                   "--set", f"n_total={n_total}", "--set", f"k={k}") == 0
+        m = read_manifest(f"{out}.manifest")
+        assert int(m["nfe_hi"]) + int(m["nfe_lo"]) == len(counted_forwards) > 0
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_refine_nfe_is_the_forwards_made(self, tmp_path, checkpoint, counted_forwards, n_steps):
+        prev, out = tmp_path / "prev.lgr", tmp_path / "refined.lgr"
+        vf.write_lgr1(vf.LatentGrid.zeros(vf.Extent5(1, 12, 2, 2, 2)), prev)
+        counted_forwards.clear()
+        assert run("refine", "--set", f"checkpoint={checkpoint}", "--set", f"preview={prev}",
+                   "--set", f"out={out}", "--set", f"n_steps={n_steps}") == 0
+        assert int(read_manifest(f"{out}.manifest")["nfe"]) == len(counted_forwards) > 0
 
     @pytest.mark.parametrize("verb,override", [("preview", "count=2"), ("synth", "clip_seeds=[1,2]")])
     def test_removed_fan_out_key_is_2(self, tmp_path, checkpoint, counted_forwards, capsys, verb, override):
@@ -972,12 +1025,9 @@ class TestReplay:
         assert out.read_bytes() == replayed.read_bytes()
 
     def test_synth_replay_is_byte_identical(self, tmp_path, dataset):
-        again = tmp_path / "again"
+        again = tmp_path / "again.lgr"
         replay_manifest(str(dataset) + ".manifest", {"out": str(again)})
-        names = sorted(os.listdir(dataset))
-        assert sorted(os.listdir(again)) == names
-        for name in names:
-            assert (dataset / name).read_bytes() == (again / name).read_bytes(), name
+        assert again.read_bytes() == dataset.read_bytes()
 
     def test_train_replay_is_byte_identical(self, tmp_path, checkpoint):
         again = tmp_path / "again.lgr"

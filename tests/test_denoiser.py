@@ -465,6 +465,21 @@ class TestTraining:
         for k in straight.tensors:
             assert np.array_equal(straight.tensors[k], resumed.tensors[k]), k
 
+    def test_resume_starts_at_the_optimizers_step_count(self, tmp_path):
+        """Without ``start_iter`` a resume starts where its checkpointed
+        optimizer stopped and ends where a straight run does, bit for bit."""
+        dataset = [synth_video("bouncing_rect", Extent5(1, 1, 6, 8, 8), Rng(100 + i)) for i in range(3)]
+        cfg = TrainConfig(lr=1e-3, phase1_frames=3, phase1_iters=3, phase2_frames=4, phase2_iters=2)
+        codec = ToyCodec()
+        straight, _, _ = train_refiner(dataset, codec, RIG_DEG, cfg, Rng(33))
+        params, opt, _ = train_refiner(dataset, codec, RIG_DEG, cfg, Rng(33), n_iters=3)
+        save_checkpoint(tmp_path / "part.lgr", params, opt)
+        params, opt, _ = load_checkpoint(tmp_path / "part.lgr", cfg)
+        resumed, opt, losses = train_refiner(dataset, codec, RIG_DEG, cfg, Rng(33), params, opt)
+        assert opt.t == cfg.total_iters and len(losses) == 2
+        for k in straight.tensors:
+            assert np.array_equal(straight.tensors[k], resumed.tensors[k]), k
+
     def test_resumed_checkpoint_is_byte_identical(self, tmp_path):
         """Save, load and resume gives the checkpoint of a straight run, the
         optimizer's moments included, byte for byte."""
