@@ -842,28 +842,33 @@ class TestTrain:
         for a, b in ((straight, full), (f"{straight}.index", f"{full}.index")):
             assert open(a, "rb").read() == open(b, "rb").read(), b
 
-    @pytest.mark.parametrize("out,read,resume", [
-        ("data.lgr", "dataset", False),
-        ("refiner.lgr.index", "resume's index", True),
-    ], ids=["dataset", "resume-index"])
+    @pytest.mark.parametrize("out,written,read,resume", [
+        ("data.lgr", "", "dataset", False),
+        ("ck.lgr", ".index", "dataset", False),
+        ("refiner.lgr.index", "", "resume's index", True),
+    ], ids=["clip", "dataset-index", "resume-index"])
     def test_output_that_is_an_input_is_2(self, tmp_path, dataset, checkpoint, monkeypatch, capsys,
-                                          out, read, resume):
-        """``force`` never lets a run write over its dataset or the checkpoint
-        it resumes: both keys are named, no iteration runs and every file
-        keeps its bytes."""
+                                          out, written, read, resume):
+        """``force`` never lets a run write over its dataset (the file of its
+        clips, or that file reached as the index written beside ``out``) or
+        the checkpoint it resumes: both keys are named, no iteration runs and
+        every file keeps its bytes."""
         from vidflow import denoiser
 
         iterations = []
         loss = denoiser.refiner_loss
         monkeypatch.setattr(denoiser, "refiner_loss", lambda *args: iterations.append(1) or loss(*args))
         capsys.readouterr()
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         out = tmp_path / out
+        if written:
+            os.symlink(dataset, f"{out}{written}")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         argv = ["--set", f"resume={checkpoint}", "--set", "phase2_iters=3"] if resume else []
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={out}", "--set", "force=true",
                    *FAST_TRAIN, *argv) == 2
+        key = {"": "out", ".index": "out's index"}[written]
         assert capsys.readouterr() == (
-            "", f"config error: train.out {out} is train.{read}, an input the run would overwrite\n")
+            "", f"config error: train.{key} {out}{written} is train.{read}, an input the run would overwrite\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert iterations == []
 
