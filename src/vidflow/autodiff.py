@@ -5,18 +5,21 @@ A forward given a ``saved`` list appends what its backward needs to it;
 without one it keeps nothing, and :func:`layernorm`, :func:`ffn` and
 :func:`attention_tiled` run in place on their work arrays, the largest two
 (the FFN's hidden array, attention's score tile) in one grow-only scratch
-array per thread.  A large :func:`attention_tiled` call shares its query
-tiles with helper threads, one per further CPU the process may run on, and a
-batched inference forward (:func:`vidflow.denoiser._forward`) hands its batch
-items to the same helpers when each item is large, both through
-:func:`run_each`.  The jobs and their arithmetic do not depend on which
-thread runs them, so the output has the serial path's bits.  A backward
-takes the output gradient and the saved entry, adds the parameter gradients
-into the caller's buffers with ``+=`` and returns the input gradient.
-Buffers start at zero and take their terms in the order the caller visits
-them, so a sum of several terms has the bits of that order.  The denoiser's
-reverse pass (:mod:`vidflow.denoiser`) calls these backwards in a fixed
-order; nothing records a graph.
+array per thread.  An :func:`attention_tiled` call of at least
+``_SHARE_SCORES`` (2**18) scores shares its query tiles with helper threads,
+one per further CPU the process may run on, and a batched inference forward
+(:func:`vidflow.denoiser._forward`) hands its batch items to the same helpers
+when each item holds that many, both through :func:`run_each`: of the
+benchmark's forwards, gen_small's hi and refine items and gen_large's window
+runs of at least 6 × 256² scores go out, and gen_small's lo phase does not.
+The jobs and their arithmetic do not depend on which thread runs them, so
+the output has the serial path's bits.  A backward takes the output
+gradient and the saved entry, adds the parameter gradients into the
+caller's buffers with ``+=`` and returns the input gradient.  Buffers start
+at zero and take their terms in the order the caller visits them, so a sum
+of several terms has the bits of that order.  The denoiser's reverse pass
+(:mod:`vidflow.denoiser`) calls these backwards in a fixed order; nothing
+records a graph.
 """
 
 from __future__ import annotations
@@ -196,18 +199,22 @@ def attention_grads(p, q, k, v, g, scale: float):
 # Scores from which run_each shares its jobs with the helper threads: below
 # it, waking a helper costs more than it saves.  attention_tiled counts a
 # call's scores (heads·n_q·n_k), a batched inference forward one item's
-# (depth·heads·frame pairs·plane²).  Single calls, median ms serial -> shared
-# (one BLAS thread, 2-core AVX-512 Xeon): 6 heads × 384² (0.88 M scores) 2.99
-# -> 3.12, 2 × 768² (1.18 M) 3.72 -> 3.62, 6 × 512² (1.57 M) 5.25 -> 3.13,
-# 6 × 1024² 21.4 -> 12.2.  gen_large hi base forward at a floor of 2**20 /
-# 2**21 / 2**22: 67.8 / 71.1 / 71.0 ms (99.8 serial); 32×32 refiner forward
-# 21.4 / 21.7 / 29.5 (29.3 serial).  Every gen_small call (6·256² scores at
-# most) stays serial.  Its batch-4 items on two threads, the same box: hi
-# (1.38 M scores an item) min of 30 forwards 26.8 / 27.1 / 26.4 -> 16.8 /
-# 19.3 / 16.3 ms whenever the second CPU was free, so they are shared;
-# refine (0.46 M) 1.11× and lo (0.09 M) 0.73×, where the small ops collide
-# on the interpreter lock, so they stay serial.
-_SHARE_SCORES = 1 << 20
+# (depth·heads·frame pairs·plane²).  Serial -> shared ms, one BLAS thread,
+# 2-core AVX-512 Xeon.  Single calls of two or more tiles, median of 200:
+#     6 × 192² (0.22 M)  0.67 -> 0.58     2 × 512² (0.52 M)  1.90 -> 1.20
+#     2 × 384² (0.29 M)  1.08 -> 0.71     6 × 384² (0.88 M)  3.33 -> 2.03
+#     6 × 256² (0.39 M)  1.67 -> 1.22     6 × 512² (1.57 M)  5.97 -> 3.42
+# Batch-4 forwards at 8 frames, each item a job, min of 60:
+#     base 8×8       (0.09 M)  6.90 -> 8.55    base 10×10    (0.21 M) 10.8 -> 9.4
+#     refiner 12×12  (0.15 M)  5.30 -> 7.47    refiner 14×14 (0.27 M)  8.2 -> 7.5
+#     base 12×12     (0.44 M)  16.3 -> 12.1    refiner 16×16 (0.46 M) 11.8 -> 11.1
+# Small items lose where their many small ops collide on the interpreter
+# lock; the break-even lies near 0.2 M.  The floor sits above the items
+# that lose (gen_small's lo items are the base 8×8 row) and below the
+# smallest bench call that wins (6 × 256², gen_large's lo 4-frame runs), so
+# gen_small's hi and refine items and every gen_large run of at least that
+# size go out, and gen_small's lo phase stays on one thread.
+_SHARE_SCORES = 1 << 18
 
 _JOBS = queue.SimpleQueue()  # callables the helper threads run in turn
 _HELPERS_LOCK = threading.Lock()

@@ -52,7 +52,7 @@ from .denoiser import (
 from .errors import ConfigError, FormatError, VidflowError
 from .grids import Extent5, LatentGrid, Rng, check_replaceable, read_lgr1, replaced, write_lgr1
 from .preview import PreviewConfig, generate_preview
-from .schedule import Conditioning
+from .schedule import Conditioning, CountedModel
 
 # Schema defaults of the path keys: a required one, and an optional one whose
 # default is null.  Every required key is a path.
@@ -231,16 +231,18 @@ def _validated(command: str, values: dict) -> dict:
 def _run(command: str, cfg: dict) -> None:
     """Run ``command`` on ``cfg``, then record the run in ``<out>.manifest``:
     the config, the verb's own keys, and last the whole verb's wall seconds
-    on a monotonic clock, peak resident memory (MB; ``ru_maxrss`` counts KiB
-    on Linux) and minor page faults, the last two totals of the whole process
-    so far; then print the verb's closing message."""
-    t0 = time.perf_counter()
+    on a monotonic clock, its CPU seconds over all the process's threads,
+    peak resident memory (MB; ``ru_maxrss`` counts KiB on Linux) and minor
+    page faults, the last two totals of the whole process so far; then print
+    the verb's closing message."""
+    t0, c0 = time.perf_counter(), time.process_time()
     extra, message = _DISPATCH[command](cfg)
-    wall = time.perf_counter() - t0
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
     usage = resource.getrusage(resource.RUSAGE_SELF)
     lines = [f"command {command}", f"version {__version__}", f"config_json {json.dumps(cfg, sort_keys=True)}",
              *(f"{k} {v}" for k, v in extra.items()),
-             f"wall_s {wall:.3f}", f"peak_rss_mb {usage.ru_maxrss / 1024.0:.1f}", f"minor_faults {usage.ru_minflt}"]
+             f"wall_s {wall:.3f}", f"cpu_s {cpu:.3f}", f"peak_rss_mb {usage.ru_maxrss / 1024.0:.1f}",
+             f"minor_faults {usage.ru_minflt}"]
     _atomic_write_text(_manifest_path(cfg["out"]), "\n".join(lines) + "\n")
     print(message)
 
@@ -404,13 +406,15 @@ def cmd_refine(cfg: dict) -> tuple[dict, str]:
     up = cfg["upscale"]
     target_hw = (preview_lo.extent.h * up, preview_lo.extent.w * up)
     n_steps = cfg["n_steps"]
-    refined = refine(params, preview_lo, target_hw, n_steps, cond)
+    # as in cmd_preview, denoiser.forward_velocity is looked up at each call
+    model = CountedModel(lambda z, s, c: denoiser.forward_velocity(params, z, s, c))
+    refined = refine(params, preview_lo, target_hw, n_steps, cond, model)
     write_lgr1(refined, out)
     if frames_dir:
         if not os.path.isdir(frames_dir):
             os.mkdir(frames_dir)
         _dump_ppm_frames(ToyCodec().decode(refined), planes, ppm.values())
-    return ({"nfe": n_steps, "target_h": target_hw[0], "target_w": target_hw[1], "ppm_frames": len(ppm)},
+    return ({"nfe": model.calls, "target_h": target_hw[0], "target_w": target_hw[1], "ppm_frames": len(ppm)},
             f"refine: {n_steps} steps -> {out} ({len(ppm)} PPM frames)")
 
 

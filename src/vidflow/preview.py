@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .grids import Extent5, LatentGrid, Rng, axpy, resize_spatial, sample_gaussian
 from .schedule import (
     Conditioning,
+    CountedModel,
     SigmaSchedule,
     VelocityModel,
     _checked_eval,
@@ -53,7 +54,7 @@ class PreviewConfig:
 @dataclass(frozen=True)
 class PreviewResult:
     """The sigma=0 low-resolution latent, the noise level of the turning
-    point, and the model calls made at high and at low resolution."""
+    point, and the model calls the run made at high and at low resolution."""
 
     latent: LatentGrid
     sigma_switch: float
@@ -85,8 +86,10 @@ def generate_preview(
     ``cfg.seed`` and exist so tests can pin or stub the noise.
 
     Model calls: k steps + 1 clean estimate at high resolution, then
-    n_total - k steps at low resolution (n_total + 1 in all).
+    n_total - k steps at low resolution (n_total + 1 in all); the result
+    holds the calls counted on ``model``.
     """
+    model = CountedModel(model)
     master = Rng(cfg.seed)
     e = extent_template
     hi_extent = Extent5(e.b, e.c, e.f, cfg.hi[0], cfg.hi[1])
@@ -111,10 +114,11 @@ def generate_preview(
     clean = estimate_clean(z, u_k, sigma_k)
     clean_lo = resize_spatial(clean, cfg.lo[0], cfg.lo[1])
     z = reshift_noise(clean_lo, sigma_k, reshift_rng)
+    nfe_hi = model.calls
 
     # Post-k steps on the same schedule tail, resumed at sigma_k.
     for i in range(cfg.k, cfg.n_total):
         u = _checked_eval(model, z, sig[i], cond)
         z = euler_step(z, u, sig[i], sig[i + 1])
 
-    return PreviewResult(latent=z, sigma_switch=sigma_k, nfe_hi=cfg.k + 1, nfe_lo=cfg.n_total - cfg.k)
+    return PreviewResult(latent=z, sigma_switch=sigma_k, nfe_hi=nfe_hi, nfe_lo=model.calls - nfe_hi)

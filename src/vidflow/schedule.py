@@ -39,6 +39,20 @@ class Conditioning:
 VelocityModel = Callable[[LatentGrid, float, Conditioning], LatentGrid]
 
 
+class CountedModel:
+    """A velocity model that counts the calls it answers in ``calls``: the
+    NFE a run records is the calls it made, not a figure from its config."""
+
+    __slots__ = ("model", "calls")
+
+    def __init__(self, model: VelocityModel):
+        self.model, self.calls = model, 0
+
+    def __call__(self, z: LatentGrid, sigma: float, cond: Conditioning) -> LatentGrid:
+        self.calls += 1
+        return self.model(z, sigma, cond)
+
+
 @dataclass(frozen=True)
 class SigmaSchedule:
     """Strictly decreasing noise levels from 1 to 0 over n steps."""

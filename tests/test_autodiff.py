@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vidflow as vf
-from vidflow import autodiff, denoiser
+from vidflow import autodiff, denoiser, windows
 from vidflow.autodiff import (
     attention_grads,
     attention_probs,
@@ -322,15 +322,16 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="one CPU: attention_tiled starts no helper threads")
 
 # (heads, query tokens, key tokens, dh): gen_large's hi windows, a shifted
-# 512-token run, the 32×32 refiner's windows, a 4096-token refiner run, a
-# gen_small window (1-row tail tile) and a cross-attention shape
-SHARED_SHAPES = [(6, 1024, 1024, 8), (6, 512, 512, 8), (2, 1024, 1024, 6), (2, 4096, 4096, 6),
-                 (6, 256, 256, 8), (2, 200, 1000, 4)]
+# 512-token run, the 32×32 refiner's windows and its shifted 512-token runs,
+# a 4096-token refiner run, a gen_small window (1-row tail tile) and a
+# cross-attention shape
+SHARED_SHAPES = [(6, 1024, 1024, 8), (6, 512, 512, 8), (2, 1024, 1024, 6), (2, 512, 512, 6),
+                 (2, 4096, 4096, 6), (6, 256, 256, 8), (2, 200, 1000, 4)]
 
-# In a fresh interpreter: gen_small's batch-4 forwards of the base model at
-# its lo shape and of the Refiner at its refine shape, and a rig iteration at
-# 5 and at 9 frames; then the base model's batch-4 forward at gen_small's hi
-# shape, whose items go to the helpers; the thread names after each part.
+# In a fresh interpreter: gen_small's batch-4 forward of the base model at
+# its lo shape, and a rig iteration at 5 and at 9 frames; then the Refiner's
+# batch-4 forward at gen_small's refine shape, whose items go to the
+# helpers; the thread names after each part.
 THREADS_SCRIPT = """
 import threading
 from dataclasses import replace
@@ -344,13 +345,12 @@ cond = vf.Conditioning.zeros(4)
 def forward(params, hw):
     vf.forward_velocity(params, vf.sample_gaussian(vf.Extent5(4, 12, 8, hw, hw), vf.Rng(hw)), 0.6, cond)
 forward(base, 8)
-forward(refiner, 16)
 dataset = make_rig_dataset(vf.Rng(7), n_clips=4)
 params, opt, _ = train_refiner(dataset, ToyCodec(), RIG_DEG, RIG_TRAIN, vf.Rng(8), n_iters=1)
 train_refiner(dataset, ToyCodec(), RIG_DEG, replace(RIG_TRAIN, phase1_iters=1), vf.Rng(8), params, opt,
               start_iter=1, n_iters=1)
 print(sorted(t.name for t in threading.enumerate()))
-forward(base, 16)
+forward(refiner, 16)
 print(sorted(t.name for t in threading.enumerate()))
 """
 
@@ -510,8 +510,9 @@ class TestSharedTiles:
             assert got == [serial[i % 2]] * 3
 
     def test_small_forwards_and_training_start_no_thread(self):
-        """gen_small's lo and refine forwards and training run on one thread;
-        its hi forward, whose items hold 1.38 M scores each, starts the helpers."""
+        """gen_small's lo forward (0.09 M scores an item) and training run on
+        one thread; its refine forward, whose items hold 0.46 M scores each,
+        starts the helpers."""
         src = os.path.dirname(os.path.dirname(vf.__file__))
         here = os.path.dirname(os.path.abspath(__file__))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -524,10 +525,11 @@ class TestSharedTiles:
 
 
 
-def gen_base(seed: int = 11):
-    """gen_small's base architecture (d=48, 6 heads, depth 2, w_t=4, patch
-    2, 12 channels) with a random output head, so the outputs are not zero."""
-    params = vf.DenoiserParams.init(patch=2, d=48, heads=6, depth=2, w_t=4, channels=12, cond_dim=4,
+def gen_base(seed: int = 11, d: int = 48, heads: int = 6):
+    """The bench's base architecture (d=48, 6 heads; the Refiner's is d=12,
+    2 heads), depth 2, w_t=4, patch 2, 12 channels, with a random output
+    head, so the outputs are not zero."""
+    params = vf.DenoiserParams.init(patch=2, d=d, heads=heads, depth=2, w_t=4, channels=12, cond_dim=4,
                                     rng=vf.Rng(seed))
     params.tensors["head.w"] = np.random.default_rng(seed).normal(size=params.tensors["head.w"].shape)
     return params
@@ -573,14 +575,19 @@ class TestSharedItems:
 
     @needs_two_cpus
     def test_gen_small_hi_items_go_to_a_helper_with_the_serial_bits(self, monkeypatch):
-        params, z = gen_base(), gen_latent(4, 16)  # 1,376,256 scores an item
-        want = self.serial(monkeypatch, params, z)
-        assert self.forward(params, z).tobytes() == want.tobytes()
-        names = self.helper_takes_an_item(monkeypatch)
-        monkeypatch.setattr(autodiff, "_SHARE_SCORES", 0)  # every attention call shares its tiles too
-        got = self.forward(params, z)
-        assert len(names) == 4 and "vidflow-attention" in names
-        assert got.tobytes() == want.tobytes()
+        """gen_small's hi forward (1,376,256 scores an item) and its refine
+        forward on the Refiner (458,752), at the floor and with every
+        attention call sharing its tiles too."""
+        for params in (gen_base(), gen_base(d=12, heads=2)):
+            z = gen_latent(4, 16)
+            want = self.serial(monkeypatch, params, z)
+            for floor in (autodiff._SHARE_SCORES, 0):
+                with monkeypatch.context() as m:
+                    names = self.helper_takes_an_item(m)
+                    m.setattr(autodiff, "_SHARE_SCORES", floor)
+                    got = self.forward(params, z)
+                assert len(names) == 4 and "vidflow-attention" in names
+                assert got.tobytes() == want.tobytes()
 
     @needs_two_cpus
     def test_an_item_that_raises_in_a_helper_reaches_the_caller(self, monkeypatch):
@@ -650,6 +657,42 @@ class TestSharedItems:
         assert not any(t.is_alive() for t in threads)
         for i, got in enumerate(results):
             assert got == [serial[i % 2]] * 2
+
+    # (batch, latent size, the Refiner's rather than the base model's) of the
+    # bench's six forwards at 8 frames, and the jobs each hands out: "items",
+    # or the frame length of the window runs whose query tiles go out
+    BENCH_FORWARDS = {
+        "gen_small-hi": ((4, 16, False), {"items", 4}),  # items 1.38 M, 4-frame runs 6 × 256²
+        "gen_small-lo": ((4, 8, False), set()),  # items 0.09 M
+        "gen_small-refine": ((4, 16, True), {"items"}),  # items 0.46 M; a 4-frame run is one tile
+        "gen_large-hi": ((1, 32, False), {2, 4}),  # 6 × 512² and 6 × 1024² runs
+        "gen_large-lo": ((1, 16, False), {4}),  # 6 × 256²; a 2-frame run, 6 × 128², is one tile
+        "gen_large-refine": ((1, 32, True), {2, 4}),  # 2 × 512² and 2 × 1024² runs
+    }
+
+    @pytest.mark.parametrize("forward", BENCH_FORWARDS)
+    def test_the_bench_forwards_hand_out_their_large_jobs(self, monkeypatch, forward):
+        """What each of the bench's forwards hands out at the floor, with one
+        helper whatever the CPU count; the spy runs the jobs in order."""
+        (batch, hw, refiner), want = self.BENCH_FORWARDS[forward]
+        params, z = gen_base(d=12, heads=2) if refiner else gen_base(), gen_latent(batch, hw)
+        plane = (hw // params.patch) ** 2
+        keys, shared = [], set()
+
+        def attention(q, k, v, scale):
+            keys.append(k.shape[-2])
+            return attention_tiled(q, k, v, scale)
+
+        def share(job, n, helpers):
+            shared.add("items" if job.__name__ == "run" else keys[-1] // plane)
+            for i in range(n):
+                job(i)
+
+        monkeypatch.setattr(windows, "attention_tiled", attention)
+        monkeypatch.setattr(autodiff, "_helper_count", lambda: 1)
+        monkeypatch.setattr(autodiff, "_share", share)
+        self.forward(params, z)
+        assert shared == want
 
     def test_a_saving_forward_hands_out_no_item(self, monkeypatch):
         params, z = gen_base(), gen_latent(4, 16)

@@ -1089,10 +1089,11 @@ class TestRunRecord:
             replay_manifest(f"{out}.manifest", {"out": str(tmp_path / "again.out")})
             out = tmp_path / "again.out"
         lines = open(f"{out}.manifest").read().splitlines()
-        assert [ln.partition(" ")[0] for ln in lines[-3:]] == ["wall_s", "peak_rss_mb", "minor_faults"]
+        assert [ln.partition(" ")[0] for ln in lines[-4:]] == ["wall_s", "cpu_s", "peak_rss_mb", "minor_faults"]
         m = read_manifest(f"{out}.manifest")
         assert m["command"] == verb
-        assert float(m["wall_s"]) >= 0 and float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
+        assert float(m["wall_s"]) >= 0 and float(m["cpu_s"]) >= 0
+        assert float(m["peak_rss_mb"]) > 0 and int(m["minor_faults"]) > 0
 
 
 class TestProfile:
