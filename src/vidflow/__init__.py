@@ -46,13 +46,16 @@ from .grids import (
     sample_gaussian,
     write_lgr1,
 )
-from .preview import PreviewConfig, PreviewResult, generate_preview, reshift_noise
-from .schedule import (
+from .preview import (
     Conditioning,
+    PreviewConfig,
+    PreviewResult,
     SigmaSchedule,
     build_schedule,
     estimate_clean,
     euler_step,
+    generate_preview,
+    reshift_noise,
     sample_ode,
 )
 from .windows import (

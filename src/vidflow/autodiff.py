@@ -9,15 +9,13 @@ array per thread.  An :func:`attention_tiled` call of at least
 ``_SHARE_SCORES`` (2**18) scores shares its query tiles with helper threads,
 one per further CPU the process may run on, and a batched inference forward
 (:func:`vidflow.denoiser._forward`) hands its batch items to the same helpers
-when each item holds that many, both through :func:`run_each`: of the
-benchmark's forwards, gen_small's hi and refine items and gen_large's window
-runs of at least 6 × 256² scores go out, and gen_small's lo phase does not.
-The jobs and their arithmetic do not depend on which thread runs them, so
-the output has the serial path's bits.  A backward takes the output
-gradient and the saved entry, adds the parameter gradients into the
-caller's buffers with ``+=`` and returns the input gradient.  Buffers start
-at zero and take their terms in the order the caller visits them, so a sum
-of several terms has the bits of that order.  The denoiser's reverse pass
+when each item holds that many, both through :func:`run_each`.  The jobs
+and their arithmetic do not depend on which thread runs them, so the output
+has the serial path's bits.  A backward takes the output gradient and the
+saved entry, adds the parameter gradients into the caller's buffers with
+``+=`` and returns the input gradient.  Buffers start at zero and take
+their terms in the order the caller visits them, so a sum of several terms
+has the bits of that order.  The denoiser's reverse pass
 (:mod:`vidflow.denoiser`) calls these backwards in a fixed order; nothing
 records a graph.
 """

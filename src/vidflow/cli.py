@@ -51,8 +51,7 @@ from .denoiser import (
 )
 from .errors import ConfigError, FormatError, VidflowError
 from .grids import Extent5, LatentGrid, Rng, check_replaceable, read_lgr1, replaced, write_lgr1
-from .preview import PreviewConfig, generate_preview
-from .schedule import Conditioning, CountedModel
+from .preview import Conditioning, CountedModel, PreviewConfig, generate_preview
 
 # Schema defaults of the path keys: a required one, and an optional one whose
 # default is null.  Every required key is a path.

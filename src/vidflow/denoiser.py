@@ -31,7 +31,7 @@ from .grids import (
     sample_gaussian,
     write_record,
 )
-from .schedule import Conditioning, VelocityModel, build_schedule, sample_ode
+from .preview import Conditioning, VelocityModel, build_schedule, sample_ode
 from .windows import AttentionWeights, BlockWeights, RoPEConfig, WindowSpec
 from .windows import frame_pairs, swin_block_pair, swin_block_pair_backward
 
@@ -173,10 +173,8 @@ def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditio
     :func:`~vidflow.autodiff.run_each`: when there are at least two and one
     item's attention holds at least ``autodiff._SHARE_SCORES`` scores
     (depth · heads · frame pairs · plane²), the helper threads take items as
-    attention takes query tiles: gen_small's hi (1.38 M) and refine (0.46 M)
-    items go out, its lo items (0.09 M) and a batch of one do not.  Each
-    item writes only its own output, so the outputs have the serial path's
-    bits."""
+    attention takes query tiles.  Each item writes only its own output, so
+    the outputs have the serial path's bits."""
     e = z.extent
     p = params.patch
     if e.c != params.channels:
@@ -681,7 +679,7 @@ def refine(
     """Upsample the preview and integrate the refiner flow from t=1 to t=0
     on a linear schedule (NFE = n_steps).  The velocity is ``model``, by
     default ``forward_velocity`` on ``params``; the CLI passes that one
-    wrapped in a :class:`~vidflow.schedule.CountedModel`."""
+    wrapped in a :class:`~vidflow.preview.CountedModel`."""
     sched = build_schedule(n_steps)
     z = resize_spatial(preview_lo, target_hw[0], target_hw[1])
     if model is None:

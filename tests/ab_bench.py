@@ -40,6 +40,14 @@ gave to other guests while the run ran, from the ``cpu`` line of
 pair run under heavy steal is contended; a missing second CPU can show in
 CPU use while steal reads 0%.
 
+After each run, a fresh interpreter's ``import numpy, vidflow`` is timed
+three times in that run's tree, and each side's median is printed below the
+table.  ``bench/run.py`` times the same import for ``setup_s``, but through
+``subprocess.run(..., timeout=60)``, and with a timeout ``Popen.wait`` polls
+the child in sleeps of up to 50 ms, so ``setup_s`` moves in steps of about
+50 ms.  These timings use a plain wait, so a reader can tell one such step
+from a real change in import time.
+
 Failed requests are counted per side.  The script changes nothing under
 ``bench/``.  pytest does not collect it.
 """
@@ -112,10 +120,21 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def import_ms(tree: str) -> float:
+    """Wall milliseconds for a fresh interpreter to start, import numpy and
+    ``tree``'s vidflow, and exit, through a plain (unpolled) wait."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import numpy, vidflow"], cwd=tree, env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return 1000.0 * (time.perf_counter() - t0)
+
+
 def bench_once(tree: str, args) -> dict:
     """One ``bench/run.py`` process in ``tree``; its final JSON line, with
-    the run's CPU use (CPU seconds over wall seconds) under ``"cpu"`` and its
-    steal share under ``"steal"``."""
+    the run's CPU use (CPU seconds over wall seconds) under ``"cpu"``, its
+    steal share under ``"steal"`` and three :func:`import_ms` timings taken
+    after it under ``"import_ms"``."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
@@ -130,6 +149,7 @@ def bench_once(tree: str, args) -> dict:
         raise SystemExit(f"bench/run.py in {tree} exited {proc.returncode} without a result:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}") from None
     result["cpu"], result["steal"] = cpu, steal
+    result["import_ms"] = [import_ms(tree) for _ in range(3)]
     return result
 
 
@@ -215,6 +235,9 @@ def main(argv=None) -> int:
         print(f"{name:<16} {metric['better']:<6} {cell(pm, pq1, pq3):>30} {cell(cm, cq1, cq3):>30} "
               f"{(cm - pm) / abs(pm) if pm else float('nan'):>+8.1%} {wins:>3}/{args.pairs:<2} "
               f"{sign_test_p(wins, losses):>7.3f}  {word}")
+    imports = {s: float(np.median([t for r in runs[s] for t in r["import_ms"]])) for s in runs}
+    print(f"import numpy, vidflow (plain wait, 3 per run): parent median {imports['parent']:.1f} ms, "
+          f"change median {imports['change']:.1f} ms")
     for side in runs:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])

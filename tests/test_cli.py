@@ -872,6 +872,18 @@ class TestTrain:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert iterations == []
 
+    def test_no_iterations(self, tmp_path, dataset, capsys):
+        """A run of zero iterations still writes its checkpoint, a loss CSV of
+        the header alone and a manifest whose final loss is nan."""
+        ckpt = tmp_path / "none.lgr"
+        capsys.readouterr()
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}", *FAST_TRAIN,
+                   "--set", "phase1_iters=0", "--set", "phase2_iters=0") == 0
+        assert capsys.readouterr().out == "train: no iterations run\n"
+        assert (tmp_path / "none.lgr.losses.csv").read_text() == "iter,loss,frames,wall_ms\n"
+        m = read_manifest(str(ckpt) + ".manifest")
+        assert (m["iterations"], m["final_loss"]) == ("0", "nan")
+
     def test_train_base_target(self, tmp_path, dataset):
         ckpt = tmp_path / "base.lgr"
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}",

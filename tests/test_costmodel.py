@@ -86,6 +86,10 @@ class TestStageFlops:
         with pytest.raises(ConfigError):
             simple_stage(attention="windowed", w_t=2, token_frames=7)  # 64 % 7
 
+    def test_unknown_attention_mode(self):
+        with pytest.raises(ConfigError, match="stage x: unknown attention mode 'dense'"):
+            simple_stage(name="x", attention="dense")
+
     @pytest.mark.parametrize("field,value", [("tokens", "64"), ("tokens", True), ("dim", 12.0), ("name", 1)])
     def test_field_of_the_wrong_type(self, field, value):
         with pytest.raises(ConfigError, match=f"stage .*: {field} must be of type "):

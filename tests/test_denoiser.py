@@ -279,6 +279,20 @@ class TestDegradation:
             z_lr, z_hr = degrade_pair(px, codec, cfg, rng=Rng(14))
             assert z_lr.extent == z_hr.extent
 
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"latent_noise": -0.1}, "degradation scales must be >= 0"),
+        ({"downup_factor": 0}, "down-up factors must be >= 1"),
+    ], ids=["negative_noise", "zero_factor"])
+    def test_config_out_of_range_is_refused(self, kwargs, named):
+        with pytest.raises(ConfigError, match=named):
+            DegradationConfig(**kwargs)
+
+    def test_pixels_off_the_codec_grid_are_refused(self):
+        """6x6 pixels do not split into the codec's 2x2 blocks times the 2x down-up."""
+        px = vf.LatentGrid.zeros(Extent5(1, 1, 2, 6, 6))
+        with pytest.raises(ConfigError, match=r"spatial dims \(6, 6\) not divisible by codec\*factor 4"):
+            degrade_pair(px, ToyCodec(), DegradationConfig(), rng=Rng(14))
+
     def test_deterministic_given_rng(self):
         codec = ToyCodec()
         px = synth_video("bouncing_rect", Extent5(1, 3, 4, 16, 16), Rng(18))
@@ -363,6 +377,12 @@ class TestFlowMapping:
         with pytest.raises(ConfigError):
             refiner_loss(p, z, z, 0.0, vf.Conditioning.zeros(2))
 
+    def test_pair_of_two_extents_is_refused(self):
+        p = small_params()
+        src, clean = vf.LatentGrid.zeros(EXT), vf.LatentGrid.zeros(Extent5(1, 4, 2, 4, 4))
+        with pytest.raises(ShapeError, match="extent mismatch"):
+            refiner_loss(p, src, clean, 0.5, vf.Conditioning.zeros(2))
+
 
 class TestAdamW:
     def test_first_step_is_signed_lr(self):
@@ -418,6 +438,15 @@ class TestAdamW:
             for want, got in ((ref, p.tensors), (m, opt.m), (v, opt.v)):
                 for k in want:
                     assert np.array_equal(want[k], got[k]) and want[k].tobytes() == got[k].tobytes(), (t, k)
+
+    def test_reassigned_tensor_of_the_wrong_shape_is_refused(self):
+        p = small_params(seed=30)
+        opt = AdamW(p, TrainConfig(lr=1e-3))
+        shape = p.tensors["block0.wq"].shape
+        p.tensors["block0.wq"] = np.zeros((shape[0] + 1, shape[1]))
+        grads = {k: np.zeros_like(v) for k, v in opt.m.items()}
+        with pytest.raises(ShapeError, match=r"tensor block0.wq has shape \(7, 6\), the architecture needs \(6, 6\)"):
+            opt.step(p, grads)
 
     def test_gradients_of_two_losses_share_no_memory(self):
         p = small_params(seed=29)
@@ -557,6 +586,10 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_refiner([], ToyCodec(), RIG_DEG, RIG_TRAIN, Rng(0))
+
+    def test_base_empty_dataset_rejected(self):
+        with pytest.raises(ConfigError, match="empty dataset"):
+            train_base([], ToyCodec(), RIG_TRAIN, Rng(0), params=small_params())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_training(self):

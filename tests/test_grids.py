@@ -120,6 +120,10 @@ class TestRng:
     def test_split_is_stable(self):
         assert Rng(5).split(3).seed == Rng(5).split(3).seed
 
+    def test_empty_integer_range(self):
+        with pytest.raises(ShapeError, match=r"empty integer range \[3, 3\)"):
+            Rng(0).integers(3, 3)
+
     def test_sequential_draws_advance(self):
         r = Rng(11)
         assert not np.array_equal(r.normal(8), r.normal(8))
@@ -146,6 +150,11 @@ class TestElementwise:
         y = vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 3))
         with pytest.raises(ShapeError):
             vf.axpy(1.0, x, y)
+
+    def test_mse_shape_mismatch(self):
+        a, b = vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 2)), vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 3))
+        with pytest.raises(ShapeError, match="extent mismatch"):
+            vf.mse(a, b)
 
     def test_mse_identical(self):
         x = grid_of(np.random.default_rng(0).normal(size=(1, 1, 1, 3, 3)))
@@ -174,6 +183,19 @@ class TestInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ShapeError):
             grid_of(np.full((1, 1, 1, 1, 2), np.nan))
+
+    def test_attributes_cannot_be_assigned(self):
+        g = LatentGrid.zeros(Extent5(1, 1, 1, 2, 2))
+        with pytest.raises(AttributeError, match="LatentGrid is immutable"):
+            g.extent = Extent5(1, 1, 1, 1, 4)
+
+    def test_values_of_another_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"values shape \(1, 1, 1, 2, 3\) != extent \(1, 1, 1, 2, 2\)"):
+            LatentGrid(Extent5(1, 1, 1, 2, 2), np.zeros((1, 1, 1, 2, 3)))
+
+    def test_from_array_of_four_axes_rejected(self):
+        with pytest.raises(ShapeError, match="expected a 5-axis array, got ndim=4"):
+            LatentGrid.from_array(np.zeros((1, 1, 2, 2)))
 
 
 class TestLgr1:

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import vidflow as vf
-from vidflow.errors import ConfigError
+from vidflow.errors import ConfigError, ContractError, ShapeError
 from vidflow.grids import Extent5, Rng
-from vidflow.preview import PreviewConfig, generate_preview, reshift_noise
+from vidflow.preview import PreviewConfig, SigmaSchedule, estimate_clean, generate_preview, reshift_noise
 
 
 TEMPLATE = Extent5(1, 2, 3, 8, 8)
@@ -135,3 +137,69 @@ class TestGeneratePreview:
         bad = vf.LatentGrid.zeros(Extent5(1, 2, 3, 4, 4))
         with pytest.raises(ConfigError):
             generate_preview(zero_model(), vf.Conditioning.zeros(1), cfg, TEMPLATE, z1=bad)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("bad_call,phase_hw", [(0, (8, 8)), (2, (8, 8)), (3, (4, 4))],
+                             ids=["hi_step", "turning_point", "lo_step"])
+    def test_model_of_the_wrong_extent_is_a_contract_error(self, bad_call, phase_hw):
+        """With n_total=4 and k=2, calls 0 and 1 are hi steps, call 2 is the
+        turning point and calls 3 and 4 are lo steps.  A wrong extent at any of
+        them stops the run at that call with the message ``sample_ode`` gives."""
+        cfg = PreviewConfig(n_total=4, k=2, hi=(8, 8), lo=(4, 4), seed=1)
+        wrong = Extent5(1, 2, 3, 2, 2)
+        seen = []
+
+        def model(z, s, c):
+            seen.append(z.extent)
+            return vf.LatentGrid.zeros(wrong if len(seen) - 1 == bad_call else z.extent)
+
+        with pytest.raises(ContractError) as preview_error:
+            generate_preview(model, vf.Conditioning.zeros(1), cfg, TEMPLATE)
+        assert len(seen) == bad_call + 1 and (seen[-1].h, seen[-1].w) == phase_hw
+        with pytest.raises(ContractError) as ode_error:
+            vf.sample_ode(lambda z, s, c: vf.LatentGrid.zeros(wrong), vf.LatentGrid.zeros(seen[-1]),
+                          vf.build_schedule(1), vf.Conditioning.zeros(1))
+        assert str(preview_error.value) == str(ode_error.value)
+
+    def test_lo_of_zero_rows(self):
+        with pytest.raises(ConfigError, match=r"lo resolution must be >= 1, got \(0, 8\)"):
+            PreviewConfig(lo=(0, 8))
+
+    def test_schedule_that_stops_above_zero(self):
+        with pytest.raises(ConfigError, match="schedule must run from exactly 1 to exactly 0"):
+            SigmaSchedule((1.0, 0.5))
+
+    def test_clean_estimate_of_another_extent(self):
+        """The refusal names z's extent first (``axpy`` alone would name u's)."""
+        z, u = vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 2)), vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 3))
+        with pytest.raises(ShapeError, match=re.escape(f"extent mismatch: {z.extent} vs {u.extent}")):
+            estimate_clean(z, u, 0.5)
+
+    def test_clean_estimate_above_sigma_one(self):
+        z = vf.LatentGrid.zeros(Extent5(1, 1, 1, 2, 2))
+        with pytest.raises(ConfigError, match=r"sigma must be in \[0, 1\], got 1.5"):
+            estimate_clean(z, z, 1.5)
+
+    def test_conditioning_with_nan(self):
+        with pytest.raises(ConfigError, match="conditioning must be a finite 1-D vector"):
+            vf.Conditioning((float("nan"),))
+
+
+# The package's public names, listed here so that moving code between its
+# modules cannot drop one unnoticed.
+PUBLIC_NAMES = (
+    "AdamW", "AttentionWeights", "BlockWeights", "Conditioning", "ConfigError", "ContractError",
+    "DegradationConfig", "DenoiserParams", "Extent5", "FormatError", "LatentGrid", "PipelineSpec",
+    "PreviewConfig", "PreviewResult", "Rng", "RoPEConfig", "ShapeError", "SigmaSchedule", "StageSpec",
+    "ToyCodec", "TrainConfig", "VidflowError", "WindowSpec", "affine_fit", "axpy", "backward",
+    "build_schedule", "degrade_pair", "estimate_clean", "euler_step", "forward_velocity",
+    "generate_preview", "load_checkpoint", "mse", "pipeline_report", "read_lgr1", "recommended_pipeline",
+    "refine", "refiner_loss", "reshift_noise", "resize_spatial", "sample_gaussian", "sample_ode",
+    "save_checkpoint", "stage_flops", "step_division_curve", "swin_block_pair", "synth_video",
+    "train_base", "train_refiner", "window_attention", "write_lgr1",
+)
+
+
+def test_every_public_name_is_still_exported():
+    assert [name for name in PUBLIC_NAMES if not hasattr(vf, name)] == []

@@ -73,9 +73,10 @@ class TestRope:
             np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-12
         )
 
-    def test_matches_pairwise_rotation_oracle(self):
+    @pytest.mark.parametrize("cfg", [RoPEConfig.even_split(12), RoPEConfig(4, 0, 8)],
+                             ids=["even_split", "no_vertical_part"])
+    def test_matches_pairwise_rotation_oracle(self, cfg):
         rng = np.random.default_rng(3)
-        cfg = RoPEConfig.even_split(12)
         x = rng.normal(size=(3, 2, 2, 12))
         out = apply_rope3d(x, cfg, window_local_origin=(1, 0, 2))
         coords = np.array(
@@ -84,6 +85,10 @@ class TestRope:
         )
         expect = rope_oracle(x.reshape(-1, 12), coords, cfg)
         assert np.abs(out.reshape(-1, 12) - expect).max() <= 1e-12
+
+    def test_odd_sub_dimension_rejected(self):
+        with pytest.raises(ConfigError, match="rope sub-dimensions must be even"):
+            RoPEConfig(3, 2, 1)
 
     def test_inner_product_depends_on_offset_only(self):
         # the defining rotary property: <R(p)q, R(p')k> is a function of p - p'
@@ -120,6 +125,12 @@ class TestWindowAttention:
         out = window_attention(x, spec, shifted, cfg, weights, heads)
         expect = masked_global_attention_oracle(x, spec, shifted, cfg, weights, heads)
         assert np.abs(out - expect).max() <= 1e-10
+
+    def test_dim_not_divisible_by_heads(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 2, 2, 6))
+        with pytest.raises(ConfigError, match="embedding dim 6 not divisible by heads 4"):
+            window_attention(x, WindowSpec(2), False, RoPEConfig.even_split(6), random_weights(6, rng), heads=4)
 
     def test_unshifted_windows_are_independent(self):
         # perturbing a frame in one window must not change other windows
