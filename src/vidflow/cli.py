@@ -38,10 +38,12 @@ from .costmodel import (
 from .denoiser import (
     REFINER_ARCH,
     SYNTH_KINDS,
+    AdamW,
     DegradationConfig,
     DenoiserParams,
     ToyCodec,
     TrainConfig,
+    _iterations,
     load_checkpoint,
     refine,
     save_checkpoint,
@@ -337,18 +339,19 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
     else:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
 
-    t0 = time.perf_counter()
-    if cfg["target"] == "refiner":
-        params, optimizer, losses = train_refiner(dataset, codec, deg, tc, rng, params=params, optimizer=optimizer)
-    else:
-        params, optimizer, losses = train_base(dataset, codec, tc, rng, params=params, optimizer=optimizer)
-    wall = time.perf_counter() - t0
+    trainer, args = ((train_refiner, (dataset, codec, deg, tc, rng)) if cfg["target"] == "refiner"
+                     else (train_base, (dataset, codec, tc, rng)))
+    # one timed call per iteration; the steps give a straight run's bits
+    losses, csv_lines = [], ["iter,loss,frames,wall_ms"]
+    for it in _iterations(tc, dataset, optimizer, None, None):
+        t0 = time.perf_counter()
+        params, optimizer, loss = trainer(*args, params=params, optimizer=optimizer, start_iter=it, n_iters=1)
+        csv_lines.append(f"{it},{loss[0]:.10g},{tc.frames_at(it)},{1000.0 * (time.perf_counter() - t0):.3f}")
+        losses += loss
+    if optimizer is None:  # no iteration ran
+        optimizer = AdamW(params, tc)
 
     save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
-    csv_lines = ["iter,loss,frames,wall_ms"]
-    per_iter_ms = 1000.0 * wall / max(len(losses), 1)
-    for it, loss in enumerate(losses, optimizer.t - len(losses)):
-        csv_lines.append(f"{it},{loss:.10g},{tc.frames_at(it)},{per_iter_ms:.3f}")
     _atomic_write_text(str(out) + ".losses.csv", "\n".join(csv_lines) + "\n")
     return ({"iterations": tc.total_iters, "final_loss": losses[-1] if losses else "nan"},
             f"train[{cfg['target']}]: {len(losses)} iters, final loss {losses[-1]:.6g}" if losses

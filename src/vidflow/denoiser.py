@@ -150,12 +150,6 @@ def _patchify(x: np.ndarray, p: int) -> np.ndarray:
     return t.transpose(1, 2, 4, 0, 3, 5).reshape(f, h // p, w // p, c * p * p)
 
 
-def _unpatchify(y: np.ndarray, c: int, p: int, f: int, h: int, w: int) -> np.ndarray:
-    """(f, h/p, w/p, c*p*p) token field -> (c, f, h, w): the inverse of :func:`_patchify`."""
-    t = y.reshape(f, h // p, w // p, c, p, p)
-    return t.transpose(3, 0, 1, 4, 2, 5).reshape(c, f, h, w)
-
-
 def _block_weights(tensors: dict, depth: int) -> list[BlockWeights]:
     """The blocks' entries of a ``{name: array}`` dict (weights or gradient buffers)."""
     return [BlockWeights(AttentionWeights(*(tensors[f"block{j}.w{m}"] for m in "qkvo")),
@@ -164,8 +158,10 @@ def _block_weights(tensors: dict, depth: int) -> list[BlockWeights]:
 
 
 def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning,
-             saved: list | None = None) -> list[np.ndarray]:
-    """The per-item outputs (c, f, h, w) of every batch item.
+             saved: list | None = None) -> np.ndarray:
+    """The (b, c, f, h, w) output: one array, preallocated, into whose row b
+    item b writes its head's tokens unpatchified, the inverse of
+    :func:`_patchify`.
 
     With a ``saved`` list the items run one at a time, in order, and each
     appends one list of its own, to which every layer appends what its
@@ -173,8 +169,8 @@ def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditio
     :func:`~vidflow.autodiff.run_each`: when there are at least two and one
     item's attention holds at least ``autodiff._SHARE_SCORES`` scores
     (depth · heads · frame pairs · plane²), the helper threads take items as
-    attention takes query tiles.  Each item writes only its own output, so
-    the outputs have the serial path's bits."""
+    attention takes query tiles.  Each item writes only its own row, so the
+    output has the serial path's bits."""
     e = z.extent
     p = params.patch
     if e.c != params.channels:
@@ -190,7 +186,7 @@ def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditio
     blocks = _block_weights(tensors, params.depth)
     spec, rope = params.window, params.rope
     hp, wp = e.h // p, e.w // p
-    outs = [None] * e.b
+    out = np.empty(e.as_tuple())
 
     def run(b: int, item: list | None = None) -> None:
         tokens = _patchify(z.values[b], p)
@@ -199,7 +195,7 @@ def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditio
         for i in range(0, params.depth, 2):
             x = swin_block_pair(x, (blocks[i], blocks[i + 1]), spec, rope, params.heads, item)
         y = linear(layernorm(x, item).reshape(-1, params.d), tensors["head.w"], tensors["head.b"], item)
-        outs[b] = _unpatchify(y.reshape(e.f, hp, wp, -1), e.c, p, e.f, e.h, e.w)
+        out[b].reshape(e.c, e.f, hp, p, wp, p)[...] = y.reshape(e.f, hp, wp, e.c, p, p).transpose(3, 0, 1, 4, 2, 5)
 
     if saved is None:
         run_each(run, e.b, params.depth * params.heads * frame_pairs(e.f, params.w_t) * (hp * wp) ** 2)
@@ -207,12 +203,12 @@ def _forward(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditio
         for b in range(e.b):
             saved.append([])
             run(b, saved[-1])
-    return outs
+    return out
 
 
 def forward_velocity(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Conditioning) -> LatentGrid:
     """Predict the velocity field; output extent equals the input extent."""
-    return LatentGrid(z.extent, np.stack(_forward(params, z, sigma, cond)))
+    return LatentGrid(z.extent, _forward(params, z, sigma, cond))
 
 
 def _reverse(params: DenoiserParams, saved: list, sigma: float, cond: Conditioning) -> dict[str, np.ndarray]:
@@ -249,9 +245,9 @@ def _loss_grads(params: DenoiserParams, z: LatentGrid, sigma: float, cond: Condi
     ``out``, which ends the item's entries; returns (the shares summed in
     item order, every parameter's gradient)."""
     saved, total = [], 0.0
-    outs = _forward(params, z, sigma, cond, saved)
-    for b, (item, out) in enumerate(zip(saved, outs)):
-        share, g = term(b, out)
+    out = _forward(params, z, sigma, cond, saved)
+    for b, item in enumerate(saved):
+        share, g = term(b, out[b])
         total += share
         item.append(g)
     return total, Tensor(lambda: _reverse(params, saved, sigma, cond)).backward()
@@ -572,20 +568,14 @@ def _clip_window(clip: LatentGrid, frames: int, ri: Rng) -> LatentGrid:
     return LatentGrid.from_array(clip.values[:, :, start : start + frames])
 
 
-def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters):
-    """The training loop both trainers share: iterations ``start_iter`` up to
-    ``start_iter + n_iters``, or to ``train_cfg.total_iters`` when
-    ``n_iters`` is None.  Iteration ``it`` takes all its randomness from
-    ``rng.split(it)``: a clip and a window of it, then ``draw(window, ri)``
-    for the (source, clean) pair, then the path time t.  The optimizer's step
+def _iterations(train_cfg, dataset, optimizer, start_iter, n_iters) -> range:
+    """Iterations ``start_iter`` up to ``start_iter + n_iters``, or to
+    ``train_cfg.total_iters`` when ``n_iters`` is None.  The optimizer's step
     count ``t`` is the one record of a run's position, so ``start_iter``
     (None: that count, or 0 without an optimizer) must equal it and not lie
     past the end; resuming with a checkpointed optimizer then reproduces a
     straight run bit for bit.  A start that breaks this, or a schedule that
-    needs more frames than the shortest clip holds, is refused before the
-    first iteration; a non-finite loss, or one above
-    :data:`DIVERGED_LOSS_RATIO` times the mean square of its target, stops
-    training before the optimizer applies its gradients."""
+    needs more frames than the shortest clip holds, is refused here."""
     steps = optimizer.t if optimizer is not None else 0
     if start_iter is None:
         start_iter = steps
@@ -597,11 +587,23 @@ def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters
     shortest = min(clip.extent.f for clip in dataset)
     if need > shortest:
         raise ConfigError(f"iteration {end - 1} needs {need} frames, the shortest clip has {shortest}")
+    return range(start_iter, end)
+
+
+def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters):
+    """The training loop both trainers share, over :func:`_iterations`, which
+    refuses a bad start or schedule before the first iteration.  Iteration
+    ``it`` takes all its randomness from ``rng.split(it)``: a clip and a
+    window of it, then ``draw(window, ri)`` for the (source, clean) pair,
+    then the path time t.  A non-finite loss, or one above
+    :data:`DIVERGED_LOSS_RATIO` times the mean square of its target, stops
+    training before the optimizer applies its gradients."""
+    iterations = _iterations(train_cfg, dataset, optimizer, start_iter, n_iters)
     if optimizer is None:
         optimizer = AdamW(params, train_cfg)
     cond = Conditioning.zeros(params.cond_dim)
     losses = []
-    for it in range(start_iter, end):
+    for it in iterations:
         ri = rng.split(it)
         clip = dataset[int(ri.integers(0, len(dataset))[0])]
         frames = train_cfg.frames_at(it)

@@ -14,7 +14,8 @@ Without a ``saved`` list, attention runs over query tiles
 every layer of the pair appends what its backward needs, and
 :func:`window_attention_backward` and :func:`swin_block_pair_backward` return
 the input gradient and add the weight gradients into the caller's buffers.
-RoPE tables are built once per run shape and origin and cached.
+RoPE tables are built once per run shape and origin, from one angle array
+over all three axes, and cached.
 """
 
 from __future__ import annotations
@@ -70,15 +71,11 @@ class RoPEConfig:
         return cls(d // 3, d // 3, d // 3)
 
 
-def window_bounds(T: int, w_t: int) -> list[tuple[int, int]]:
-    """Frame ranges of the ceil(T / w_t) temporal windows (tail unpadded)."""
-    return [(a, min(a + w_t, T)) for a in range(0, T, w_t)]
-
-
 def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int, int]]:
     """(first, stop, RoPE time origin) of each attention run, in frame order.
 
-    Shifted mode lays the windows over the frame axis rolled by s_t; a window
+    The ceil(T / w_t) windows tile the frame axis, the last one unpadded.
+    Shifted mode lays them over the frame axis rolled by s_t; a window
     whose frames wrap past T splits at the seam into two runs, and the wrapped
     run keeps the window-local positions it had in the rolled window.  RoPE
     scores depend only on position offsets within a run, so that origin moves
@@ -86,7 +83,8 @@ def _frame_runs(T: int, spec: WindowSpec, shifted: bool) -> list[tuple[int, int,
     """
     s = spec.s_t if (shifted and T > spec.w_t) else 0
     runs = []
-    for a, b in window_bounds(T, spec.w_t):
+    for a in range(0, T, spec.w_t):
+        b = min(a + spec.w_t, T)
         cut = min(max(T - s, a), b)
         runs += [(a + s, cut + s, 0), (cut + s - T, b + s - T, cut - a)]
     return sorted(r for r in runs if r[0] < r[1])
@@ -109,25 +107,16 @@ def _rope_tables(t_len: int, H: int, W: int, origin: tuple[int, int, int], cfg: 
     so that ``x * cos + x[..., swap] * sin`` with ``swap = [1, 0, 3, 2, ...]``
     turns each adjacent pair (x[2i], x[2i+1]) into
     (x[2i]·cos − x[2i+1]·sin, x[2i+1]·cos + x[2i]·sin).
-    The sub-dimensions d_t, d_h, d_w are even, so no pair straddles two axes."""
-    t0, h0, w0 = origin
-    tt, hh, ww = np.meshgrid(
-        np.arange(t_len) + t0, np.arange(H) + h0, np.arange(W) + w0, indexing="ij"
-    )
-    coords = np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.float64)
-    n = coords.shape[0]
-    cos_parts, sin_parts = [], []
-    for axis, d_a in enumerate((cfg.d_t, cfg.d_h, cfg.d_w)):
-        if d_a == 0:
-            continue
-        half = d_a // 2
-        inv_freq = cfg.base ** (-2.0 * np.arange(half) / d_a)
-        ang = coords[:, axis : axis + 1] * inv_freq[None, :]
-        cos_parts.append(np.repeat(np.cos(ang), 2, axis=1))
-        sin_parts.append(np.repeat(np.sin(ang), 2, axis=1))
-    cos = np.concatenate(cos_parts, axis=1) if cos_parts else np.ones((n, 0))
-    sin = np.concatenate(sin_parts, axis=1) if sin_parts else np.ones((n, 0))
-    tables = (cos, np.tile([-1.0, 1.0], cfg.d // 2) * sin)
+    The sub-dimensions d_t, d_h, d_w are even, so no pair straddles two axes:
+    one (n, d/2) angle array holds every pair's angle, its axis's coordinate
+    times its inverse frequency, in (t, h, w) order; a zero-width part adds
+    no column."""
+    parts = (cfg.d_t, cfg.d_h, cfg.d_w)
+    coords = (np.indices((t_len, H, W)).reshape(3, -1).T + origin).astype(np.float64)
+    inv_freq = np.concatenate([cfg.base ** (-2.0 * np.arange(d_a // 2) / d_a) for d_a in parts])
+    ang = coords[:, np.repeat([0, 1, 2], [d_a // 2 for d_a in parts])] * inv_freq
+    cos, sin = (np.repeat(f(ang), 2, axis=1) for f in (np.cos, np.sin))
+    tables = cos, np.tile([-1.0, 1.0], cfg.d // 2) * sin
     for a in tables:
         a.flags.writeable = False
     return tables

@@ -163,15 +163,30 @@ class TestAttention:
         check_grad(f, grad, ops[which].shape, seed=11 + which)
 
     def test_tiled_branch_matches_recording_branch(self):
+        """The tiled output against the recording branch's probabilities
+        times v, that product formed in extended precision: a float64
+        product rounds by BLAS thread count, and with one thread its own
+        error came to 1.016 times the bound."""
         heads, n, dh = 2, 1000, 4
         rows = autodiff._TILE_ELEMS // (heads * n)
         assert n // rows >= 3 and n % rows != 0  # >= 3 query tiles, ragged last tile
         rng = np.random.default_rng(12)
         q, k, v = (rng.normal(size=(heads, n, dh)) for _ in range(3))
         tiled = attention_tiled(q, k, v, 0.5)
-        recorded = attention_probs(q, k, 0.5) @ v
+        recorded = attention_probs(q, k, 0.5).astype(np.longdouble) @ v.astype(np.longdouble)
         rms = np.sqrt(np.mean(recorded**2))
         assert np.abs(tiled - recorded).max() <= 1e-14 * rms
+
+    def test_tiled_branch_matches_recording_branch_with_one_blas_thread(self):
+        """The case above in a child whose BLAS runs one thread, as the benchmark pins it."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(vf.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])}
+        node = f"{os.path.abspath(__file__)}::TestAttention::test_tiled_branch_matches_recording_branch"
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+                             cwd=os.path.dirname(here), env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
 
     @needs_longdouble
     def test_both_branches_match_extended_precision_oracle(self):

@@ -6,6 +6,7 @@ import stat
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -804,6 +805,42 @@ class TestTrain:
         assert csv[1].split(",")[2] == "3" and csv[-1].split(",")[2] == "4"
         m = read_manifest(str(checkpoint) + ".manifest")
         assert m["command"] == "train" and m["iterations"] == "5"
+
+    def test_loss_rows_time_each_iteration(self, tmp_path, dataset, monkeypatch):
+        """Each loss CSV row carries its own iteration's wall time: the rows
+        differ and sum to within a few percent of the time spent training.
+        The run steps one iteration at a time, and its losses and checkpoint
+        blob equal those of one straight ``train_refiner`` call."""
+        from vidflow import cli
+
+        calls, trainer = [], cli.train_refiner
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = trainer(*args, **kwargs)
+            calls.append((time.perf_counter() - t0, result[2]))
+            return result
+
+        monkeypatch.setattr(cli, "train_refiner", timed)
+        ckpt = tmp_path / "stepped.lgr"
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}", *FAST_TRAIN) == 0
+        rows = [line.split(",") for line in (tmp_path / "stepped.lgr.losses.csv").read_text().splitlines()[1:]]
+        wall_ms = [float(row[3]) for row in rows]
+        assert len(calls) == len(rows) == 5 and len(set(wall_ms)) > 1
+        spent_ms = 1000.0 * sum(seconds for seconds, _ in calls)
+        assert abs(sum(wall_ms) - spent_ms) <= 0.03 * spent_ms
+
+        tc = vf.TrainConfig(lr=0.001, phase1_iters=3, phase2_iters=2, phase1_frames=3, phase2_frames=4)
+        params = vf.DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=4, channels=12, cond_dim=4,
+                                        rng=vf.Rng(0).split(10**9))
+        values = vf.read_lgr1(dataset).values
+        clips = [vf.LatentGrid.from_array(values[i : i + 1]) for i in range(len(values))]
+        params, opt, losses = trainer(clips, vf.ToyCodec(), vf.DegradationConfig(), tc, vf.Rng(0), params)
+        assert [loss for _, step in calls for loss in step] == losses
+        assert [row[1] for row in rows] == [f"{loss:.10g}" for loss in losses]
+        straight = tmp_path / "straight.lgr"
+        vf.save_checkpoint(straight, params, opt, meta={"target": "refiner"})
+        assert open(straight, "rb").read() == open(ckpt, "rb").read()
 
     def test_resume_matches_straight_run(self, tmp_path, dataset):
         straight = tmp_path / "straight.lgr"

@@ -147,7 +147,7 @@ class TestForward:
         z = vf.sample_gaussian(Extent5(3, 4, 9, 4, 4), Rng(72))
         cond = vf.Conditioning((0.5, -1.0))
         saved = []
-        trained = np.stack(denoiser._forward(p, z, 0.4, cond, saved))
+        trained = denoiser._forward(p, z, 0.4, cond, saved)
         plain = forward_velocity(p, z, 0.4, cond).values
         assert len(saved) == 3 and all(len(item) == 1 + 4 * p.depth + 2 for item in saved)
         rms = np.sqrt(np.mean(plain**2))

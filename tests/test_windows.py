@@ -16,7 +16,6 @@ from vidflow.windows import (
     swin_block_pair_backward,
     window_attention,
     window_attention_backward,
-    window_bounds,
 )
 
 from oracles import masked_global_attention_oracle, numeric_grad, rope_oracle
@@ -43,9 +42,10 @@ def zero_buffers(weights: AttentionWeights) -> AttentionWeights:
 
 class TestPartition:
     def test_bounds_ceil(self):
-        assert window_bounds(8, 4) == [(0, 4), (4, 8)]
-        assert window_bounds(7, 4) == [(0, 4), (4, 7)]
-        assert window_bounds(3, 4) == [(0, 3)]
+        # unshifted, the runs are the ceil(T / w_t) windows, the last one unpadded
+        assert _frame_runs(8, WindowSpec(4), False) == [(0, 4, 0), (4, 8, 0)]
+        assert _frame_runs(7, WindowSpec(4), False) == [(0, 4, 0), (4, 7, 0)]
+        assert _frame_runs(3, WindowSpec(4), False) == [(0, 3, 0)]
 
     @pytest.mark.parametrize("w_t", [2, 4, 6, 8, 10])
     def test_frame_pairs_is_the_mean_of_both_layers_runs(self, w_t):
@@ -60,7 +60,46 @@ class TestPartition:
                 WindowSpec(bad)
 
 
+def per_axis_rope_tables(t_len, H, W, origin, cfg):
+    """The RoPE tables built one axis at a time, each axis's angles from its
+    own coordinate column and the parts concatenated: the reference that
+    :func:`_rope_tables`, which forms one angle array over all three axes,
+    must match bit for bit."""
+    t0, h0, w0 = origin
+    tt, hh, ww = np.meshgrid(
+        np.arange(t_len) + t0, np.arange(H) + h0, np.arange(W) + w0, indexing="ij"
+    )
+    coords = np.stack([tt.ravel(), hh.ravel(), ww.ravel()], axis=1).astype(np.float64)
+    n = coords.shape[0]
+    cos_parts, sin_parts = [], []
+    for axis, d_a in enumerate((cfg.d_t, cfg.d_h, cfg.d_w)):
+        if d_a == 0:
+            continue
+        half = d_a // 2
+        inv_freq = cfg.base ** (-2.0 * np.arange(half) / d_a)
+        ang = coords[:, axis : axis + 1] * inv_freq[None, :]
+        cos_parts.append(np.repeat(np.cos(ang), 2, axis=1))
+        sin_parts.append(np.repeat(np.sin(ang), 2, axis=1))
+    cos = np.concatenate(cos_parts, axis=1) if cos_parts else np.ones((n, 0))
+    sin = np.concatenate(sin_parts, axis=1) if sin_parts else np.ones((n, 0))
+    return cos, np.tile([-1.0, 1.0], cfg.d // 2) * sin
+
+
 class TestRope:
+    @pytest.mark.parametrize("cfg", [RoPEConfig.even_split(6), RoPEConfig.even_split(12),
+                                     RoPEConfig.even_split(48), RoPEConfig(4, 0, 8), RoPEConfig(0, 0, 6),
+                                     RoPEConfig(8, 2, 2)],
+                             ids=["even_split6", "even_split12", "even_split48", "no_vertical_part",
+                                  "horizontal_only", "uneven"])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4])
+    def test_tables_equal_the_per_axis_build_bit_for_bit(self, cfg, t_len):
+        for origin in ((0, 0, 0), (2, 0, 0), (3, 1, 2)):
+            got = _rope_tables(t_len, 3, 2, origin, cfg)
+            want = per_axis_rope_tables(t_len, 3, 2, origin, cfg)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (t_len * 6, cfg.d) and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes(), origin
+
     def test_zero_coords_identity(self):
         x = np.random.default_rng(1).normal(size=(1, 1, 1, 6))
         out = apply_rope3d(x, RoPEConfig.even_split(6))
