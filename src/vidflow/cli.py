@@ -109,14 +109,6 @@ def _atomic_write_bytes(path, data: bytes) -> None:
         fh.write(data)
 
 
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
-
-
-def _manifest_path(out) -> str:
-    return f"{out}.manifest"
-
-
 def _same_file(a, b) -> bool:
     return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
 
@@ -129,11 +121,12 @@ def _check_writes(command: str, writes: dict, reads: dict) -> None:
     regular file (a directory, or a FIFO or device that opening or renaming
     onto would block on or replace), exit 3; two written paths that are one
     path, or a written path that is the same file as a read one, exit 2.
-    Each path's temporary, ``path + ".tmp"`` (see :func:`grids.replaced`),
-    counts as written too."""
+    Every verb's run record, ``<out>.manifest``, and each path's temporary
+    (``path + ".tmp"``, see :func:`grids.replaced`) count as written too."""
     parent = os.path.dirname(str(writes["out"])) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"output {writes['out']}: {parent} is not a directory")
+    writes = {**writes, "out's manifest": f"{writes['out']}.manifest"}
     written = [(key, p) for key, path in writes.items() for p in (path, f"{path}.tmp")]
     for _, path in written:
         if os.path.isdir(path):
@@ -244,7 +237,7 @@ def _run(command: str, cfg: dict) -> None:
              *(f"{k} {v}" for k, v in extra.items()),
              f"wall_s {wall:.3f}", f"cpu_s {cpu:.3f}", f"peak_rss_mb {usage.ru_maxrss / 1024.0:.1f}",
              f"minor_faults {usage.ru_minflt}"]
-    _atomic_write_text(_manifest_path(cfg["out"]), "\n".join(lines) + "\n")
+    _atomic_write_bytes(f"{cfg['out']}.manifest", ("\n".join(lines) + "\n").encode())
     print(message)
 
 
@@ -293,7 +286,7 @@ def cmd_synth(cfg: dict) -> tuple[dict, str]:
     if cfg["kind"] not in SYNTH_KINDS:
         raise ConfigError(f"unknown synth.kind {cfg['kind']!r}, expected one of {SYNTH_KINDS}")
     out, count = cfg["out"], cfg["count"]
-    _check_writes("synth", {"out": out, "out's manifest": _manifest_path(out)}, {})
+    _check_writes("synth", {"out": out}, {})
     master = Rng(cfg["seed"])
     extent = Extent5(1, cfg["channels"], cfg["frames"], cfg["height"], cfg["width"])
     clips = np.empty((count, *extent.as_tuple()[1:]))
@@ -319,8 +312,8 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
     in_place = resume is not None and _same_file(out, resume)
     if resume is not None and not in_place:
         reads.update({"resume": resume, "resume's index": f"{resume}.index"})
-    _check_writes("train", {"out": out, "out's index": f"{out}.index", "out's losses": f"{out}.losses.csv",
-                            "out's manifest": _manifest_path(out)}, reads)
+    _check_writes("train", {"out": out, "out's index": f"{out}.index", "out's losses": f"{out}.losses.csv"},
+                  reads)
     if os.path.exists(out) and not cfg["force"] and not in_place:
         raise ConfigError(f"checkpoint {out} exists (pass force=true to overwrite)")
     clips = read_lgr1(cfg["dataset"]).values
@@ -338,6 +331,8 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
                               f"was trained as {meta['target']!r}")
     else:
         params = DenoiserParams.init(**arch, channels=dataset[0].extent.c * 4, rng=rng.split(10**9))
+    if optimizer is None:  # a fresh run, or a checkpoint saved without moments
+        optimizer = AdamW(params, tc)
 
     trainer, args = ((train_refiner, (dataset, codec, deg, tc, rng)) if cfg["target"] == "refiner"
                      else (train_base, (dataset, codec, tc, rng)))
@@ -345,14 +340,12 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
     losses, csv_lines = [], ["iter,loss,frames,wall_ms"]
     for it in _iterations(tc, dataset, optimizer, None, None):
         t0 = time.perf_counter()
-        params, optimizer, loss = trainer(*args, params=params, optimizer=optimizer, start_iter=it, n_iters=1)
+        params, optimizer, loss = trainer(*args, params=params, optimizer=optimizer, n_iters=1)
         csv_lines.append(f"{it},{loss[0]:.10g},{tc.frames_at(it)},{1000.0 * (time.perf_counter() - t0):.3f}")
         losses += loss
-    if optimizer is None:  # no iteration ran
-        optimizer = AdamW(params, tc)
 
     save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
-    _atomic_write_text(str(out) + ".losses.csv", "\n".join(csv_lines) + "\n")
+    _atomic_write_bytes(f"{out}.losses.csv", ("\n".join(csv_lines) + "\n").encode())
     return ({"iterations": tc.total_iters, "final_loss": losses[-1] if losses else "nan"},
             f"train[{cfg['target']}]: {len(losses)} iters, final loss {losses[-1]:.6g}" if losses
             else "train: no iterations run")
@@ -366,8 +359,7 @@ def cmd_preview(cfg: dict) -> tuple[dict, str]:
     _require_positive("preview", cfg, ("batch", "frames"))
     pcfg = _build(PreviewConfig, cfg)
     out, ckpt = cfg["out"], cfg["checkpoint"]
-    _check_writes("preview", {"out": out, "out's manifest": _manifest_path(out)},
-                  {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index"})
+    _check_writes("preview", {"out": out}, {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index"})
     params, _, _ = load_checkpoint(ckpt)
     for key in ("hi", "lo"):
         if any(v % params.patch for v in cfg[key]):
@@ -389,9 +381,8 @@ def cmd_preview(cfg: dict) -> tuple[dict, str]:
 def cmd_refine(cfg: dict) -> tuple[dict, str]:
     _require_positive("refine", cfg, ("n_steps", "upscale"))
     out, ckpt, frames_dir = cfg["out"], cfg["checkpoint"], cfg["frames_dir"]
-    writes = {"out": out, "out's manifest": _manifest_path(out)}
     reads = {"checkpoint": ckpt, "checkpoint's index": f"{ckpt}.index", "preview": cfg["preview"]}
-    _check_writes("refine", writes, reads)
+    _check_writes("refine", {"out": out}, reads)
     if frames_dir:
         parent = os.path.dirname(frames_dir.rstrip("/")) or "."
         if not os.path.isdir(parent):
@@ -403,7 +394,7 @@ def cmd_refine(cfg: dict) -> tuple[dict, str]:
     preview_lo = read_lgr1(cfg["preview"])
     names = [f"frame_{fi:04d}.ppm" for fi in range(preview_lo.extent.f)] if frames_dir else []
     ppm = {f"frames_dir's {n}": os.path.join(frames_dir, n) for n in names}
-    _check_writes("refine", {**writes, **ppm}, reads)
+    _check_writes("refine", {"out": out, **ppm}, reads)
     cond = Conditioning.zeros(params.cond_dim)
     up = cfg["upscale"]
     target_hw = (preview_lo.extent.h * up, preview_lo.extent.w * up)
@@ -459,7 +450,7 @@ def cmd_profile(cfg: dict) -> tuple[dict, str]:
         raise ConfigError(f"profile.k_values: {exc}, the step budget of stages "
                           f"{hi.name!r} ({hi.steps}) and {lo.name!r} ({lo.steps})") from None
     out = cfg["out"]
-    _check_writes("profile", {"out": out, "out's manifest": _manifest_path(out)}, {})
+    _check_writes("profile", {"out": out}, {})
     report = pipeline_report(pipe, rate)
 
     lines = ["stage,flops,share,ratio_vs_baseline,predicted_s"]
@@ -488,7 +479,7 @@ def cmd_profile(cfg: dict) -> tuple[dict, str]:
         f"intercept {intercept:.2f} s, R2 {r2:.5f}",
     ]
     text = "\n".join(lines + foot)
-    _atomic_write_text(out, text + "\n")
+    _atomic_write_bytes(out, (text + "\n").encode())
     return {}, text
 
 

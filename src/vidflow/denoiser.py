@@ -409,25 +409,21 @@ def synth_video(
     e = extent
     ys = np.arange(e.h)[:, None]
     xs = np.arange(e.w)[None, :]
-    out = np.zeros(e.as_tuple())
+    t = np.arange(e.f)[:, None, None]  # the frame axis of each (f, h, w) coverage
+    out = np.empty(e.as_tuple())
     for b in range(e.b):
         size = 0.12 * min(e.h, e.w) + 0.1 * min(e.h, e.w) * rng.uniform(1)[0]
         cy0 = size + (e.h - 1 - 2 * size) * rng.uniform(1)[0]
         cx0 = size + (e.w - 1 - 2 * size) * rng.uniform(1)[0]
         vy, vx = 3.0 * (rng.uniform(2) - 0.5)
         colors = 0.3 + 0.7 * rng.uniform(e.c)
-        t = np.arange(e.f)
         cy = _reflect(cy0 + vy * t, size, e.h - 1 - size)
         cx = _reflect(cx0 + vx * t, size, e.w - 1 - size)
-        for fi in range(e.f):
-            if kind == "bouncing_rect":
-                cov = np.clip(size + 0.5 - np.abs(ys - cy[fi]), 0, 1) * np.clip(
-                    size + 0.5 - np.abs(xs - cx[fi]), 0, 1
-                )
-            else:
-                cov = np.exp(-((ys - cy[fi]) ** 2 + (xs - cx[fi]) ** 2) / (2 * (size / 1.5) ** 2))
-            for ci in range(e.c):
-                out[b, ci, fi] = colors[ci] * cov
+        if kind == "bouncing_rect":
+            cov = np.clip(size + 0.5 - np.abs(ys - cy), 0, 1) * np.clip(size + 0.5 - np.abs(xs - cx), 0, 1)
+        else:
+            cov = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2 * (size / 1.5) ** 2))
+        out[b] = colors[:, None, None, None] * cov
     return LatentGrid(e, np.clip(out, 0.0, 1.0))
 
 

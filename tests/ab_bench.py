@@ -30,10 +30,14 @@ test p.  A verdict column says
   spread too widely to tell;
 - ``-``: none of these.
 
-Each pair's line also gives each run's CPU use and steal share.  CPU use is
-the run's user plus system seconds over its wall seconds, from
-``resource.getrusage(RUSAGE_CHILDREN)`` before and after it: a run that
-shares work across threads but reads about 1.0 did not get a second CPU.
+Each pair's line also gives each run's CPU use, steal share and minor page
+faults.  CPU use is the run's user plus system seconds over its wall
+seconds, from ``resource.getrusage(RUSAGE_CHILDREN)`` before and after it:
+a run that shares work across threads but reads about 1.0 did not get a
+second CPU.  The minor page faults (``ru_minflt``) come from the same two
+reads: a side whose count sits far above the other's over a like number of
+requests ran with its heap in another layout, which moves ``peak_rss_mb``
+too.
 The steal share is the share of the machine's CPU time that the hypervisor
 gave to other guests while the run ran, from the ``cpu`` line of
 ``/proc/stat`` before and after it (left out where that file is absent).  A
@@ -114,10 +118,11 @@ def steal_share(before, after) -> float | None:
     return delta[7] / sum(delta) if sum(delta) > 0 else None
 
 
-def child_cpu_s() -> float:
-    """User plus system CPU seconds of every waited-for child process so far."""
+def child_usage() -> tuple[float, int]:
+    """User plus system CPU seconds and minor page faults of every
+    waited-for child process so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
 def import_ms(tree: str) -> float:
@@ -133,14 +138,15 @@ def import_ms(tree: str) -> float:
 def bench_once(tree: str, args) -> dict:
     """One ``bench/run.py`` process in ``tree``; its final JSON line, with
     the run's CPU use (CPU seconds over wall seconds) under ``"cpu"``, its
-    steal share under ``"steal"`` and three :func:`import_ms` timings taken
-    after it under ``"import_ms"``."""
+    steal share under ``"steal"``, its minor page faults under ``"minflt"``
+    and three :func:`import_ms` timings taken after it under
+    ``"import_ms"``."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seconds", str(args.seconds)]
     if args.seed is not None:
         cmd += ["--seed", str(args.seed)]
-    before, cpu0, wall0 = cpu_times(), child_cpu_s(), time.perf_counter()
+    before, (cpu0, flt0), wall0 = cpu_times(), child_usage(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    cpu = (child_cpu_s() - cpu0) / (time.perf_counter() - wall0)
+    (cpu1, flt1), wall = child_usage(), time.perf_counter() - wall0
     steal = steal_share(before, cpu_times())
     lines = proc.stdout.strip().splitlines()
     try:
@@ -148,7 +154,7 @@ def bench_once(tree: str, args) -> dict:
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(f"bench/run.py in {tree} exited {proc.returncode} without a result:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}") from None
-    result["cpu"], result["steal"] = cpu, steal
+    result["cpu"], result["steal"], result["minflt"] = (cpu1 - cpu0) / wall, steal, flt1 - flt0
     result["import_ms"] = [import_ms(tree) for _ in range(3)]
     return result
 
@@ -216,11 +222,13 @@ def main(argv=None) -> int:
             got = {s: runs[s][-1]["metrics"]["items_per_s_max"]["value"] for s in order}
             cpu = {s: runs[s][-1]["cpu"] for s in order}
             steal = {s: runs[s][-1]["steal"] for s in order}
+            flt = {s: runs[s][-1]["minflt"] for s in order}
             stolen = ("" if None in steal.values() else
                       f"; steal parent {steal['parent']:.1%}, change {steal['change']:.1%}")
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): items_per_s_max parent "
                   f"{got['parent']:.4g}, change {got['change']:.4g}; CPU use parent "
-                  f"{cpu['parent']:.2f}, change {cpu['change']:.2f}{stolen}", file=sys.stderr, flush=True)
+                  f"{cpu['parent']:.2f}, change {cpu['change']:.2f}{stolen}; minor faults parent "
+                  f"{flt['parent']}, change {flt['change']}", file=sys.stderr, flush=True)
 
     head = (f"{'metric':<16} {'better':<6} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
             f"{'change':>8} {'wins':>6} {'sign p':>7}  verdict")
@@ -245,6 +253,8 @@ def main(argv=None) -> int:
         print(f"{side}: {failed} of {attempted} requests failed; {wrong} of {len(runs[side])} runs incorrect")
         uses = ", ".join(f"{r['cpu']:.2f}" for r in runs[side])
         print(f"{side}: CPU use per run: {uses}")
+        faults = ", ".join(str(r["minflt"]) for r in runs[side])
+        print(f"{side}: minor page faults per run: {faults}")
         if all(r["steal"] is not None for r in runs[side]):
             shares = ", ".join(f"{r['steal']:.1%}" for r in runs[side])
             print(f"{side}: steal share per run: {shares}")

@@ -911,15 +911,34 @@ class TestTrain:
 
     def test_no_iterations(self, tmp_path, dataset, capsys):
         """A run of zero iterations still writes its checkpoint, a loss CSV of
-        the header alone and a manifest whose final loss is nan."""
-        ckpt = tmp_path / "none.lgr"
-        capsys.readouterr()
-        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}", *FAST_TRAIN,
-                   "--set", "phase1_iters=0", "--set", "phase2_iters=0") == 0
-        assert capsys.readouterr().out == "train: no iterations run\n"
-        assert (tmp_path / "none.lgr.losses.csv").read_text() == "iter,loss,frames,wall_ms\n"
-        m = read_manifest(str(ckpt) + ".manifest")
-        assert (m["iterations"], m["final_loss"]) == ("0", "nan")
+        the header alone and a manifest whose final loss is nan.  The
+        checkpoint holds the starting parameters with a fresh optimizer's
+        moments and ``opt_t 0``, whether the run starts from new parameters
+        or resumes a checkpoint saved without an optimizer."""
+        from vidflow.denoiser import REFINER_ARCH
+
+        arch = {**REFINER_ARCH, "d": 6, "heads": 1}  # FAST_TRAIN's architecture
+        tc = vf.TrainConfig(lr=0.001, phase1_frames=3, phase1_iters=0, phase2_frames=4, phase2_iters=0)
+        for resume in (False, True):
+            # a fresh run draws its parameters from Rng(seed).split(10**9)
+            rng = vf.Rng(7) if resume else vf.Rng(0).split(10**9)
+            start = vf.DenoiserParams.init(**arch, channels=12, rng=rng)
+            argv = []
+            if resume:
+                vf.save_checkpoint(tmp_path / "start.lgr", start)
+                argv = ["--set", f"resume={tmp_path / 'start.lgr'}"]
+            name = "resumed.lgr" if resume else "fresh.lgr"
+            ckpt = tmp_path / name
+            capsys.readouterr()
+            assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}", *FAST_TRAIN,
+                       "--set", "phase1_iters=0", "--set", "phase2_iters=0", *argv) == 0
+            assert capsys.readouterr().out == "train: no iterations run\n"
+            assert (tmp_path / f"{name}.losses.csv").read_text() == "iter,loss,frames,wall_ms\n"
+            m = read_manifest(f"{ckpt}.manifest")
+            assert (m["iterations"], m["final_loss"]) == ("0", "nan")
+            assert "meta opt_t 0" in (tmp_path / f"{name}.index").read_text().splitlines()
+            vf.save_checkpoint(tmp_path / "want.lgr", start, vf.AdamW(start, tc))
+            assert ckpt.read_bytes() == (tmp_path / "want.lgr").read_bytes(), resume
 
     def test_train_base_target(self, tmp_path, dataset):
         ckpt = tmp_path / "base.lgr"

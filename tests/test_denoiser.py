@@ -6,6 +6,7 @@ import pytest
 import vidflow as vf
 from vidflow.errors import ConfigError, ContractError, ShapeError
 from vidflow.denoiser import (
+    SYNTH_KINDS,
     AdamW,
     DegradationConfig,
     DenoiserParams,
@@ -21,6 +22,7 @@ from vidflow.denoiser import (
     synth_video,
     train_base,
     train_refiner,
+    _reflect,
 )
 from vidflow.grids import Extent5, Rng, write_record
 
@@ -318,7 +320,46 @@ class TestDegradation:
         assert _box_blur(v, r).tobytes() == (acc / (2 * r + 1) ** 2).tobytes()
 
 
+def per_frame_synth_video(kind, e, rng):
+    """The clips built one frame and one channel at a time: the reference
+    that :func:`synth_video`, which covers all frames in one broadcast and
+    fills every channel in one product, must match bit for bit."""
+    ys = np.arange(e.h)[:, None]
+    xs = np.arange(e.w)[None, :]
+    out = np.zeros(e.as_tuple())
+    for b in range(e.b):
+        size = 0.12 * min(e.h, e.w) + 0.1 * min(e.h, e.w) * rng.uniform(1)[0]
+        cy0 = size + (e.h - 1 - 2 * size) * rng.uniform(1)[0]
+        cx0 = size + (e.w - 1 - 2 * size) * rng.uniform(1)[0]
+        vy, vx = 3.0 * (rng.uniform(2) - 0.5)
+        colors = 0.3 + 0.7 * rng.uniform(e.c)
+        t = np.arange(e.f)
+        cy = _reflect(cy0 + vy * t, size, e.h - 1 - size)
+        cx = _reflect(cx0 + vx * t, size, e.w - 1 - size)
+        for fi in range(e.f):
+            if kind == "bouncing_rect":
+                cov = np.clip(size + 0.5 - np.abs(ys - cy[fi]), 0, 1) * np.clip(
+                    size + 0.5 - np.abs(xs - cx[fi]), 0, 1
+                )
+            else:
+                cov = np.exp(-((ys - cy[fi]) ** 2 + (xs - cx[fi]) ** 2) / (2 * (size / 1.5) ** 2))
+            for ci in range(e.c):
+                out[b, ci, fi] = colors[ci] * cov
+    return np.clip(out, 0.0, 1.0)
+
+
 class TestSynthVideo:
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1, 1, 1), (2, 4, 5, 1, 1), (3, 1, 1, 8, 6), (1, 3, 12, 16, 16), (2, 4, 7, 5, 9), (1, 1, 4, 2, 3),
+    ], ids=["1x1-plane-one-frame", "1x1-plane", "one-frame", "rig-clip", "odd-plane", "thin-plane"])
+    def test_equals_the_per_frame_build_bit_for_bit(self, kind, shape):
+        e = Extent5(*shape)
+        for seed in range(20):
+            got = synth_video(kind, e, Rng(seed)).values
+            want = per_frame_synth_video(kind, e, Rng(seed))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
     def test_range_and_determinism(self):
         a = synth_video("bouncing_rect", Extent5(2, 3, 5, 16, 16), Rng(20))
         b = synth_video("bouncing_rect", Extent5(2, 3, 5, 16, 16), Rng(20))
