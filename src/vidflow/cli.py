@@ -43,13 +43,11 @@ from .denoiser import (
     DenoiserParams,
     ToyCodec,
     TrainConfig,
-    _iterations,
+    _train,
     load_checkpoint,
     refine,
     save_checkpoint,
     synth_video,
-    train_base,
-    train_refiner,
 )
 from .errors import ConfigError, FormatError, VidflowError
 from .grids import Extent5, LatentGrid, Rng, check_replaceable, read_lgr1, replaced, write_lgr1
@@ -334,15 +332,13 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
     if optimizer is None:  # a fresh run, or a checkpoint saved without moments
         optimizer = AdamW(params, tc)
 
-    trainer, args = ((train_refiner, (dataset, codec, deg, tc, rng)) if cfg["target"] == "refiner"
-                     else (train_base, (dataset, codec, tc, rng)))
-    # one timed call per iteration; the steps give a straight run's bits
+    # each row's wall time runs from its iteration's start to its yield
     losses, csv_lines = [], ["iter,loss,frames,wall_ms"]
-    for it in _iterations(tc, dataset, optimizer, None, None):
+    t0 = time.perf_counter()
+    for it, loss in _train(cfg["target"], dataset, codec, deg, tc, rng, params, optimizer):
+        csv_lines.append(f"{it},{loss:.10g},{tc.frames_at(it)},{1000.0 * (time.perf_counter() - t0):.3f}")
+        losses.append(loss)
         t0 = time.perf_counter()
-        params, optimizer, loss = trainer(*args, params=params, optimizer=optimizer, n_iters=1)
-        csv_lines.append(f"{it},{loss[0]:.10g},{tc.frames_at(it)},{1000.0 * (time.perf_counter() - t0):.3f}")
-        losses += loss
 
     save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
     _atomic_write_bytes(f"{out}.losses.csv", ("\n".join(csv_lines) + "\n").encode())

@@ -565,15 +565,25 @@ def _clip_window(clip: LatentGrid, frames: int, ri: Rng) -> LatentGrid:
     return LatentGrid.from_array(clip.values[:, :, start : start + frames])
 
 
-def _iterations(train_cfg, dataset, optimizer, start_iter, n_iters) -> range:
-    """Iterations ``start_iter`` up to ``start_iter + n_iters``, or to
-    ``train_cfg.total_iters`` when ``n_iters`` is None.  The optimizer's step
-    count ``t`` is the one record of a run's position, so ``start_iter``
-    (None: that count, or 0 without an optimizer) must equal it and not lie
-    past the end; resuming with a checkpointed optimizer then reproduces a
-    straight run bit for bit.  A start that breaks this, or a schedule that
-    needs more frames than the shortest clip holds, is refused here."""
-    steps = optimizer.t if optimizer is not None else 0
+def _train(target, dataset, codec, deg_cfg, train_cfg, rng, params, optimizer, start_iter=None, n_iters=None):
+    """The one training loop: a generator that yields ``(iteration, loss)``
+    after each optimizer step, from ``start_iter`` (None: the optimizer's
+    step count ``t``) up to ``start_iter + n_iters``, or to
+    ``train_cfg.total_iters`` when ``n_iters`` is None.  ``t`` is the one
+    record of a run's position, so a start other than ``t`` or past the end
+    is refused before the first iteration, as is a schedule that needs more
+    frames than the shortest clip holds; resuming with a checkpointed
+    optimizer then reproduces a straight run bit for bit.  The trainers make
+    their :class:`AdamW` before that check, so a refused call has already
+    bound ``params.tensors`` to the new optimizer's views, values unchanged.
+
+    Iteration ``it`` takes all its randomness from ``rng.split(it)``: a clip
+    and a window of it, then the (source, clean) pair -- for ``target``
+    ``"refiner"`` the window degraded with ``deg_cfg``, for ``"base"`` noise
+    and the encoded window -- then the path time t.  A non-finite loss, or
+    one above :data:`DIVERGED_LOSS_RATIO` times the mean square of its
+    target, stops training before the optimizer applies its gradients."""
+    steps = optimizer.t
     if start_iter is None:
         start_iter = steps
     end = train_cfg.total_iters if n_iters is None else start_iter + n_iters
@@ -584,27 +594,17 @@ def _iterations(train_cfg, dataset, optimizer, start_iter, n_iters) -> range:
     shortest = min(clip.extent.f for clip in dataset)
     if need > shortest:
         raise ConfigError(f"iteration {end - 1} needs {need} frames, the shortest clip has {shortest}")
-    return range(start_iter, end)
-
-
-def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters):
-    """The training loop both trainers share, over :func:`_iterations`, which
-    refuses a bad start or schedule before the first iteration.  Iteration
-    ``it`` takes all its randomness from ``rng.split(it)``: a clip and a
-    window of it, then ``draw(window, ri)`` for the (source, clean) pair,
-    then the path time t.  A non-finite loss, or one above
-    :data:`DIVERGED_LOSS_RATIO` times the mean square of its target, stops
-    training before the optimizer applies its gradients."""
-    iterations = _iterations(train_cfg, dataset, optimizer, start_iter, n_iters)
-    if optimizer is None:
-        optimizer = AdamW(params, train_cfg)
     cond = Conditioning.zeros(params.cond_dim)
-    losses = []
-    for it in iterations:
+    for it in range(start_iter, end):
         ri = rng.split(it)
         clip = dataset[int(ri.integers(0, len(dataset))[0])]
         frames = train_cfg.frames_at(it)
-        source, clean = draw(_clip_window(clip, frames, ri.split(0)), ri)
+        window = _clip_window(clip, frames, ri.split(0))
+        if target == "refiner":
+            source, clean = degrade_pair(window, codec, deg_cfg, rng=ri.split(1))
+        else:
+            clean = codec.encode(window)
+            source = sample_gaussian(clean.extent, ri.split(1))
         t = 0.001 + 0.998 * float(ri.uniform(1)[0])
         loss, grads = refiner_loss(params, source, clean, t, cond)
         if not math.isfinite(loss):
@@ -615,8 +615,7 @@ def _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters
                                 f"is {loss / target_ms:.3g} times its target's mean square "
                                 f"(the limit is {DIVERGED_LOSS_RATIO:g})")
         optimizer.step(params, grads)
-        losses.append(loss)
-    return params, optimizer, losses
+        yield it, loss
 
 
 def train_refiner(
@@ -639,11 +638,10 @@ def train_refiner(
         params = DenoiserParams.init(
             **REFINER_ARCH, channels=dataset[0].extent.c * 4, rng=rng.split(10**9),
         )
-
-    def draw(clip, ri):
-        return degrade_pair(clip, codec, deg_cfg, rng=ri.split(1))
-
-    return _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters)
+    if optimizer is None:
+        optimizer = AdamW(params, train_cfg)
+    steps = _train("refiner", dataset, codec, deg_cfg, train_cfg, rng, params, optimizer, start_iter, n_iters)
+    return params, optimizer, [loss for _, loss in steps]
 
 
 def train_base(
@@ -659,12 +657,10 @@ def train_base(
     """Flow-matching pretraining of the base model on (noise, clean) pairs."""
     if not dataset:
         raise ConfigError("empty dataset")
-
-    def draw(clip, ri):
-        z0 = codec.encode(clip)
-        return sample_gaussian(z0.extent, ri.split(1)), z0
-
-    return _train(draw, dataset, train_cfg, rng, params, optimizer, start_iter, n_iters)
+    if optimizer is None:
+        optimizer = AdamW(params, train_cfg)
+    steps = _train("base", dataset, codec, None, train_cfg, rng, params, optimizer, start_iter, n_iters)
+    return params, optimizer, [loss for _, loss in steps]
 
 
 def refine(

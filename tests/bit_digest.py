@@ -22,7 +22,8 @@ bits.  It digests
 - ``refiner_loss``'s loss and gradients at batch 3 and 9 frames;
 - the checkpoint blobs (moments included; the index is not digested) of a
   small straight ``vidflow train`` run and of the same run stopped after
-  its first phase and resumed;
+  its first phase and resumed, for the Refiner and, on a second line, for
+  ``target=base``;
 - the losses and final parameters of 20 iterations of the acceptance rig
   (10 at 5 frames, then 10 at 9).
 
@@ -161,21 +162,25 @@ def cli_train():
     train = ["--set", "phase1_iters=3", "--set", "phase2_iters=2", "--set", "phase1_frames=3",
              "--set", "phase2_frames=4", "--set", "d=6", "--set", "heads=1", "--set", "lr=0.001"]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        data, straight, part, resumed = (os.path.join(tmp, k) for k in ("data", "straight", "part", "resumed"))
-        for argv in (["synth", "--set", f"out={data}", "--set", "count=3", "--set", "frames=6",
-                      "--set", "height=8", "--set", "width=8"],
-                     ["train", "--set", f"dataset={data}", "--set", f"out={straight}", *train],
-                     ["train", "--set", f"dataset={data}", "--set", f"out={part}", *train,
-                      "--set", "phase2_iters=0"],
-                     ["train", "--set", f"dataset={data}", "--set", f"out={resumed}", *train,
-                      "--set", f"resume={part}"]):
-            if cli.main(argv) != 0:
-                raise SystemExit(f"vidflow {argv[0]} failed")
-        h = hashlib.sha256()
-        for path in (straight, resumed):
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-    yield "cli train", h.hexdigest()[:16]
+        data = os.path.join(tmp, "data")
+        if cli.main(["synth", "--set", f"out={data}", "--set", "count=3", "--set", "frames=6",
+                     "--set", "height=8", "--set", "width=8"]) != 0:
+            raise SystemExit("vidflow synth failed")
+        for label, target in (("cli train", "refiner"), ("cli train base", "base")):
+            straight, part, resumed = (os.path.join(tmp, f"{target}.{k}") for k in ("straight", "part", "resumed"))
+            run = [*train, "--set", f"target={target}"]
+            for argv in (["train", "--set", f"dataset={data}", "--set", f"out={straight}", *run],
+                         ["train", "--set", f"dataset={data}", "--set", f"out={part}", *run,
+                          "--set", "phase2_iters=0"],
+                         ["train", "--set", f"dataset={data}", "--set", f"out={resumed}", *run,
+                          "--set", f"resume={part}"]):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"vidflow {argv[0]} failed")
+            h = hashlib.sha256()
+            for path in (straight, resumed):
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+            yield label, h.hexdigest()[:16]
 
 
 def rig():

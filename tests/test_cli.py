@@ -808,20 +808,24 @@ class TestTrain:
 
     def test_loss_rows_time_each_iteration(self, tmp_path, dataset, monkeypatch):
         """Each loss CSV row carries its own iteration's wall time: the rows
-        differ and sum to within a few percent of the time spent training.
-        The run steps one iteration at a time, and its losses and checkpoint
-        blob equal those of one straight ``train_refiner`` call."""
+        differ and sum to within a few percent of the time the training loop
+        spent producing the iterations.  The run's losses and checkpoint blob
+        equal those of one straight ``train_refiner`` call."""
         from vidflow import cli
 
-        calls, trainer = [], cli.train_refiner
+        calls, loop = [], cli._train
 
         def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            result = trainer(*args, **kwargs)
-            calls.append((time.perf_counter() - t0, result[2]))
-            return result
+            steps = loop(*args, **kwargs)
+            while True:
+                t0 = time.perf_counter()
+                step = next(steps, None)
+                if step is None:
+                    return
+                calls.append((time.perf_counter() - t0, step[1]))
+                yield step
 
-        monkeypatch.setattr(cli, "train_refiner", timed)
+        monkeypatch.setattr(cli, "_train", timed)
         ckpt = tmp_path / "stepped.lgr"
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}", *FAST_TRAIN) == 0
         rows = [line.split(",") for line in (tmp_path / "stepped.lgr.losses.csv").read_text().splitlines()[1:]]
@@ -835,8 +839,9 @@ class TestTrain:
                                         rng=vf.Rng(0).split(10**9))
         values = vf.read_lgr1(dataset).values
         clips = [vf.LatentGrid.from_array(values[i : i + 1]) for i in range(len(values))]
-        params, opt, losses = trainer(clips, vf.ToyCodec(), vf.DegradationConfig(), tc, vf.Rng(0), params)
-        assert [loss for _, step in calls for loss in step] == losses
+        params, opt, losses = vf.train_refiner(clips, vf.ToyCodec(), vf.DegradationConfig(), tc, vf.Rng(0),
+                                               params)
+        assert [loss for _, loss in calls] == losses
         assert [row[1] for row in rows] == [f"{loss:.10g}" for loss in losses]
         straight = tmp_path / "straight.lgr"
         vf.save_checkpoint(straight, params, opt, meta={"target": "refiner"})
@@ -940,12 +945,40 @@ class TestTrain:
             vf.save_checkpoint(tmp_path / "want.lgr", start, vf.AdamW(start, tc))
             assert ckpt.read_bytes() == (tmp_path / "want.lgr").read_bytes(), resume
 
+    def test_schedule_longer_than_a_clip_is_2(self, tmp_path, dataset, monkeypatch, capsys):
+        """A schedule whose last iteration needs more frames than the shortest
+        clip holds is refused before any iteration runs or any file is written."""
+        from vidflow import denoiser
+
+        iterations = []
+        loss = denoiser.refiner_loss
+        monkeypatch.setattr(denoiser, "refiner_loss", lambda *args: iterations.append(1) or loss(*args))
+        capsys.readouterr()
+        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={tmp_path / 'out.lgr'}",
+                   *FAST_TRAIN, "--set", "phase2_frames=7") == 2
+        assert capsys.readouterr() == ("", "config error: iteration 4 needs 7 frames, the shortest clip has 6\n")
+        assert iterations == [] and list(tmp_path.glob("out*")) == []
+
     def test_train_base_target(self, tmp_path, dataset):
+        """``target=base`` runs the base branch of the training loop: its
+        losses and checkpoint blob equal one straight ``train_base`` call's."""
         ckpt = tmp_path / "base.lgr"
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}",
                    "--set", "target=base", *FAST_TRAIN) == 0
         params, _, _ = vf.load_checkpoint(ckpt)
         assert params.d == 6
+
+        tc = vf.TrainConfig(lr=0.001, phase1_iters=3, phase2_iters=2, phase1_frames=3, phase2_frames=4)
+        params = vf.DenoiserParams.init(patch=2, d=6, heads=1, depth=2, w_t=4, channels=12, cond_dim=4,
+                                        rng=vf.Rng(0).split(10**9))
+        values = vf.read_lgr1(dataset).values
+        clips = [vf.LatentGrid.from_array(values[i : i + 1]) for i in range(len(values))]
+        params, opt, losses = vf.train_base(clips, vf.ToyCodec(), tc, vf.Rng(0), params)
+        rows = (tmp_path / "base.lgr.losses.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [f"{loss:.10g}" for loss in losses]
+        straight = tmp_path / "straight.lgr"
+        vf.save_checkpoint(straight, params, opt, meta={"target": "base"})
+        assert straight.read_bytes() == ckpt.read_bytes()
 
 
 class TestPreviewRefine:
