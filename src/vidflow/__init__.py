@@ -31,7 +31,6 @@ from .denoiser import (
     refiner_loss,
     save_checkpoint,
     synth_video,
-    train_base,
     train_refiner,
 )
 from .errors import ConfigError, ContractError, FormatError, ShapeError, VidflowError

@@ -1,9 +1,10 @@
 """Batch command-line frontend.
 
-Verbs: synth | train | preview | refine | profile | inspect.  Every verb
-reads a single JSON config file (section per verb) with ``--set key=value``
-overrides, rejects unknown keys, and records a plain-text manifest next to
-its primary output so any run can be replayed exactly.
+Verbs: synth | train | preview | refine | profile | inspect.  Every verb but
+``inspect`` reads an optional JSON config file (section per verb) with
+``--set key=value`` overrides, rejects unknown keys, and records a plain-text
+manifest next to its primary output so any run can be replayed exactly;
+``inspect PATH`` takes the path of one LGR1 file and prints its statistics.
 
 Exit codes: 0 success, 2 config error, 3 I/O or format error, 4 contract
 violation.
@@ -342,7 +343,7 @@ def cmd_train(cfg: dict) -> tuple[dict, str]:
 
     save_checkpoint(out, params, optimizer, meta={"target": cfg["target"]})
     _atomic_write_bytes(f"{out}.losses.csv", ("\n".join(csv_lines) + "\n").encode())
-    return ({"iterations": tc.total_iters, "final_loss": losses[-1] if losses else "nan"},
+    return ({"iterations": len(losses), "final_loss": losses[-1] if losses else "nan"},
             f"train[{cfg['target']}]: {len(losses)} iters, final loss {losses[-1]:.6g}" if losses
             else "train: no iterations run")
 

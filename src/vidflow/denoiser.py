@@ -135,9 +135,9 @@ class DenoiserParams:
 _ARCH_KEYS = tuple(f.name for f in fields(DenoiserParams) if f.name != "tensors")
 
 
-def _sigma_embedding(sigma: float, dim: int = SIGMA_EMBED_DIM) -> np.ndarray:
+def _sigma_embedding(sigma: float) -> np.ndarray:
     """Sinusoidal features of the noise level (geometric frequency ladder)."""
-    half = dim // 2
+    half = SIGMA_EMBED_DIM // 2
     freqs = 1000.0 ** (np.arange(half) / max(half - 1, 1))
     ang = sigma * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)])
@@ -226,7 +226,7 @@ def _reverse(params: DenoiserParams, saved: list, sigma: float, cond: Conditioni
     blocks = _block_weights(grads, params.depth)
     g_bias = np.zeros((1, d))
     for item in saved:
-        g = _patchify(item.pop(), p).reshape(-1, params.channels * p * p)
+        g = _patchify(item.pop(), p).reshape(-1, params.token_dim)
         g = linear_backward(g, item.pop(), grads["head.w"], grads["head.b"], tensors["head.w"])
         y, inv = item.pop()
         g = layernorm_backward(g.reshape(y.shape), y, inv)
@@ -528,10 +528,10 @@ def refiner_loss(
     t: float,
     cond: Conditioning,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """The flow loss both trainers use: interpolate z_t = (1 - t) * z_clean +
-    t * z_src and regress the constant path velocity z_src - z_clean (per-item
-    MSE, averaged over the batch).  The source is noise for the base model and
-    the degraded latent for the Refiner."""
+    """The flow loss of both training targets: interpolate z_t = (1 - t) *
+    z_clean + t * z_src and regress the constant path velocity z_src - z_clean
+    (per-item MSE, averaged over the batch).  The source is noise for the base
+    model and the degraded latent for the Refiner."""
     if z_src.extent != z_clean.extent:
         raise ShapeError(f"extent mismatch: {z_src.extent} vs {z_clean.extent}")
     if not (0.0 < t < 1.0):
@@ -573,9 +573,10 @@ def _train(target, dataset, codec, deg_cfg, train_cfg, rng, params, optimizer, s
     record of a run's position, so a start other than ``t`` or past the end
     is refused before the first iteration, as is a schedule that needs more
     frames than the shortest clip holds; resuming with a checkpointed
-    optimizer then reproduces a straight run bit for bit.  The trainers make
-    their :class:`AdamW` before that check, so a refused call has already
-    bound ``params.tensors`` to the new optimizer's views, values unchanged.
+    optimizer then reproduces a straight run bit for bit.  The caller makes
+    the :class:`AdamW`, and with it binds ``params.tensors`` to the
+    optimizer's views, before that check: a refused :func:`train_refiner`
+    call leaves them bound, values unchanged.
 
     Iteration ``it`` takes all its randomness from ``rng.split(it)``: a clip
     and a window of it, then the (source, clean) pair -- for ``target``
@@ -641,25 +642,6 @@ def train_refiner(
     if optimizer is None:
         optimizer = AdamW(params, train_cfg)
     steps = _train("refiner", dataset, codec, deg_cfg, train_cfg, rng, params, optimizer, start_iter, n_iters)
-    return params, optimizer, [loss for _, loss in steps]
-
-
-def train_base(
-    dataset: list[LatentGrid],
-    codec: ToyCodec,
-    train_cfg: TrainConfig,
-    rng: Rng,
-    params: DenoiserParams,
-    optimizer: AdamW | None = None,
-    start_iter: int | None = None,
-    n_iters: int | None = None,
-) -> tuple[DenoiserParams, AdamW, list[float]]:
-    """Flow-matching pretraining of the base model on (noise, clean) pairs."""
-    if not dataset:
-        raise ConfigError("empty dataset")
-    if optimizer is None:
-        optimizer = AdamW(params, train_cfg)
-    steps = _train("base", dataset, codec, None, train_cfg, rng, params, optimizer, start_iter, n_iters)
     return params, optimizer, [loss for _, loss in steps]
 
 

@@ -4,9 +4,11 @@ import pytest
 
 import vidflow as vf
 from vidflow.denoiser import (
+    AdamW,
     DegradationConfig,
     ToyCodec,
     TrainConfig,
+    _train,
     degrade_pair,
     synth_video,
     train_refiner,
@@ -25,6 +27,15 @@ RIG_TRAIN = TrainConfig(
 def make_rig_dataset(rng: vf.Rng, n_clips: int = 32) -> list[vf.LatentGrid]:
     extent = vf.Extent5(1, 3, 12, 16, 16)
     return [synth_video("bouncing_rect", extent, rng.split(1000 + i)) for i in range(n_clips)]
+
+
+def train_base(dataset, codec, train_cfg, rng, params):
+    """A straight base-model run, as ``vidflow train --set target=base`` makes
+    it: a fresh AdamW, then every iteration of the training loop's base
+    branch.  Returns (params, optimizer, losses)."""
+    optimizer = AdamW(params, train_cfg)
+    losses = [loss for _, loss in _train("base", dataset, codec, None, train_cfg, rng, params, optimizer)]
+    return params, optimizer, losses
 
 
 def make_heldout(rng: vf.Rng, n_items: int = 20):

@@ -15,6 +15,8 @@ import vidflow as vf
 from vidflow import __version__
 from vidflow.cli import main, read_manifest, replay_manifest
 
+from conftest import train_base
+
 
 FAST_TRAIN = [
     "--set", "phase1_iters=3", "--set", "phase2_iters=2",
@@ -848,20 +850,23 @@ class TestTrain:
         assert open(straight, "rb").read() == open(ckpt, "rb").read()
 
     def test_resume_matches_straight_run(self, tmp_path, dataset):
-        straight = tmp_path / "straight.lgr"
-        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={straight}", *FAST_TRAIN) == 0
+        """For either target, a run resumed after 3 of its 5 iterations ends at
+        the straight run's parameters, and its manifest counts the 2 it made."""
+        for target in ("refiner", "base"):
+            argv = ["--set", f"dataset={dataset}", *FAST_TRAIN, "--set", f"target={target}"]
+            straight = tmp_path / f"{target}-straight.lgr"
+            assert run("train", *argv, "--set", f"out={straight}") == 0
 
-        part = tmp_path / "part.lgr"
-        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={part}",
-                   *FAST_TRAIN, "--set", "phase2_iters=0") == 0
-        full = tmp_path / "resumed.lgr"
-        assert run("train", "--set", f"dataset={dataset}", "--set", f"out={full}",
-                   *FAST_TRAIN, "--set", f"resume={part}") == 0
+            part = tmp_path / f"{target}-part.lgr"
+            assert run("train", *argv, "--set", f"out={part}", "--set", "phase2_iters=0") == 0
+            full = tmp_path / f"{target}-resumed.lgr"
+            assert run("train", *argv, "--set", f"out={full}", "--set", f"resume={part}") == 0
 
-        a, _, _ = vf.load_checkpoint(straight)
-        b, _, _ = vf.load_checkpoint(full)
-        for k in a.tensors:
-            assert np.array_equal(a.tensors[k], b.tensors[k]), k
+            a, _, _ = vf.load_checkpoint(straight)
+            b, _, _ = vf.load_checkpoint(full)
+            for k in a.tensors:
+                assert np.array_equal(a.tensors[k], b.tensors[k]), (target, k)
+            assert read_manifest(f"{full}.manifest")["iterations"] == "2", target
 
     def test_resume_of_a_library_checkpoint_matches_straight_run(self, tmp_path, dataset):
         """A checkpoint that ``save_checkpoint`` wrote after 3 library steps
@@ -961,7 +966,7 @@ class TestTrain:
 
     def test_train_base_target(self, tmp_path, dataset):
         """``target=base`` runs the base branch of the training loop: its
-        losses and checkpoint blob equal one straight ``train_base`` call's."""
+        losses and checkpoint blob equal a straight run of that branch's."""
         ckpt = tmp_path / "base.lgr"
         assert run("train", "--set", f"dataset={dataset}", "--set", f"out={ckpt}",
                    "--set", "target=base", *FAST_TRAIN) == 0
@@ -973,7 +978,7 @@ class TestTrain:
                                         rng=vf.Rng(0).split(10**9))
         values = vf.read_lgr1(dataset).values
         clips = [vf.LatentGrid.from_array(values[i : i + 1]) for i in range(len(values))]
-        params, opt, losses = vf.train_base(clips, vf.ToyCodec(), tc, vf.Rng(0), params)
+        params, opt, losses = train_base(clips, vf.ToyCodec(), tc, vf.Rng(0), params)
         rows = (tmp_path / "base.lgr.losses.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == [f"{loss:.10g}" for loss in losses]
         straight = tmp_path / "straight.lgr"

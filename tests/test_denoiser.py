@@ -20,13 +20,12 @@ from vidflow.denoiser import (
     refiner_loss,
     save_checkpoint,
     synth_video,
-    train_base,
     train_refiner,
     _reflect,
 )
 from vidflow.grids import Extent5, Rng, write_record
 
-from conftest import RIG_DEG, RIG_TRAIN
+from conftest import RIG_DEG, RIG_TRAIN, train_base
 from oracles import laplacian_energy
 
 
@@ -599,7 +598,7 @@ class TestTraining:
         p = DenoiserParams.init(
             patch=2, d=12, heads=2, depth=2, w_t=4, channels=12, cond_dim=4, rng=rng.split(99),
         )
-        _, _, losses = train_base(tiny, ToyCodec(), cfg, rng, params=p)
+        _, _, losses = train_base(tiny, ToyCodec(), cfg, rng, p)
         assert [x.hex() for x in losses] == list(BASE_LOSSES_HEX)
 
         _, rig, _ = trained_rig
@@ -628,10 +627,6 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_refiner([], ToyCodec(), RIG_DEG, RIG_TRAIN, Rng(0))
 
-    def test_base_empty_dataset_rejected(self):
-        with pytest.raises(ConfigError, match="empty dataset"):
-            train_base([], ToyCodec(), RIG_TRAIN, Rng(0), params=small_params())
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_training(self):
         rng = Rng(7)
@@ -641,7 +636,7 @@ class TestTraining:
             patch=2, d=12, heads=2, depth=2, w_t=4, channels=12, cond_dim=4, rng=rng.split(99),
         )
         with pytest.raises(ContractError, match=r"not finite at iteration 1 \(3 frames\)"):
-            train_base(tiny, ToyCodec(), cfg, rng, params=p)
+            train_base(tiny, ToyCodec(), cfg, rng, p)
 
 
 class TestRefine:
